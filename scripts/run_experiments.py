@@ -16,32 +16,42 @@ from fishrope import experiments, fixtures, formats
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-def main() -> int:
-    RESULTS.mkdir(exist_ok=True)
-    camera = fixtures.wide_camera()
-
+def write_bench(out_dir: pathlib.Path, camera) -> experiments.BenchReport:
+    """Default retrieval bench -> out_dir/bench.{yaml,csv}."""
     bench = experiments.retrieval_bench(
         experiments.RetrievalBenchConfig(camera=camera)
     )
-    formats.write_report_yaml(RESULTS / "bench.yaml", bench.as_dict())
+    formats.write_report_yaml(out_dir / "bench.yaml", bench.as_dict())
     header, rows = bench.csv_rows()
-    formats.write_csv_table(RESULTS / "bench.csv", header, rows)
-    for s in bench.scores:
-        print(
-            f"bench[{s.encoding}] top1={s.top1_accuracy:.4f} "
-            f"periphery={s.periphery_accuracy:.4f} ({s.runtime_s:.2f}s)"
-        )
+    formats.write_csv_table(out_dir / "bench.csv", header, rows)
+    return bench
 
+
+def write_lift(out_dir: pathlib.Path, camera) -> experiments.LiftReport:
+    """Default BEV round-trip on the fixture scene -> out_dir/lift.{yaml,csv}."""
     lift = experiments.bev_roundtrip(
         camera,
         fixtures.scene_extrinsics(),
         fixtures.scene_pattern(),
         experiments.LiftConfig(),
     )
-    formats.write_report_yaml(RESULTS / "lift.yaml", lift.as_dict())
+    formats.write_report_yaml(out_dir / "lift.yaml", lift.as_dict())
     header, rows = lift.csv_rows()
-    formats.write_csv_table(RESULTS / "lift.csv", header, rows)
-    for s in lift.scores:
+    formats.write_csv_table(out_dir / "lift.csv", header, rows)
+    return lift
+
+
+def main() -> int:
+    RESULTS.mkdir(exist_ok=True)
+    camera = fixtures.wide_camera()
+
+    for s in write_bench(RESULTS, camera).scores:
+        print(
+            f"bench[{s.encoding}] top1={s.top1_accuracy:.4f} "
+            f"periphery={s.periphery_accuracy:.4f} ({s.runtime_s:.2f}s)"
+        )
+
+    for s in write_lift(RESULTS, camera).scores:
         print(
             f"lift[{s.encoding}] overall={s.overall_accuracy:.4f} "
             f"peripheral={s.peripheral_accuracy:.4f} ({s.runtime_s:.2f}s)"

@@ -13,6 +13,7 @@ mask is False.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,10 @@ class BevGridSpec:
 
     @classmethod
     def from_extent(cls, extent: tuple[float, float], resolution: float) -> "BevGridSpec":
+        if not (math.isfinite(resolution) and resolution > 0.0):
+            raise ConfigError(f"resolution must be positive and finite, got {resolution}")
+        if not all(math.isfinite(e) for e in extent):
+            raise ConfigError(f"extent must be finite, got {tuple(extent)}")
         dims = (round(extent[0] / resolution), round(extent[1] / resolution))
         return cls(dims=dims, extent=extent, resolution=resolution)
 

@@ -11,9 +11,12 @@ keys.  Position enters through one of four encodings:
     fishrope    rotary over lens angular coordinates (theta, phi)
 
 Rotations act per head on query and key projections; logits are
-temperature-scaled inner products; softmax rows are max-subtracted and
-exclude masked keys entirely (equivalent to -inf logits), so weights
-over valid keys always sum to 1.
+temperature-scaled inner products, computed by BLAS matmul over fixed
+query tiles; softmax rows are max-subtracted and exclude masked keys
+entirely (equivalent to -inf logits), so weights over valid keys always
+sum to 1.  logit_argmax, which the BEV lift uses, streams over those
+tiles and keeps only each row's argmax, so its memory stays bounded by
+one tile instead of growing with N_q x N_k.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -32,6 +35,10 @@ from .errors import ConfigError, EmptyAttentionError, ShapeError
 from .rope import ENCODINGS, RotaryConfig
 
 _ROTARY = ("axial_rope", "fishrope")
+
+# Logits per query tile (16 MiB of float64): the working set of
+# logit_argmax, whatever the number of queries.
+LOGIT_TILE = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -229,6 +236,42 @@ def _project_heads(
     return np.moveaxis(heads, 1, 0)
 
 
+def _projected_qk(
+    queries: TokenGrid,
+    keys: TokenGrid,
+    weights: ProjectionWeights,
+    config: AttentionConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded, projected and rotated (q, k), each (heads, N, head_dim)."""
+    if weights.dim != config.model_dim:
+        raise ShapeError(
+            f"weights dim {weights.dim} does not match model dim {config.model_dim}"
+        )
+    q = _project_heads(_embed(queries, config), queries.coords, weights.wq, config, True)
+    k = _project_heads(_embed(keys, config), keys.coords, weights.wk, config, True)
+    return q, k
+
+
+def _logit_tiles(q: np.ndarray, k: np.ndarray, scale: float):
+    """Yield (query slice, scaled logits (heads, rows, N_k)) tile by tile.
+
+    Each tile is a view of one buffer that the next step overwrites.
+    Every logit consumer goes through here: BLAS rounding can depend on
+    the shape of a product, so sharing the tiling, not just the formula,
+    keeps dense and streamed callers bit-identical.
+    """
+    heads, n_q, _ = q.shape
+    n_k = k.shape[1]
+    k_t = k.swapaxes(1, 2)
+    step = max(1, min(n_q, LOGIT_TILE // max(1, heads * n_k)))
+    buf = np.empty((heads, step, n_k))
+    for start in range(0, n_q, step):
+        stop = min(start + step, n_q)
+        tile = np.matmul(q[:, start:stop], k_t, out=buf[:, : stop - start])
+        tile *= scale
+        yield slice(start, stop), tile
+
+
 def logit_matrix(
     queries: TokenGrid,
     keys: TokenGrid,
@@ -240,14 +283,30 @@ def logit_matrix(
     No masking is applied here; this is the test surface for the
     relative-position properties.
     """
-    if weights.dim != config.model_dim:
-        raise ShapeError(
-            f"weights dim {weights.dim} does not match model dim {config.model_dim}"
-        )
-    q = _project_heads(_embed(queries, config), queries.coords, weights.wq, config, True)
-    k = _project_heads(_embed(keys, config), keys.coords, weights.wk, config, True)
-    logits = config.scale * np.einsum("hqd,hkd->hqk", q, k)
+    q, k = _projected_qk(queries, keys, weights, config)
+    logits = np.empty((config.heads, q.shape[1], k.shape[1]))
+    for rows, tile in _logit_tiles(q, k, config.scale):
+        logits[:, rows] = tile
     return logits[0] if config.heads == 1 else logits
+
+
+def logit_argmax(
+    queries: TokenGrid,
+    keys: TokenGrid,
+    weights: ProjectionWeights,
+    config: AttentionConfig,
+) -> np.ndarray:
+    """Row argmax of the logits, (N_q,) for one head, (heads, N_q) otherwise.
+
+    Equals np.argmax(logit_matrix(...), axis=-1), first-occurrence ties
+    included, but streams over query tiles of about LOGIT_TILE logits,
+    so memory stays bounded by one tile whatever N_q is.
+    """
+    q, k = _projected_qk(queries, keys, weights, config)
+    chosen = np.empty((config.heads, q.shape[1]), dtype=np.intp)
+    for rows, tile in _logit_tiles(q, k, config.scale):
+        chosen[:, rows] = np.argmax(tile, axis=-1)
+    return chosen[0] if config.heads == 1 else chosen
 
 
 def _masked_softmax(logits: np.ndarray, key_mask: np.ndarray) -> np.ndarray:

@@ -160,10 +160,9 @@ class BenchReport:
                 return s
         raise KeyError(encoding)
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        results = []
-        for s in self.scores:
-            entry = {
+    def as_dict(self) -> dict:
+        results = [
+            {
                 "encoding": s.encoding,
                 "top1_accuracy": s.top1_accuracy,
                 "mean_rank": s.mean_rank,
@@ -171,9 +170,8 @@ class BenchReport:
                 "periphery_mean_rank": s.periphery_mean_rank,
                 "wrap_accuracy": s.wrap_accuracy,
             }
-            if include_timing:
-                entry["runtime_s"] = s.runtime_s
-            results.append(entry)
+            for s in self.scores
+        ]
         return {
             "format_version": REPORT_FORMAT_VERSION,
             "kind": "retrieval_bench",
@@ -200,22 +198,28 @@ class BenchReport:
 
 
 def _argmax_with_random_ties(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row argmax with exact ties broken uniformly at random (seeded)."""
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    peak = rows.max(axis=1)
-    for i in range(rows.shape[0]):
-        candidates = np.flatnonzero(rows[i] == peak[i])
-        out[i] = candidates[rng.integers(len(candidates))] if len(candidates) > 1 else candidates[0]
+    """Row argmax with exact ties broken uniformly at random (seeded).
+
+    Draws one scalar rng.integers(count) per tied row, in row order; the
+    array form of integers buffers its draws and would shift the stream.
+    """
+    is_peak = rows == rows.max(axis=1, keepdims=True)
+    counts = np.count_nonzero(is_peak, axis=1)
+    out = np.argmax(is_peak, axis=1)
+    tied = np.flatnonzero(counts > 1)
+    if tied.size:
+        draws = np.array([rng.integers(int(counts[i])) for i in tied])
+        seen = np.cumsum(is_peak[tied], axis=1)
+        out[tied] = np.argmax(seen > draws[:, None], axis=1)
     return out
 
 
 def _ranks_of(rows: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """1-based rank of targets under descending logits, ties broken by perm."""
-    ranks = np.empty(rows.shape[0], dtype=np.int64)
-    for i in range(rows.shape[0]):
-        order = np.lexsort((perm, -rows[i]))
-        ranks[i] = int(np.flatnonzero(order == targets[i])[0]) + 1
-    return ranks
+    picked = np.arange(rows.shape[0])
+    target = rows[picked, targets][:, None]
+    ahead = (rows > target) | ((rows == target) & (perm < perm[targets][:, None]))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
@@ -356,6 +360,12 @@ class CheckerPattern:
     square: float = 6.0
     origin: tuple[float, float] = (0.0, 0.0)
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.square) and self.square > 0.0):
+            raise ConfigError(f"checker square must be positive and finite, got {self.square}")
+        if not all(math.isfinite(c) for c in self.origin):
+            raise ConfigError(f"checker origin must be finite, got {self.origin}")
+
     def labels_at(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64) - self.origin[0]
         y = np.asarray(y, dtype=np.float64) - self.origin[1]
@@ -422,18 +432,16 @@ class LiftReport:
                 return s
         raise KeyError(encoding)
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        results = []
-        for s in self.scores:
-            entry = {
+    def as_dict(self) -> dict:
+        results = [
+            {
                 "encoding": s.encoding,
                 "overall_accuracy": s.overall_accuracy,
                 "peripheral_accuracy": s.peripheral_accuracy,
                 "bands": list(s.bands),
             }
-            if include_timing:
-                entry["runtime_s"] = s.runtime_s
-            results.append(entry)
+            for s in self.scores
+        ]
         return {
             "format_version": REPORT_FORMAT_VERSION,
             "kind": "bev_lift",
@@ -542,8 +550,7 @@ def bev_roundtrip(
             camera_token=camera.fingerprint,
         )
         t0 = time.perf_counter()
-        logits = attention.logit_matrix(queries, keys, weights, att)
-        chosen = np.argmax(logits, axis=1)
+        chosen = attention.logit_argmax(queries, keys, weights, att)
         runtime = time.perf_counter() - t0
         correct = key_labels[chosen] == true_labels
         band_entries = tuple(

@@ -2,7 +2,8 @@
 
 Deliberately naive implementations that share no code path with the
 package: plain power-sum polynomial evaluation, bisection inversion,
-and dense rotation matrices assembled entry by entry.
+dense rotation matrices assembled entry by entry, and the per-row loop
+forms of the retrieval bench's tie-breaking argmax and ranking.
 """
 
 import math
@@ -51,3 +52,22 @@ def dense_rotation(dim: int, theta_dims: int, base: float, theta: float, phi: fl
             mat[j + 1, j] = s
             mat[j + 1, j + 1] = c
     return mat
+
+
+def argmax_with_random_ties_loop(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per-row argmax, exact ties broken by one rng.integers draw per tied row."""
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    peak = rows.max(axis=1)
+    for i in range(rows.shape[0]):
+        candidates = np.flatnonzero(rows[i] == peak[i])
+        out[i] = candidates[rng.integers(len(candidates))] if len(candidates) > 1 else candidates[0]
+    return out
+
+
+def ranks_of_loop(rows: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """1-based rank of each target after a full lexsort by (-logit, perm)."""
+    ranks = np.empty(rows.shape[0], dtype=np.int64)
+    for i in range(rows.shape[0]):
+        order = np.lexsort((perm, -rows[i]))
+        ranks[i] = int(np.flatnonzero(order == targets[i])[0]) + 1
+    return ranks

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fishrope import (
     ShapeError,
     TokenGrid,
     cross_attention,
+    logit_argmax,
     logit_matrix,
     relative_logit,
     self_attention,
@@ -19,6 +21,7 @@ from fishrope import (
     tokens_from_bev,
     tokens_from_patches,
 )
+from fishrope import attention
 from fishrope.angular import BevGridSpec, bev_angles, patch_angles
 from fishrope.experiments import fd_self_attention_jacobian, probe_feature
 from fishrope.fixtures import downward_extrinsics, wide_camera
@@ -269,6 +272,73 @@ class TestLogitMatrix:
         assert delta == pytest.approx(0.9530455994292699, abs=1e-9)
         assert base[0, 0] == pytest.approx(-1.6053067489459008, abs=1e-9)
         assert shifted[0, 0] == pytest.approx(-2.5583523483751707, abs=1e-9)
+
+
+class TestLogitArgmax:
+    N_KEYS = 10
+
+    @pytest.mark.parametrize("n_queries", [3, 4, 8, 9, 13])
+    @pytest.mark.parametrize("encoding", ["none", "sinusoidal", "fishrope"])
+    def test_matches_dense_argmax_across_tiles(self, monkeypatch, n_queries, encoding):
+        # 40 logits per tile is 4 query rows against 10 keys: n_queries
+        # covers below one tile, exact multiples, and ragged last tiles
+        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        rng = np.random.default_rng(21)
+        q = angular_tokens(rng, n_queries, 8)
+        k = angular_tokens(rng, self.N_KEYS, 8)
+        weights = ProjectionWeights.random(8, seed=22)
+        config = (
+            fishrope_config(8)
+            if encoding == "fishrope"
+            else AttentionConfig(head_dim=8, encoding=encoding)
+        )
+        chosen = logit_argmax(q, k, weights, config)
+        assert chosen.shape == (n_queries,)
+        assert np.array_equal(chosen, np.argmax(logit_matrix(q, k, weights, config), axis=-1))
+
+    def test_all_tied_rows_pick_first_key(self, monkeypatch):
+        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        probe = probe_feature(8)
+        rng = np.random.default_rng(23)
+        q = angular_tokens(rng, 9, 8)
+        k = angular_tokens(rng, self.N_KEYS, 8)
+        q = TokenGrid(features=np.tile(probe, (9, 1)), coords=q.coords, mask=q.mask)
+        k = TokenGrid(features=np.tile(probe, (self.N_KEYS, 1)), coords=k.coords, mask=k.mask)
+        config = AttentionConfig(head_dim=8, encoding="none")
+        weights = ProjectionWeights.identity(8)
+        logits = logit_matrix(q, k, weights, config)
+        assert np.all(logits == logits[0, 0])
+        assert np.array_equal(logit_argmax(q, k, weights, config), np.zeros(9, dtype=int))
+
+    @pytest.mark.parametrize("n_queries", [2, 6, 7])
+    def test_multi_head(self, monkeypatch, n_queries):
+        # two heads x 2 rows x 10 keys per tile
+        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        rng = np.random.default_rng(24)
+        q = angular_tokens(rng, n_queries, 16)
+        k = angular_tokens(rng, self.N_KEYS, 16)
+        weights = ProjectionWeights.random(16, seed=25)
+        config = fishrope_config(8, heads=2)
+        chosen = logit_argmax(q, k, weights, config)
+        assert chosen.shape == (2, n_queries)
+        assert np.array_equal(chosen, np.argmax(logit_matrix(q, k, weights, config), axis=-1))
+
+    def test_peak_memory_bounded_by_tiles(self):
+        n, dim = 4096, 16
+        rng = np.random.default_rng(26)
+        q = angular_tokens(rng, n, dim)
+        k = angular_tokens(rng, n, dim)
+        weights = ProjectionWeights.random(dim, seed=27)
+        config = fishrope_config(dim)
+        dense_bytes = n * n * 8  # 128 MiB
+        tracemalloc.start()
+        try:
+            chosen = logit_argmax(q, k, weights, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chosen.shape == (n,)
+        assert peak < dense_bytes / 4
 
 
 class TestCrossAttention:

@@ -137,6 +137,24 @@ class TestBenchAndLift:
         regions = {line.split(",")[1] for line in table[1:]}
         assert {"overall", "inner", "mid", "outer"} <= regions
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--resolution", "0"], "resolution must be positive"),
+            (["--checker", "0"], "checker square must be positive"),
+            (["--checker", "-1"], "checker square must be positive"),
+        ],
+    )
+    def test_lift_bad_geometry_exits_2_with_one_line(self, calib, tmp_path, capsys,
+                                                      extra, message):
+        out = tmp_path / "r.yaml"
+        args = ["lift", "--calib", calib, "--patch-size", "64", "--out", str(out)]
+        assert main(args + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_lift_requires_extrinsics(self, tmp_path):
         stripped = tmp_path / "noext.yaml"
         formats.save_calibration(stripped, wide_camera())

@@ -33,6 +33,17 @@ from fishrope.fixtures import (
 )
 from fishrope.formats import dump_report_yaml
 
+from .oracles import argmax_with_random_ties_loop, ranks_of_loop
+
+
+def tie_heavy_logits(rng, n_rows=300, n_cols=40):
+    """Rows with no ties, some ties at the peak, and rows that tie everywhere."""
+    rows = rng.standard_normal((n_rows, n_cols))
+    coarse = rng.integers(0, 4, (n_rows, n_cols)).astype(float)
+    rows[::3] = coarse[::3]
+    rows[::17] = 0.5
+    return rows
+
 
 class TestProbeAndRays:
     def test_probe_is_unit_in_every_plane(self):
@@ -160,6 +171,34 @@ class TestRetrievalBench:
             RetrievalBenchConfig(camera=wide_camera(), encodings=("bogus",))
         with pytest.raises(ConfigError):
             RetrievalBenchConfig(camera=wide_camera(), feature_dim=10)
+
+
+class TestSelection:
+    def test_random_tie_argmax_matches_loop_and_rng_stream(self):
+        rows = tie_heavy_logits(np.random.default_rng(11))
+        fast_rng, loop_rng = np.random.default_rng(12), np.random.default_rng(12)
+        fast = experiments._argmax_with_random_ties(rows, fast_rng)
+        loop = argmax_with_random_ties_loop(rows, loop_rng)
+        assert np.array_equal(fast, loop)
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+
+    def test_random_tie_argmax_without_ties_draws_nothing(self):
+        rows = np.random.default_rng(13).standard_normal((50, 20))
+        rng = np.random.default_rng(14)
+        before = rng.bit_generator.state
+        assert np.array_equal(
+            experiments._argmax_with_random_ties(rows, rng), np.argmax(rows, axis=1)
+        )
+        assert rng.bit_generator.state == before
+
+    def test_ranks_match_loop(self):
+        rng = np.random.default_rng(15)
+        rows = tie_heavy_logits(rng)
+        targets = rng.integers(0, rows.shape[1], rows.shape[0])
+        perm = rng.permutation(rows.shape[1])
+        assert np.array_equal(
+            experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
+        )
 
 
 class TestBevRoundtrip:
