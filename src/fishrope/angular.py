@@ -21,6 +21,11 @@ import numpy as np
 from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _normalize_phi, _readonly
 from .errors import ConfigError
 
+# Most BEV cells a grid may hold (a 4096 x 4096 grid).  The lift's grids
+# are ~10^4 cells; the cap turns a mistyped resolution into a config error
+# before any per-cell array is allocated.
+MAX_BEV_CELLS = 4096 * 4096
+
 
 def _readonly_bool(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=bool, copy=True)
@@ -163,6 +168,12 @@ class BevGridSpec:
             raise ConfigError(f"resolution must be positive and finite, got {resolution}")
         if not all(math.isfinite(e) for e in extent):
             raise ConfigError(f"extent must be finite, got {tuple(extent)}")
+        cells = (extent[0] / resolution) * (extent[1] / resolution)
+        if abs(cells) > MAX_BEV_CELLS:
+            raise ConfigError(
+                f"extent {tuple(extent)} at resolution {resolution} gives {cells:.3g} "
+                f"cells, above the limit of {MAX_BEV_CELLS}"
+            )
         dims = (round(extent[0] / resolution), round(extent[1] / resolution))
         return cls(dims=dims, extent=extent, resolution=resolution)
 

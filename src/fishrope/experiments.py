@@ -44,6 +44,11 @@ from .rope import ENCODINGS, RotaryConfig
 
 REPORT_FORMAT_VERSION = 1
 
+# Draws per block in the rotary property checks.  A block shares one config
+# and goes through the batched kernel at once; bounding it keeps peak memory
+# flat in the draw count.
+ROPE_CHECK_BLOCK = 50
+
 
 def probe_feature(dim: int) -> np.ndarray:
     """Unit vector in every rotation plane: (1, 0, 1, 0, ...)."""
@@ -121,6 +126,8 @@ class RetrievalBenchConfig:
     def __post_init__(self) -> None:
         if self.n_queries < 1:
             raise ConfigError(f"n_queries must be >= 1, got {self.n_queries}")
+        if not self.encodings:
+            raise ConfigError("at least one encoding is required")
         unknown = set(self.encodings) - set(ENCODINGS)
         if unknown:
             raise ConfigError(f"unknown encodings {sorted(unknown)}")
@@ -236,6 +243,10 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
     n_keys = key_coords.shape[0]
     if n_keys == 0:
         raise EmptyOverlapError("no patch centers fall inside the image circle")
+    if n_keys < 2:
+        raise ConfigError(
+            f"patch size {config.patch_size} leaves {n_keys} key; retrieval needs at least 2"
+        )
 
     offset = 0.05 * camera.r_max
     extent_ratio = camera.angular_extent_ratio(offset)
@@ -842,16 +853,28 @@ def check_bev_projection_consistency() -> list[CheckResult]:
     ]
 
 
+def _blocks(n: int):
+    """Row counts of consecutive rotary-check blocks covering n draws."""
+    for start in range(0, n, ROPE_CHECK_BLOCK):
+        yield min(ROPE_CHECK_BLOCK, n - start)
+
+
+def _uniform_coords(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """(rows, 2) draws of theta in [0, 2) and phi in [-pi, pi)."""
+    return np.stack(
+        [rng.uniform(0, 2.0, rows), rng.uniform(-math.pi, math.pi, rows)], axis=-1
+    )
+
+
 def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
     worst = 0.0
-    for _ in range(n):
-        dim = int(rng.choice([4, 8, 16, 32]))
-        config = RotaryConfig(dim=dim)
-        x = rng.standard_normal(dim)
-        coord = (rng.uniform(0, 2.0), rng.uniform(-math.pi, math.pi))
-        y = rope.apply_fishrope(x, coord, config)
-        worst = max(worst, abs(float(np.linalg.norm(y) - np.linalg.norm(x))))
+    for rows in _blocks(n):
+        config = RotaryConfig(dim=int(rng.choice([4, 8, 16, 32])))
+        x = rng.standard_normal((rows, config.dim))
+        y = rope.apply_rotary_batch(x, _uniform_coords(rng, rows), config)
+        gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
+        worst = max(worst, float(np.max(gap)))
     return [
         CheckResult(
             name="rope.norm_preservation",
@@ -867,28 +890,31 @@ def check_relative_identity(
 ) -> list[CheckResult]:
     """Absolute-form logit equals the relative form over random draws.
 
-    relative_fn is injectable so a deliberately corrupted rotation can be
-    shown to fail the check (mutation fixture).
+    Draws come in blocks sharing one RotaryConfig; relative_fn is called
+    once per block with (rows, dim) q and k and per-row delta arrays.  It
+    is injectable so a deliberately corrupted rotation can be shown to
+    fail the check (mutation fixture).
     """
     if relative_fn is None:
         relative_fn = rope.relative_logit
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
-    for _ in range(n_draws):
+    for rows in _blocks(n_draws):
         dim = int(rng.choice([4, 8, 16]))
         theta_dims = int(rng.choice([d for d in range(0, dim + 1, 2)]))
         config = RotaryConfig(
             dim=dim, theta_dims=theta_dims, base=float(rng.uniform(2.0, 10000.0))
         )
-        q = rng.standard_normal(dim)
-        k = rng.standard_normal(dim)
-        cm = (rng.uniform(0, 2.0), rng.uniform(-math.pi, math.pi))
-        cn = (rng.uniform(0, 2.0), rng.uniform(-math.pi, math.pi))
-        absolute = float(
-            rope.apply_fishrope(q, cm, config) @ rope.apply_fishrope(k, cn, config)
+        q = rng.standard_normal((rows, dim))
+        k = rng.standard_normal((rows, dim))
+        cm = _uniform_coords(rng, rows)
+        cn = _uniform_coords(rng, rows)
+        absolute = np.sum(
+            rope.apply_rotary_batch(q, cm, config) * rope.apply_rotary_batch(k, cn, config),
+            axis=1,
         )
-        relative = relative_fn(q, k, (cn[0] - cm[0], cn[1] - cm[1]), config)
-        worst = max(worst, abs(absolute - relative))
+        relative = relative_fn(q, k, (cn[:, 0] - cm[:, 0], cn[:, 1] - cm[:, 1]), config)
+        worst = max(worst, float(np.max(np.abs(absolute - relative))))
     return [
         CheckResult(
             name="rope.relative_identity",
@@ -901,18 +927,25 @@ def check_relative_identity(
 
 
 def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult]:
-    """rotate(rotate(x, a), b - a) equals rotate(x, b) for every schedule."""
+    """rotate(rotate(x, a), b - a) equals rotate(x, b) for every schedule.
+
+    Each block draws one schedule and rotates through a theta-only
+    RotaryConfig, whose theta schedule is that schedule.
+    """
     rng = np.random.default_rng([seed, 6])
     worst = 0.0
-    for _ in range(n):
-        planes = int(rng.choice([1, 2, 4, 8]))
-        sched = rope.make_schedule(2 * planes, float(rng.uniform(2.0, 10000.0)))
-        x = rng.standard_normal(2 * planes)
-        a = float(rng.uniform(-6.0, 6.0))
-        b = float(rng.uniform(-6.0, 6.0))
-        via = rope.rotate_pairs(rope.rotate_pairs(x, a, sched), b - a, sched)
-        direct = rope.rotate_pairs(x, b, sched)
-        worst = max(worst, float(np.max(np.abs(via - direct))))
+    for rows in _blocks(n):
+        dim = 2 * int(rng.choice([1, 2, 4, 8]))
+        config = RotaryConfig(dim=dim, theta_dims=dim, base=float(rng.uniform(2.0, 10000.0)))
+        x = rng.standard_normal((rows, dim))
+        a = rng.uniform(-6.0, 6.0, rows)
+        b = rng.uniform(-6.0, 6.0, rows)
+
+        def rotate(v, angle):
+            return rope.apply_rotary_batch(v, np.stack([angle, np.zeros(rows)], -1), config)
+
+        via = rotate(rotate(x, a), b - a)
+        worst = max(worst, float(np.max(np.abs(via - rotate(x, b)))))
     return [
         CheckResult(
             name="rope.rotation_composition",
@@ -927,21 +960,16 @@ def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
     """With q = k and nonzero pairs, the logit peaks at zero separation."""
     rng = np.random.default_rng([seed, 7])
     config = RotaryConfig(dim=16)
-    ok = True
     margin = np.inf
     for _ in range(200):
         q = rng.standard_normal(16)
-        base_logit = rope.relative_logit(q, q, (0.0, 0.0), config)
-        for _ in range(50):
-            delta = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            other = rope.relative_logit(q, q, delta, config)
-            margin = min(margin, base_logit - other)
-            if other > base_logit + 1e-12:
-                ok = False
+        deltas = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (50, 2))])
+        logits = rope.relative_logit(q, q, (deltas[:, 0], deltas[:, 1]), config)
+        margin = min(margin, float(np.min(logits[0] - logits[1:])))
     return [
         CheckResult(
             name="rope.self_logit_max",
-            passed=ok,
+            passed=bool(margin >= -1e-12),
             measured=float(-margin),
             tolerance=1e-12,
             note="max excess of shifted logit over zero-separation logit",
@@ -1135,15 +1163,9 @@ def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
     probe = probe_feature(config.feature_dim)
     rcfg = RotaryConfig(dim=config.feature_dim, base=config.base)
     tau = 1.0 / math.sqrt(config.feature_dim)
-    worst = 0.0
-    for qi in range(0, logits.shape[0], 4):
-        for ki in range(logits.shape[1]):
-            delta = (
-                key_coords[ki, 0] - query_coords[qi, 0],
-                key_coords[ki, 1] - query_coords[qi, 1],
-            )
-            expected = tau * rope.relative_logit(probe, probe, delta, rcfg)
-            worst = max(worst, abs(expected - float(logits[qi, ki])))
+    delta = key_coords[None, :, :] - query_coords[::4, None, :]
+    expected = tau * rope.relative_logit(probe, probe, (delta[..., 0], delta[..., 1]), rcfg)
+    worst = float(np.max(np.abs(expected - logits[::4])))
     return [
         CheckResult(
             name="experiments.bench_matches_relative_logit",

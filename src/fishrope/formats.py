@@ -51,6 +51,10 @@ def load_calibration(path) -> tuple[KannalaBrandtCamera, Extrinsics | None]:
     return calibration_from_dict(doc)
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def calibration_from_dict(doc: Any) -> tuple[KannalaBrandtCamera, Extrinsics | None]:
     if not isinstance(doc, dict):
         raise ConfigError("calibration document must be a mapping")
@@ -60,6 +64,19 @@ def calibration_from_dict(doc: Any) -> tuple[KannalaBrandtCamera, Extrinsics | N
     for field in ("coeffs", "principal_point", "theta_max", "image_size"):
         if field not in doc:
             raise ConfigError(f"calibration missing required field {field!r}")
+    for field, length in (("coeffs", None), ("principal_point", 2), ("image_size", 2)):
+        value = doc[field]
+        if not (isinstance(value, list) and all(map(_is_number, value))) or (
+            length is not None and len(value) != length
+        ):
+            raise ConfigError(
+                f"calibration field {field!r} must be a list of "
+                f"{length or 'one or more'} numbers, got {value!r}"
+            )
+    if not _is_number(doc["theta_max"]):
+        raise ConfigError(
+            f"calibration field 'theta_max' must be a number, got {doc['theta_max']!r}"
+        )
     camera = KannalaBrandtCamera(
         coeffs=tuple(doc["coeffs"]),
         principal_point=tuple(doc["principal_point"]),

@@ -125,6 +125,18 @@ class RotaryConfig:
         return make_schedule(self.phi_dims, self.base) if self.phi_dims else None
 
 
+def _rotate_planes(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rotate consecutive pairs of x (..., 2P) by per-plane angles (..., P)."""
+    c = np.cos(angles)
+    s = np.sin(angles)
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * c - odd * s
+    out[..., 1::2] = even * s + odd * c
+    return out
+
+
 def rotate_pairs(x, angle: float, schedule: FrequencySchedule) -> np.ndarray:
     """Rotate consecutive dimension pairs of x by angle * freqs[i].
 
@@ -137,13 +149,7 @@ def rotate_pairs(x, angle: float, schedule: FrequencySchedule) -> np.ndarray:
         raise ShapeError(
             f"vector length {x.shape} does not match {schedule.planes} rotation planes"
         )
-    ang = angle * schedule.freqs
-    c = np.cos(ang)
-    s = np.sin(ang)
-    out = np.empty_like(x)
-    out[0::2] = x[0::2] * c - x[1::2] * s
-    out[1::2] = x[0::2] * s + x[1::2] * c
-    return out
+    return _rotate_planes(x, angle * schedule.freqs)
 
 
 def _coord_pair(coord) -> tuple[float, float]:
@@ -156,19 +162,12 @@ def apply_fishrope(x, coord, config: RotaryConfig) -> np.ndarray:
 
     coord is an AngularCoord or any (theta, phi) pair.  The first
     config.theta_dims entries rotate through the theta schedule, the
-    remainder through the phi schedule.
+    remainder through the phi schedule.  Single-row `apply_rotary_batch`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) != config.dim:
         raise ShapeError(f"vector length {x.shape} does not match dim {config.dim}")
-    theta, phi = _coord_pair(coord)
-    out = x.copy()
-    td = config.theta_dims
-    if config.theta_schedule is not None:
-        out[:td] = rotate_pairs(x[:td], config.angle_scale * theta, config.theta_schedule)
-    if config.phi_schedule is not None:
-        out[td:] = rotate_pairs(x[td:], config.angle_scale * phi, config.phi_schedule)
-    return out
+    return apply_rotary_batch(x[None], [_coord_pair(coord)], config)[0]
 
 
 def apply_axial_rope(x, pixel, config: RotaryConfig, image_size) -> np.ndarray:
@@ -186,7 +185,8 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
     """Vectorized rotation of rows of x (N, dim) by positions (N, 2).
 
     positions carry (theta, phi) pairs, or normalized pixel pairs for
-    the Cartesian baseline; rows rotate independently.
+    the Cartesian baseline; rows rotate independently.  The single-row
+    forms, `relative_logit` and `rotation_matrix` all go through here.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -196,79 +196,75 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
         raise ShapeError(
             f"positions must have shape ({x.shape[0]}, 2), got {positions.shape}"
         )
-    out = x.copy()
+    # The two subspaces tile all dim columns (a missing schedule means an
+    # empty subspace), so every column of out is written.
+    out = np.empty_like(x)
     td = config.theta_dims
-    for offset, sched, angle in (
-        (0, config.theta_schedule, positions[:, 0]),
-        (td, config.phi_schedule, positions[:, 1]),
+    for cols, sched, angle in (
+        (slice(0, td), config.theta_schedule, positions[:, 0]),
+        (slice(td, None), config.phi_schedule, positions[:, 1]),
     ):
-        if sched is None:
-            continue
-        block = x[:, offset : offset + 2 * sched.planes]
-        ang = config.angle_scale * angle[:, None] * sched.freqs[None, :]
-        c = np.cos(ang)
-        s = np.sin(ang)
-        even = block[:, 0::2]
-        odd = block[:, 1::2]
-        out[:, offset : offset + 2 * sched.planes : 2] = even * c - odd * s
-        out[:, offset + 1 : offset + 2 * sched.planes : 2] = even * s + odd * c
+        if sched is not None:
+            ang = config.angle_scale * angle[:, None] * sched.freqs[None, :]
+            out[:, cols] = _rotate_planes(x[:, cols], ang)
     return out
 
 
-def relative_logit(q, k, delta, config: RotaryConfig) -> float:
+def _wrap_angle(a: np.ndarray) -> np.ndarray:
+    """IEEE remainder of a by 2*pi, with +pi folded to -pi; exact.
+
+    fmod is exact, and the single +/-2*pi correction of a value within
+    (pi, 2*pi) in magnitude is exact by Sterbenz's lemma, so this equals
+    math.remainder(a, 2*pi) elementwise.
+    """
+    two_pi = 2.0 * math.pi
+    r = np.fmod(a, two_pi)
+    r = np.where(r > math.pi, r - two_pi, r)
+    r = np.where(r < -math.pi, r + two_pi, r)
+    return np.where(r == math.pi, -math.pi, r)
+
+
+def relative_logit(q, k, delta, config: RotaryConfig):
     """Attention logit from coordinate differences alone.
 
-    Computes <q_theta, rot(k_theta, dtheta)> + <q_phi, rot(k_phi, dphi)>
-    for delta = (dtheta, dphi) = coord_k - coord_q, which equals the
-    inner product of the absolutely rotated q and k.  With
+    Computes <q, rot(k, delta)> for delta = (dtheta, dphi) = coord_k -
+    coord_q, which equals the inner product of the absolutely rotated q
+    and k.  q and k have shape (..., dim); dtheta and dphi are scalars or
+    arrays, and all four broadcast over the leading batch shape.  Returns
+    a float when that shape is empty, else an array of it.  With
     config.wrap_phi, dphi is first wrapped into [-pi, pi).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    if q.shape != (config.dim,) or k.shape != (config.dim,):
+    if q.shape[-1:] != (config.dim,) or k.shape[-1:] != (config.dim,):
         raise ShapeError(
-            f"q and k must have shape ({config.dim},), got {q.shape} and {k.shape}"
+            f"q and k must have shape (..., {config.dim}), got {q.shape} and {k.shape}"
         )
-    dtheta, dphi = _coord_pair(delta)
+    dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in delta)
     if config.wrap_phi:
-        dphi = math.remainder(dphi, 2.0 * math.pi)
-        if dphi == math.pi:
-            dphi = -math.pi
-    td = config.theta_dims
-    total = 0.0
-    if config.theta_schedule is not None:
-        rotated = rotate_pairs(k[:td], config.angle_scale * dtheta, config.theta_schedule)
-        total += float(q[:td] @ rotated)
-    if config.phi_schedule is not None:
-        rotated = rotate_pairs(k[td:], config.angle_scale * dphi, config.phi_schedule)
-        total += float(q[td:] @ rotated)
-    return total
+        dphi = _wrap_angle(dphi)
+    batch = np.broadcast_shapes(q.shape[:-1], k.shape[:-1], dtheta.shape, dphi.shape)
+    positions = np.stack(
+        [np.broadcast_to(dtheta, batch), np.broadcast_to(dphi, batch)], axis=-1
+    )
+    rotated = apply_rotary_batch(
+        np.broadcast_to(k, batch + (config.dim,)).reshape(-1, config.dim),
+        positions.reshape(-1, 2),
+        config,
+    )
+    logits = np.sum(q * rotated.reshape(batch + (config.dim,)), axis=-1)
+    return float(logits) if logits.ndim == 0 else logits
 
 
 def rotation_matrix(position, config: RotaryConfig) -> np.ndarray:
     """Explicit (dim, dim) block-diagonal rotation for one position pair.
 
-    Mostly useful for analysis and gradient computations; the applied
-    form in `apply_rotary_batch` is equivalent and cheaper.
+    Mostly useful for analysis and gradient computations; column j is the
+    rotated unit vector e_j, so `apply_rotary_batch` is equivalent and
+    cheaper.
     """
-    a, b = _coord_pair(position)
-    mat = np.eye(config.dim)
-    td = config.theta_dims
-    for offset, sched, angle in (
-        (0, config.theta_schedule, a),
-        (td, config.phi_schedule, b),
-    ):
-        if sched is None:
-            continue
-        for i, w in enumerate(sched.freqs):
-            ang = config.angle_scale * angle * w
-            c, s = math.cos(ang), math.sin(ang)
-            j = offset + 2 * i
-            mat[j, j] = c
-            mat[j, j + 1] = -s
-            mat[j + 1, j] = s
-            mat[j + 1, j + 1] = c
-    return mat
+    rows = np.tile(_coord_pair(position), (config.dim, 1))
+    return apply_rotary_batch(np.eye(config.dim), rows, config).T
 
 
 def sinusoidal_pe(position, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -277,19 +273,9 @@ def sinusoidal_pe(position, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
     Each axis owns dim/2 entries laid out as interleaved
     (sin(a * w_i), cos(a * w_i)) with the dim/2 geometric schedule, so
     position 0 encodes to the alternating pattern (0, 1, 0, 1, ...).
-    dim must be divisible by 4.
+    dim must be divisible by 4.  Single-row `sinusoidal_pe_batch`.
     """
-    if dim < 4 or dim % 4 != 0:
-        raise ConfigError(f"sinusoidal dim must be divisible by 4, got {dim}")
-    a, b = _coord_pair(position)
-    half = dim // 2
-    freqs = make_schedule(half, base).freqs
-    out = np.empty(dim, dtype=np.float64)
-    for offset, pos in ((0, a), (half, b)):
-        ang = pos * freqs
-        out[offset : offset + half : 2] = np.sin(ang)
-        out[offset + 1 : offset + half : 2] = np.cos(ang)
-    return out
+    return sinusoidal_pe_batch([_coord_pair(position)], dim, base)[0]
 
 
 def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:

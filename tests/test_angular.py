@@ -99,6 +99,17 @@ class TestBevGridSpec:
         with pytest.raises(ConfigError):
             BevGridSpec(dims=(10, 10), extent=(100.0, 100.0), resolution=0.2)
 
+    @pytest.mark.parametrize(
+        "extent, resolution",
+        [((30.0, 30.0), 1e-9), ((1e300, 1e300), 1e-300), ((4097.0, 4096.0), 1.0)],
+    )
+    def test_from_extent_rejects_grids_over_the_cell_ceiling(self, extent, resolution):
+        with pytest.raises(ConfigError, match="above the limit"):
+            BevGridSpec.from_extent(extent, resolution)
+
+    def test_from_extent_accepts_the_ceiling_itself(self):
+        assert BevGridSpec.from_extent((4096.0, 4096.0), 1.0).dims == (4096, 4096)
+
     def test_cell_centers_layout(self):
         spec = BevGridSpec(dims=(2, 2), extent=(2.0, 2.0), resolution=1.0)
         centers = spec.cell_centers()

@@ -1,8 +1,10 @@
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from fishrope import formats, patch_angles
 from fishrope.cli import main
@@ -160,6 +162,44 @@ class TestBenchAndLift:
         formats.save_calibration(stripped, wide_camera())
         code = main(["lift", "--calib", str(stripped), "--out", str(tmp_path / "r.yaml")])
         assert code == 2
+
+
+class TestInputContract:
+    """Bad input exits 2 with a one-line error and writes nothing."""
+
+    @staticmethod
+    def _exits_2_with_one_line(argv, out, capsys, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--patch-size", "5000"], "retrieval needs at least 2"),
+            (["--encodings", ","], "at least one encoding"),
+        ],
+    )
+    def test_bench_degenerate_config(self, calib, tmp_path, capsys, extra, message):
+        out = tmp_path / "r.yaml"
+        argv = ["bench", "--calib", calib, "--out", str(out)] + extra
+        self._exits_2_with_one_line(argv, out, capsys, message)
+
+    def test_lift_oversized_grid(self, calib, tmp_path, capsys):
+        out = tmp_path / "r.yaml"
+        argv = ["lift", "--calib", calib, "--out", str(out), "--resolution", "1e-9"]
+        self._exits_2_with_one_line(argv, out, capsys, "above the limit")
+
+    def test_scalar_calibration_coeffs(self, calib, tmp_path, capsys):
+        doc = yaml.safe_load(pathlib.Path(calib).read_text(encoding="utf-8"))
+        doc["coeffs"] = 5
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "angles.csv"
+        argv = ["angles", "--calib", str(bad), "--out", str(out)]
+        self._exits_2_with_one_line(argv, out, capsys, "must be a list")
 
 
 class TestSelfcheckCommand:

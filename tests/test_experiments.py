@@ -279,6 +279,32 @@ class TestSelfCheck:
         assert not results[0].passed
         assert results[0].measured > results[0].tolerance
 
+    def test_relative_identity_counts_every_draw_across_ragged_blocks(self):
+        block = experiments.ROPE_CHECK_BLOCK
+        n_draws = 2 * block + 7
+        rows = []
+
+        def counting(q, k, delta, config):
+            rows.append(len(q))
+            return relative_logit(q, k, delta, config)
+
+        results = check_relative_identity(seed=3, n_draws=n_draws, relative_fn=counting)
+        assert results[0].passed
+        assert rows == [block, block, 7]
+        assert results[0].note == f"{n_draws} random draws"
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_rotary_checks_pass_for_benchmark_seeds(self, seed):
+        for check in (
+            experiments.check_norm_preservation,
+            experiments.check_relative_identity,
+            experiments.check_rotation_composition,
+            experiments.check_self_logit_max,
+        ):
+            (result,) = check(seed)
+            assert result.passed, (check.__name__, result.measured)
+            assert result.tolerance == 1e-12
+
     def test_report_serializes_with_tolerances(self):
         report = experiments.SelfCheckReport(
             results=(

@@ -37,6 +37,40 @@ class TestCalibration:
             formats.load_calibration(path)
         assert "principal_point" in str(exc.value)
 
+    @staticmethod
+    def _doc(**override):
+        doc = {
+            "model": "kannala_brandt",
+            "coeffs": [160.0],
+            "principal_point": [512.0, 512.0],
+            "theta_max": 1.5,
+            "image_size": [1024, 1024],
+        }
+        doc.update(override)
+        return doc
+
+    @pytest.mark.parametrize("field", ["coeffs", "principal_point", "image_size"])
+    @pytest.mark.parametrize("value", [5, 1.5, "160.0"])
+    def test_rejects_non_list_fields(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            formats.calibration_from_dict(self._doc(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coeffs", ["a"]),
+            ("coeffs", [True]),
+            ("principal_point", [512.0, 512.0, 1.0]),
+            ("image_size", [1024]),
+            ("image_size", [1024, None]),
+            ("theta_max", "wide"),
+            ("theta_max", [1.5]),
+        ],
+    )
+    def test_rejects_malformed_field_entries(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            formats.calibration_from_dict(self._doc(**{field: value}))
+
     def test_rejects_malformed_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("model: [unclosed\n")

@@ -16,7 +16,12 @@ from fishrope import (
     rotate_pairs,
     sinusoidal_pe,
 )
-from fishrope.rope import apply_rotary_batch, rotation_matrix, sinusoidal_pe_batch
+from fishrope.rope import (
+    _wrap_angle,
+    apply_rotary_batch,
+    rotation_matrix,
+    sinusoidal_pe_batch,
+)
 
 from .oracles import dense_rotation
 
@@ -299,3 +304,64 @@ class TestRelativeLogit:
         x = np.random.default_rng(seed).standard_normal(8)
         via = rotate_pairs(rotate_pairs(x, alpha, sched), beta - alpha, sched)
         np.testing.assert_allclose(via, rotate_pairs(x, beta, sched), atol=1e-12)
+
+
+def _wrapped(dphi: float) -> float:
+    """Reference seam wrap: IEEE remainder by 2*pi, +pi folded to -pi."""
+    r = math.remainder(dphi, 2.0 * math.pi)
+    return -math.pi if r == math.pi else r
+
+
+class TestRelativeLogitBatch:
+    DIM, THETA_DIMS, BASE = 12, 4, 300.0
+
+    def _draws(self, seed, n=64):
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((n, self.DIM))
+        k = rng.standard_normal((n, self.DIM))
+        dtheta = rng.uniform(-2.0, 2.0, n)
+        dphi = rng.uniform(-3 * math.pi, 3 * math.pi, n)
+        # exact seam and multiple-of-pi deltas
+        dphi[:6] = [math.pi, -math.pi, 2 * math.pi, 3 * math.pi, -3 * math.pi, 0.0]
+        return q, k, dtheta, dphi
+
+    @pytest.mark.parametrize("wrap_phi", [False, True])
+    def test_batch_equals_scalar_rows_and_dense_oracle(self, wrap_phi):
+        config = RotaryConfig(
+            dim=self.DIM, theta_dims=self.THETA_DIMS, base=self.BASE, wrap_phi=wrap_phi
+        )
+        q, k, dtheta, dphi = self._draws(12)
+        batch = relative_logit(q, k, (dtheta, dphi), config)
+        assert batch.shape == (len(q),)
+        for i in range(len(q)):
+            scalar = relative_logit(q[i], k[i], (dtheta[i], dphi[i]), config)
+            assert isinstance(scalar, float)
+            assert batch[i] == pytest.approx(scalar, abs=1e-15)
+            angle = _wrapped(dphi[i]) if wrap_phi else dphi[i]
+            mat = dense_rotation(self.DIM, self.THETA_DIMS, self.BASE, dtheta[i], angle)
+            assert batch[i] == pytest.approx(float(q[i] @ mat @ k[i]), abs=1e-12)
+
+    def test_wrap_matches_ieee_remainder_elementwise(self):
+        rng = np.random.default_rng(13)
+        dphi = np.concatenate(
+            [rng.uniform(-50.0, 50.0, 500), np.arange(-8, 9) * math.pi]
+        )
+        np.testing.assert_array_equal(_wrap_angle(dphi), [_wrapped(d) for d in dphi])
+
+    def test_broadcasts_over_batch_shape(self):
+        config = RotaryConfig(dim=8)
+        rng = np.random.default_rng(14)
+        q = rng.standard_normal(8)
+        k = rng.standard_normal((3, 1, 8))
+        dtheta = rng.uniform(-1.0, 1.0, (3, 5))
+        got = relative_logit(q, k, (dtheta, 0.25), config)
+        assert got.shape == (3, 5)
+        for a in range(3):
+            for b in range(5):
+                assert got[a, b] == pytest.approx(
+                    relative_logit(q, k[a, 0], (dtheta[a, b], 0.25), config), abs=1e-15
+                )
+
+    def test_last_axis_must_be_dim(self):
+        with pytest.raises(ShapeError):
+            relative_logit(np.zeros((4, 6)), np.zeros(8), (0.0, 0.0), RotaryConfig(dim=8))
