@@ -333,14 +333,7 @@ def self_attention(
     """
     if not np.any(tokens.mask):
         raise EmptyAttentionError("self-attention over a fully masked token grid")
-    logits = logit_matrix(tokens, tokens, weights, config)
-    logits = logits.reshape(config.heads, tokens.n_tokens, tokens.n_tokens)
-    attn = _masked_softmax(logits, tokens.mask)
-    x = _embed(tokens, config)
-    v = _project_heads(x, tokens.coords, weights.wv, config, rotate=False)
-    out_heads = np.einsum("hqk,hkd->hqd", attn, v)
-    out = np.moveaxis(out_heads, 0, 1).reshape(tokens.n_tokens, config.model_dim)
-    return np.where(tokens.mask[:, None], out, 0.0)
+    return cross_attention(tokens, tokens, weights, config)[0]
 
 
 def cross_attention(
@@ -387,43 +380,36 @@ def self_attention_jacobian(
     if not np.any(tokens.mask):
         raise EmptyAttentionError("self-attention over a fully masked token grid")
     n, d = tokens.n_tokens, config.model_dim
-    x = _embed(tokens, config)
-
+    valid = np.flatnonzero(tokens.mask)
+    x = _embed(tokens, config)[valid]
     if config.encoding in _ROTARY:
-        positions = _rotary_positions(tokens.coords, config)
-        rot = np.stack(
-            [rope.rotation_matrix(positions[i], config.rotary) for i in range(n)]
-        )
+        positions = np.repeat(_rotary_positions(tokens.coords[valid], config), d, axis=0)
+        eye = np.tile(np.eye(d), (len(valid), 1))
+        # Row c of each (d, d) block is A_i e_c, so the blocks are A_i transposed.
+        rot = rope.apply_rotary_batch(eye, positions, config.rotary)
+        rot = rot.reshape(-1, d, d).swapaxes(1, 2)
     else:
-        rot = np.broadcast_to(np.eye(d), (n, d, d))
+        rot = np.broadcast_to(np.eye(d), (len(valid), d, d))
     bq = rot @ weights.wq  # bq[i] = A_i Wq
     bk = rot @ weights.wk
     q = np.einsum("nij,nj->ni", bq, x)
     k = np.einsum("nij,nj->ni", bk, x)
     v = x @ weights.wv.T
     tau = config.scale
-    logits = tau * (q @ k.T)
-    attn = _masked_softmax(logits[None], tokens.mask)[0]
+    attn = _masked_softmax(tau * (q @ k.T)[None], np.ones(len(valid), bool))[0]
+    out = attn @ v
 
-    # g[j] = d logits_ij / d x_m, nonzero only when m is i or j;
-    # d a_ij / d x_m = a_ij * (g[j] - sum_l a_il g[l]).
+    # d logit_ij / d x_m = [m == i] gq[i, j] + [m == j] gk[i, j], and
+    # d a_ij / d x_m = a_ij * (d logit_ij / d x_m - sum_l a_il d logit_il / d x_m),
+    # so block (i, m) = [m == i] diag[i] + a_im (v_m - out_i) (x) gk[i, m] + a_im Wv.
+    gq = tau * np.einsum("jc,icd->ijd", k, bq)
+    gk = tau * np.einsum("ic,jcd->ijd", q, bk)
+    diag = np.einsum("ij,jc,ijd->icd", attn, v, gq) - np.einsum(
+        "ic,id->icd", out, np.einsum("ij,ijd->id", attn, gq)
+    )
+    blocks = np.einsum("im,imc,imd->icmd", attn, v[None] - out[:, None], gk)
+    blocks += np.einsum("im,cd->icmd", attn, weights.wv)
+    blocks[np.arange(len(valid)), :, np.arange(len(valid)), :] += diag
     jac = np.zeros((n, d, n, d))
-    valid = np.flatnonzero(tokens.mask)
-    for i in valid:
-        for m in valid:
-            g = np.zeros((n, d))
-            for j in valid:
-                row = np.zeros(d)
-                if m == i:
-                    row += tau * (k[j] @ bq[i])
-                if m == j:
-                    row += tau * (q[i] @ bk[j])
-                g[j] = row
-            expected = attn[i] @ g
-            block = np.zeros((d, d))
-            for j in valid:
-                da = attn[i, j] * (g[j] - expected)
-                block += np.outer(v[j], da)
-            block += attn[i, m] * weights.wv
-            jac[i, :, m, :] = block
+    jac[np.ix_(valid, np.arange(d), valid, np.arange(d))] = blocks
     return jac.reshape(n * d, n * d)

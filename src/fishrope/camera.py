@@ -79,6 +79,27 @@ def _normalize_phi(phi):
     return np.where(phi >= math.pi, phi - 2.0 * math.pi, phi)
 
 
+def _clamped_radius(r, r_max: float) -> np.ndarray:
+    """Check radii against the model's domain and clamp the band onto r_max.
+
+    Non-finite or negative radii raise DomainError; radii beyond the
+    clamp band (CLAMP_BAND_FRACTION * r_max past the image circle) raise
+    OutOfImageCircleError.  Each message names the first offending radius.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    limit = r_max * (1.0 + CLAMP_BAND_FRACTION)
+    for bad, error, what in (
+        (~np.isfinite(r), DomainError, "non-finite radius"),
+        (r < 0.0, DomainError, "negative radius"),
+        (r > limit, OutOfImageCircleError, "radius beyond image circle"),
+    ):
+        if np.any(bad):
+            raise error(
+                f"{what} {float(r[bad].flat[0])} (r_max={r_max}, clamp limit={limit})"
+            )
+    return np.minimum(r, r_max)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, copy=True)
     a.setflags(write=False)
@@ -206,35 +227,16 @@ class KannalaBrandtCamera:
         clamped onto the image circle; radii beyond it raise
         OutOfImageCircleError.
         """
-        r = np.asarray(r, dtype=np.float64)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        if not np.all(np.isfinite(r)):
-            raise DomainError("non-finite radius")
-        if np.any(r < 0.0):
-            raise DomainError(f"negative radius {float(r[r < 0.0][0])}")
-        limit = self.r_max * (1.0 + CLAMP_BAND_FRACTION)
-        beyond = r > limit
-        if np.any(beyond):
-            raise OutOfImageCircleError(
-                f"radius {float(r[beyond][0])} beyond image circle "
-                f"(r_max={self.r_max}, clamp limit={limit})"
-            )
-        r = np.minimum(r, self.r_max)
-
+        scalar = np.ndim(r) == 0
+        r = np.atleast_1d(_clamped_radius(r, self.r_max))
+        if iterations is not None and iterations < 1:
+            raise DomainError(f"iteration count must be >= 1, got {iterations}")
         theta = np.clip(r / self.coeffs[0], 0.0, self.theta_max)
-        if iterations is None:
-            for _ in range(FULL_CONVERGENCE_MAX_ITER):
-                step = (self.radial(theta) - r) / self.radial_derivative(theta)
-                theta = np.clip(theta - step, 0.0, self.theta_max)
-                if np.max(np.abs(step)) < FULL_CONVERGENCE_TOL:
-                    break
-        else:
-            if iterations < 1:
-                raise DomainError(f"iteration count must be >= 1, got {iterations}")
-            for _ in range(iterations):
-                step = (self.radial(theta) - r) / self.radial_derivative(theta)
-                theta = np.clip(theta - step, 0.0, self.theta_max)
+        for _ in range(FULL_CONVERGENCE_MAX_ITER if iterations is None else iterations):
+            step = (self.radial(theta) - r) / self.radial_derivative(theta)
+            theta = np.clip(theta - step, 0.0, self.theta_max)
+            if iterations is None and np.max(np.abs(step)) < FULL_CONVERGENCE_TOL:
+                break
         return float(theta[0]) if scalar else theta
 
     def unproject_newton(
@@ -331,18 +333,8 @@ class InverseLut:
 
     def lookup(self, r):
         """Linear interpolation of theta at radius r (clamp band as in Newton)."""
-        r = np.asarray(r, dtype=np.float64)
-        scalar = r.ndim == 0
-        if not np.all(np.isfinite(r)):
-            raise DomainError("non-finite radius")
-        if np.any(r < 0.0):
-            raise DomainError("negative radius")
-        limit = self.r_max * (1.0 + CLAMP_BAND_FRACTION)
-        if np.any(r > limit):
-            raise OutOfImageCircleError(
-                f"radius beyond image circle (r_max={self.r_max}, clamp limit={limit})"
-            )
-        r = np.minimum(r, self.r_max)
+        scalar = np.ndim(r) == 0
+        r = _clamped_radius(r, self.r_max)
         step = self.r_max / (self.resolution - 1)
         pos = r / step
         lo = np.minimum(pos.astype(np.int64), self.resolution - 2)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,21 +82,60 @@ def _attention_config(
     )
 
 
-def _encoding_coords(
-    encoding: str, angular: np.ndarray, pixels: np.ndarray, image_size
-) -> np.ndarray:
-    """Coordinate stream per encoding: angles for fishrope, pixels otherwise.
+def _probe_tokens(
+    encoding: str,
+    angles: np.ndarray,
+    pixels: np.ndarray,
+    camera: KannalaBrandtCamera,
+    feature_dim: int,
+) -> TokenGrid:
+    """Probe-feature tokens at the coordinates `encoding` reads.
 
-    The sinusoidal baseline is fed pixels normalized to [0, 1] so its
-    encoding varies smoothly over the image, mirroring the axial rotary
-    normalization.
+    fishrope reads angles, the other encodings pixels.  The sinusoidal
+    baseline is fed pixels normalized to [0, 1] so its encoding varies
+    smoothly over the image, mirroring the axial rotary normalization.
     """
     if encoding == "fishrope":
-        return angular
-    if encoding == "sinusoidal":
-        w, h = image_size
-        return pixels / np.array([float(w), float(h)])
-    return pixels
+        coords = angles
+    elif encoding == "sinusoidal":
+        w, h = camera.image_size
+        coords = pixels / np.array([float(w), float(h)])
+    else:
+        coords = pixels
+    n = len(coords)
+    return TokenGrid(
+        features=np.tile(probe_feature(feature_dim), (n, 1)),
+        coords=coords,
+        mask=np.ones(n, dtype=bool),
+        camera_token=camera.fingerprint,
+    )
+
+
+def _check_encodings(encodings: tuple[str, ...], feature_dim: int) -> None:
+    """Experiment configs need known encodings and a dim every encoding takes."""
+    if not encodings:
+        raise ConfigError("at least one encoding is required")
+    unknown = set(encodings) - set(ENCODINGS)
+    if unknown:
+        raise ConfigError(f"unknown encodings {sorted(unknown)}")
+    if feature_dim < 4 or feature_dim % 4 != 0:
+        raise ConfigError(f"feature_dim must be a positive multiple of 4, got {feature_dim}")
+
+
+class _ScoredReport:
+    """Per-encoding scores; each `results` row is one score minus its runtime."""
+
+    def score(self, encoding: str):
+        for s in self.scores:
+            if s.encoding == encoding:
+                return s
+        raise KeyError(encoding)
+
+    def _results(self) -> list[dict]:
+        return [
+            {f.name: getattr(s, f.name) for f in fields(s) if f.name != "runtime_s"}
+            for s in self.scores
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +165,7 @@ class RetrievalBenchConfig:
     def __post_init__(self) -> None:
         if self.n_queries < 1:
             raise ConfigError(f"n_queries must be >= 1, got {self.n_queries}")
-        if not self.encodings:
-            raise ConfigError("at least one encoding is required")
-        unknown = set(self.encodings) - set(ENCODINGS)
-        if unknown:
-            raise ConfigError(f"unknown encodings {sorted(unknown)}")
-        if self.feature_dim % 4 != 0:
-            raise ConfigError("feature_dim must be divisible by 4 for all encodings")
+        _check_encodings(self.encodings, self.feature_dim)
         lo, hi = self.periphery_band
         if not (0.0 <= lo < hi <= 1.0):
             raise ConfigError(f"bad periphery band {self.periphery_band}")
@@ -150,7 +183,7 @@ class EncodingScore:
 
 
 @dataclass(frozen=True)
-class BenchReport:
+class BenchReport(_ScoredReport):
     """Per-encoding retrieval scores; deterministic given config and seed."""
 
     config_summary: dict
@@ -161,24 +194,7 @@ class BenchReport:
     wrap_query_count: int
     scores: tuple[EncodingScore, ...]
 
-    def score(self, encoding: str) -> EncodingScore:
-        for s in self.scores:
-            if s.encoding == encoding:
-                return s
-        raise KeyError(encoding)
-
     def as_dict(self) -> dict:
-        results = [
-            {
-                "encoding": s.encoding,
-                "top1_accuracy": s.top1_accuracy,
-                "mean_rank": s.mean_rank,
-                "periphery_accuracy": s.periphery_accuracy,
-                "periphery_mean_rank": s.periphery_mean_rank,
-                "wrap_accuracy": s.wrap_accuracy,
-            }
-            for s in self.scores
-        ]
         return {
             "format_version": REPORT_FORMAT_VERSION,
             "kind": "retrieval_bench",
@@ -190,7 +206,7 @@ class BenchReport:
             },
             "n_keys": self.n_keys,
             "wrap_query_count": self.wrap_query_count,
-            "results": results,
+            "results": self._results(),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
@@ -272,21 +288,13 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
     truth_peri = np.argmax(ray_directions(peri_coords) @ key_dirs.T, axis=1)
     wrap_mask = np.abs(np.abs(uniform_coords[:, 1]) - math.pi) < config.wrap_margin
 
-    probe = probe_feature(config.feature_dim)
-    key_features = np.tile(probe, (n_keys, 1))
-    query_features = np.tile(probe, (config.n_queries, 1))
     weights = ProjectionWeights.identity(config.feature_dim)
 
     scores = []
     detail: dict[str, dict] = {}
     for idx, encoding in enumerate(config.encodings):
         att = _attention_config(encoding, config.feature_dim, config.base, camera.image_size)
-        keys = TokenGrid(
-            features=key_features,
-            coords=_encoding_coords(encoding, key_coords, key_px, camera.image_size),
-            mask=np.ones(n_keys, dtype=bool),
-            camera_token=camera.fingerprint,
-        )
+        keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
         enc_rng = np.random.default_rng([config.seed, 1000 + idx])
         perm = enc_rng.permutation(n_keys)
         t0 = time.perf_counter()
@@ -295,12 +303,7 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
             ("uniform", uniform_coords, uniform_px, truth_uniform),
             ("periphery", peri_coords, peri_px, truth_peri),
         ):
-            queries = TokenGrid(
-                features=query_features,
-                coords=_encoding_coords(encoding, coords, px, camera.image_size),
-                mask=np.ones(config.n_queries, dtype=bool),
-                camera_token=camera.fingerprint,
-            )
+            queries = _probe_tokens(encoding, coords, px, camera, config.feature_dim)
             logits = attention.logit_matrix(queries, keys, weights, att)
             chosen = _argmax_with_random_ties(logits, enc_rng)
             ranks = _ranks_of(logits, truth, perm)
@@ -409,9 +412,7 @@ class LiftConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        unknown = set(self.encodings) - set(ENCODINGS)
-        if unknown:
-            raise ConfigError(f"unknown encodings {sorted(unknown)}")
+        _check_encodings(self.encodings, self.feature_dim)
         if not (0.0 < self.peripheral_fraction < 1.0):
             raise ConfigError(
                 f"peripheral fraction must be in (0, 1), got {self.peripheral_fraction}"
@@ -428,7 +429,7 @@ class LiftScore:
 
 
 @dataclass(frozen=True)
-class LiftReport:
+class LiftReport(_ScoredReport):
     """BEV round-trip correspondence accuracies."""
 
     config_summary: dict
@@ -437,22 +438,7 @@ class LiftReport:
     n_keys: int
     scores: tuple[LiftScore, ...]
 
-    def score(self, encoding: str) -> LiftScore:
-        for s in self.scores:
-            if s.encoding == encoding:
-                return s
-        raise KeyError(encoding)
-
     def as_dict(self) -> dict:
-        results = [
-            {
-                "encoding": s.encoding,
-                "overall_accuracy": s.overall_accuracy,
-                "peripheral_accuracy": s.peripheral_accuracy,
-                "bands": list(s.bands),
-            }
-            for s in self.scores
-        ]
         return {
             "format_version": REPORT_FORMAT_VERSION,
             "kind": "bev_lift",
@@ -460,7 +446,7 @@ class LiftReport:
             "camera": {"fingerprint": self.camera_fingerprint},
             "n_visible": self.n_visible,
             "n_keys": self.n_keys,
-            "results": results,
+            "results": self._results(),
         }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
@@ -499,8 +485,7 @@ def bev_roundtrip(
     extrinsics: Extrinsics,
     pattern,
     config: LiftConfig = LiftConfig(),
-    return_detail: bool = False,
-):
+) -> LiftReport:
     """Geometric BEV correspondence accuracy; see the module docstring.
 
     Renders ground labels into image patches by ray casting, lifts them
@@ -539,27 +524,12 @@ def bev_roundtrip(
         ("outer", peripheral),
     )
 
-    probe = probe_feature(config.feature_dim)
     weights = ProjectionWeights.identity(config.feature_dim)
-    key_features = np.tile(probe, (n_keys, 1))
-    query_features = np.tile(probe, (bev.n_visible, 1))
-
     scores = []
-    detail: dict[str, dict] = {}
     for encoding in config.encodings:
         att = _attention_config(encoding, config.feature_dim, config.base, camera.image_size)
-        keys = TokenGrid(
-            features=key_features,
-            coords=_encoding_coords(encoding, key_coords, key_px, camera.image_size),
-            mask=np.ones(n_keys, dtype=bool),
-            camera_token=camera.fingerprint,
-        )
-        queries = TokenGrid(
-            features=query_features,
-            coords=_encoding_coords(encoding, cell_coords, cell_px, camera.image_size),
-            mask=np.ones(bev.n_visible, dtype=bool),
-            camera_token=camera.fingerprint,
-        )
+        keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
+        queries = _probe_tokens(encoding, cell_coords, cell_px, camera, config.feature_dim)
         t0 = time.perf_counter()
         chosen = attention.logit_argmax(queries, keys, weights, att)
         runtime = time.perf_counter() - t0
@@ -581,9 +551,8 @@ def bev_roundtrip(
                 runtime_s=runtime,
             )
         )
-        detail[encoding] = {"chosen": chosen, "correct": correct}
 
-    report = LiftReport(
+    return LiftReport(
         config_summary={
             "extent": list(config.extent),
             "resolution": config.resolution,
@@ -600,15 +569,6 @@ def bev_roundtrip(
         n_keys=n_keys,
         scores=tuple(scores),
     )
-    if return_detail:
-        detail["cell_coords"] = cell_coords
-        detail["cell_world"] = cell_world
-        detail["key_coords"] = key_coords
-        detail["key_labels"] = key_labels
-        detail["true_labels"] = true_labels
-        detail["peripheral"] = peripheral
-        return report, detail
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +643,12 @@ def check_camera_roundtrip(seed: int = 0, n: int = 10000) -> list[CheckResult]:
                     tolerance=tol,
                 )
             )
-            phi_tol = 1e-9 if mode == "converged" else 1e-9
             out.append(
                 CheckResult(
                     name=f"camera.round_trip.{mode}.phi[{name}]",
-                    passed=dphi < phi_tol,
+                    passed=dphi < 1e-9,
                     measured=dphi,
-                    tolerance=phi_tol,
+                    tolerance=1e-9,
                 )
             )
     return out
@@ -859,20 +818,13 @@ def _blocks(n: int):
         yield min(ROPE_CHECK_BLOCK, n - start)
 
 
-def _uniform_coords(rng: np.random.Generator, rows: int) -> np.ndarray:
-    """(rows, 2) draws of theta in [0, 2) and phi in [-pi, pi)."""
-    return np.stack(
-        [rng.uniform(0, 2.0, rows), rng.uniform(-math.pi, math.pi, rows)], axis=-1
-    )
-
-
 def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
     worst = 0.0
     for rows in _blocks(n):
         config = RotaryConfig(dim=int(rng.choice([4, 8, 16, 32])))
         x = rng.standard_normal((rows, config.dim))
-        y = rope.apply_rotary_batch(x, _uniform_coords(rng, rows), config)
+        y = rope.apply_rotary_batch(x, _sample_coords(rng, rows, 2.0), config)
         gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
         worst = max(worst, float(np.max(gap)))
     return [
@@ -907,8 +859,8 @@ def check_relative_identity(
         )
         q = rng.standard_normal((rows, dim))
         k = rng.standard_normal((rows, dim))
-        cm = _uniform_coords(rng, rows)
-        cn = _uniform_coords(rng, rows)
+        cm = _sample_coords(rng, rows, 2.0)
+        cn = _sample_coords(rng, rows, 2.0)
         absolute = np.sum(
             rope.apply_rotary_batch(q, cm, config) * rope.apply_rotary_batch(k, cn, config),
             axis=1,

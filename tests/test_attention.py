@@ -454,19 +454,27 @@ class TestCrossAttention:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("encoding", ["none", "sinusoidal", "axial_rope", "fishrope"])
-    def test_analytic_matches_finite_differences(self, encoding):
+    @pytest.mark.parametrize(
+        "encoding, n, masked",
+        [
+            pytest.param(encoding, n, masked, id=encoding + suffix)
+            for n, masked, suffix in ((4, (), ""), (9, (2, 6), "-n9-masked-nan"))
+            for encoding in ("none", "sinusoidal", "axial_rope", "fishrope")
+        ],
+    )
+    def test_analytic_matches_finite_differences(self, encoding, n, masked):
         rng = np.random.default_rng(13)
-        n, dim = 4, 8
+        dim = 8
         if encoding == "axial_rope":
             coords = rng.uniform(0, 500, (n, 2))
         else:
             coords = np.stack(
                 [rng.uniform(0, 1.5, n), rng.uniform(-math.pi, math.pi, n)], axis=-1
             )
-        tokens = TokenGrid(
-            features=rng.standard_normal((n, dim)), coords=coords, mask=np.ones(n, bool)
-        )
+        mask = np.ones(n, bool)
+        mask[list(masked)] = False
+        coords[~mask] = np.nan
+        tokens = TokenGrid(features=rng.standard_normal((n, dim)), coords=coords, mask=mask)
         weights = ProjectionWeights.random(dim, seed=14)
         rotary = RotaryConfig(dim=dim) if encoding in ("axial_rope", "fishrope") else None
         config = AttentionConfig(

@@ -14,6 +14,7 @@ from fishrope import (
     KannalaBrandtCamera,
     OutOfImageCircleError,
 )
+from fishrope.camera import CLAMP_BAND_FRACTION
 from fishrope.fixtures import downward_extrinsics, fixture_cameras
 
 from .oracles import bisect_theta, poly_radius
@@ -198,6 +199,28 @@ class TestLut:
             lut.lookup(lut.r_max * 1.01)
         with pytest.raises(DomainError):
             lut.lookup(-1.0)
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["0d", "1d"])
+    @pytest.mark.parametrize(
+        "factor, error",
+        [(math.nan, DomainError), (-1.0, DomainError), (1.01, OutOfImageCircleError)],
+        ids=["nan", "negative", "beyond"],
+    )
+    def test_newton_and_lut_share_radius_guard(self, wide_camera, factor, error, as_array):
+        lut = wide_camera.build_lut(128)
+        bad = factor if factor < 0.0 else factor * wide_camera.r_max
+        r = np.array([0.5 * wide_camera.r_max, bad]) if as_array else bad
+        raised = []
+        for invert in (wide_camera.radius_to_theta, lut.lookup):
+            with pytest.raises(DomainError) as info:
+                invert(r)
+            raised.append(type(info.value))
+            assert str(bad) in str(info.value)
+        assert raised == [error, error]
+        in_band = wide_camera.r_max * (1.0 + 0.5 * CLAMP_BAND_FRACTION)
+        in_band = np.array([in_band]) if as_array else in_band
+        for invert in (wide_camera.radius_to_theta, lut.lookup):
+            assert np.all(invert(in_band) == pytest.approx(wide_camera.theta_max, abs=1e-9))
 
     def test_agreement_with_newton_sweep(self, wide_camera):
         lut = wide_camera.build_lut(4096)

@@ -157,6 +157,14 @@ class TestBenchAndLift:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_missing_calibration_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "r.yaml"
+        argv = ["bench", "--calib", str(tmp_path / "absent.yaml"), "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_lift_requires_extrinsics(self, tmp_path):
         stripped = tmp_path / "noext.yaml"
         formats.save_calibration(stripped, wide_camera())
@@ -186,6 +194,12 @@ class TestInputContract:
         out = tmp_path / "r.yaml"
         argv = ["bench", "--calib", calib, "--out", str(out)] + extra
         self._exits_2_with_one_line(argv, out, capsys, message)
+
+    @pytest.mark.parametrize("dim", ["6", "0"])
+    def test_lift_feature_dim(self, calib, tmp_path, capsys, dim):
+        out = tmp_path / "r.yaml"
+        argv = ["lift", "--calib", calib, "--out", str(out), "--dim", dim]
+        self._exits_2_with_one_line(argv, out, capsys, "feature_dim")
 
     def test_lift_oversized_grid(self, calib, tmp_path, capsys):
         out = tmp_path / "r.yaml"

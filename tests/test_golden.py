@@ -3,15 +3,17 @@
 Regenerates the default `bench` and `lift` reports exactly as
 scripts/run_experiments.py writes them and compares them byte for byte
 with the tracked copies, so a change that moves any reported number or
-serialization detail fails here.
+serialization detail fails here.  The selfcheck's check names and
+tolerances must equal the ones the benchmark checks its ops against.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-from fishrope import fixtures
+from fishrope import experiments, fixtures
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,3 +34,9 @@ def test_default_report_matches_results(run_experiments, tmp_path, experiment):
     for suffix in ("yaml", "csv"):
         name = f"{experiment}.{suffix}"
         assert (tmp_path / name).read_bytes() == (REPO_ROOT / "results" / name).read_bytes(), name
+
+
+def test_selfcheck_checks_match_benchmark_expectation():
+    expected = json.loads((REPO_ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    checks = [[r.name, r.tolerance] for r in experiments.selfcheck(seed=0).results]
+    assert checks == expected["selfcheck"]["checks"]
