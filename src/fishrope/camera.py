@@ -47,8 +47,13 @@ _MONOTONE_SAMPLES = 1024
 DEFAULT_NEWTON_ITERATIONS = 5
 FULL_CONVERGENCE_TOL = 1e-12
 FULL_CONVERGENCE_MAX_ITER = 50
+# Most fixed Newton steps a caller may ask for; full convergence takes at
+# most FULL_CONVERGENCE_MAX_ITER, so more only spins.
+MAX_NEWTON_ITERATIONS = 1000
 
 DEFAULT_LUT_RESOLUTION = 4096
+# Largest LUT (32 MiB of entries), 64 times the benchmark's 65536.
+MAX_LUT_RESOLUTION = 2**22
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,14 @@ class KannalaBrandtCamera:
         clamped onto the image circle; radii beyond it raise
         OutOfImageCircleError.
         """
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(_clamped_radius(r, self.r_max))
         if iterations is not None and iterations < 1:
             raise DomainError(f"iteration count must be >= 1, got {iterations}")
+        if iterations is not None and iterations > MAX_NEWTON_ITERATIONS:
+            raise ConfigError(
+                f"iteration count {iterations} is above the limit of {MAX_NEWTON_ITERATIONS}"
+            )
+        scalar = np.ndim(r) == 0
+        r = np.atleast_1d(_clamped_radius(r, self.r_max))
         theta = np.clip(r / self.coeffs[0], 0.0, self.theta_max)
         for _ in range(FULL_CONVERGENCE_MAX_ITER if iterations is None else iterations):
             step = (self.radial(theta) - r) / self.radial_derivative(theta)
@@ -272,6 +281,10 @@ class KannalaBrandtCamera:
         """
         if resolution < 2:
             raise ConfigError(f"LUT resolution must be >= 2, got {resolution}")
+        if resolution > MAX_LUT_RESOLUTION:
+            raise ConfigError(
+                f"LUT resolution {resolution} is above the limit of {MAX_LUT_RESOLUTION}"
+            )
         radii = np.linspace(0.0, self.r_max, resolution)
         entries = self.radius_to_theta(radii, iterations=None)
         return InverseLut(

@@ -49,6 +49,12 @@ REPORT_FORMAT_VERSION = 1
 # flat in the draw count.
 ROPE_CHECK_BLOCK = 50
 
+# Ceilings on the experiment sizes a user can ask for, well above the
+# defaults (16 and 512), so a mistyped value is a config error rather than
+# a huge allocation or a run that does not end.
+MAX_FEATURE_DIM = 1024
+MAX_BENCH_QUERIES = 2**16
+
 
 def probe_feature(dim: int) -> np.ndarray:
     """Unit vector in every rotation plane: (1, 0, 1, 0, ...)."""
@@ -118,8 +124,18 @@ def _check_encodings(encodings: tuple[str, ...], feature_dim: int) -> None:
     unknown = set(encodings) - set(ENCODINGS)
     if unknown:
         raise ConfigError(f"unknown encodings {sorted(unknown)}")
+    if feature_dim > MAX_FEATURE_DIM:
+        raise ConfigError(f"feature_dim {feature_dim} is above the limit of {MAX_FEATURE_DIM}")
     if feature_dim < 4 or feature_dim % 4 != 0:
         raise ConfigError(f"feature_dim must be a positive multiple of 4, got {feature_dim}")
+
+
+def _require_two_keys(n_keys: int, patch_size: int, experiment: str) -> None:
+    """With one key every encoding picks it, so the score says nothing."""
+    if n_keys < 2:
+        raise ConfigError(
+            f"patch size {patch_size} leaves {n_keys} key; {experiment} needs at least 2"
+        )
 
 
 class _ScoredReport:
@@ -165,6 +181,10 @@ class RetrievalBenchConfig:
     def __post_init__(self) -> None:
         if self.n_queries < 1:
             raise ConfigError(f"n_queries must be >= 1, got {self.n_queries}")
+        if self.n_queries > MAX_BENCH_QUERIES:
+            raise ConfigError(
+                f"n_queries {self.n_queries} is above the limit of {MAX_BENCH_QUERIES}"
+            )
         _check_encodings(self.encodings, self.feature_dim)
         lo, hi = self.periphery_band
         if not (0.0 <= lo < hi <= 1.0):
@@ -259,10 +279,7 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
     n_keys = key_coords.shape[0]
     if n_keys == 0:
         raise EmptyOverlapError("no patch centers fall inside the image circle")
-    if n_keys < 2:
-        raise ConfigError(
-            f"patch size {config.patch_size} leaves {n_keys} key; retrieval needs at least 2"
-        )
+    _require_two_keys(n_keys, config.patch_size, "retrieval")
 
     offset = 0.05 * camera.r_max
     extent_ratio = camera.angular_extent_ratio(offset)
@@ -504,6 +521,7 @@ def bev_roundtrip(
     key_px = patch_px[hit_mask]
     key_labels = pattern.labels_at(hits[hit_mask, 0], hits[hit_mask, 1])
     n_keys = key_coords.shape[0]
+    _require_two_keys(n_keys, config.patch_size, "lift")
 
     spec = BevGridSpec.from_extent(config.extent, config.resolution)
     bev = bev_angles(spec, camera, extrinsics)

@@ -14,13 +14,19 @@ Formats (bit-exact layouts documented in the README):
                 configs and seeds serialize byte-identically; CSV tables
                 alongside for plotting.
 
-Floats in CSV use repr, which round-trips float64 exactly.  Readers
-reject unknown magics and versions.
+Every CSV goes through `_write_csv`: floats as repr (exact float64
+round-trips), CSV_BLOCK_ROWS rows at a time.  Readers raise FormatError
+on an unknown magic, tag or version; a non-finite header value, or a
+count (rows, cols, patch_size, resolution) that is not a non-negative
+whole number; a body of the wrong length or of partial float64s; a
+malformed or out-of-order angle-map CSV line; a `valid` flag other than
+0 or 1; LUT entries that InverseLut refuses.
 """
 
 from __future__ import annotations
 
-import io
+import math
+import os
 from typing import Any
 
 import numpy as np
@@ -34,8 +40,16 @@ ANGLE_MAP_MAGIC = 982451653.0
 LUT_MAGIC = 514229.0
 FORMAT_VERSION = 1
 
+# Rows `_write_csv` formats and writes at a time, so a writer holds a few
+# MiB of text however large its table is.
+CSV_BLOCK_ROWS = 4096
+
 _ANGLE_CSV_TAG = "# fishrope-anglemap-csv"
+_ANGLE_CSV_COLUMNS = ["row", "col", "theta", "phi", "valid"]
 _LUT_CSV_TAG = "# fishrope-lut-csv"
+# Binary header fields after (magic, version); angle-map CSV metadata holds the first 4.
+_ANGLE_BIN_FIELDS = ("rows", "cols", "patch_size", "theta_max", "reserved", "reserved")
+_COUNT_FIELDS = frozenset({"rows", "cols", "patch_size", "resolution"})
 
 
 # -- calibration ------------------------------------------------------------
@@ -118,79 +132,116 @@ def save_calibration(
         yaml.safe_dump(doc, fh, sort_keys=True)
 
 
+# -- CSV writer and binary header reader --------------------------------------
+
+
+def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> None:
+    """Write the preamble lines, the header row, then one row per column entry.
+
+    Columns are equal-length 1-D arrays.  Floats are written with repr and
+    other values with str, CSV_BLOCK_ROWS rows at a time.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in [*preamble, ",".join(header)]))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [
+                [repr(float(x)) if isinstance(x, float) else str(x) for x in values.tolist()]
+                for values in (column[start : start + CSV_BLOCK_ROWS] for column in columns)
+            ]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*block)))
+
+
+def _header_value(name: str, value) -> int | float:
+    """A header field: a finite number, and for counts a non-negative whole one."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    count = name in _COUNT_FIELDS
+    if not math.isfinite(number) or (count and not (number >= 0.0 and number.is_integer())):
+        kind = "a non-negative whole number" if count else "a finite number"
+        raise FormatError(f"header field {name!r} must be {kind}, got {value!r}")
+    return int(number) if count else number
+
+
+def _read_bin(path, kind: str, magic: float, fields: tuple[str, ...]):
+    """Split a float64 file into its checked header fields and its body."""
+    raw = np.fromfile(path, dtype="<f8")
+    n_head = 2 + len(fields)
+    if len(raw) < n_head or raw.nbytes != os.path.getsize(path):
+        raise FormatError(f"{kind} binary is shorter than its header or not whole float64s")
+    if raw[0] != magic:
+        raise FormatError(f"bad {kind} magic {raw[0]}")
+    if raw[1] != float(FORMAT_VERSION):
+        raise FormatError(f"unknown {kind} version {raw[1]}")
+    head = {f: _header_value(f, v) for f, v in zip(fields, raw[2:n_head].tolist())}
+    return head, raw[n_head:]
+
+
 # -- angle maps ---------------------------------------------------------------
+
+
+def _anglemap(cells: np.ndarray, head: dict[str, Any]) -> dict[str, Any]:
+    """Reader result from row-major (theta, phi, valid) cells and header fields."""
+    cells = cells.reshape(head["rows"], head["cols"], 3)
+    valid = cells[..., 2]
+    if not np.all((valid == 0.0) | (valid == 1.0)):
+        raise FormatError("angle-map valid flags must be 0 or 1")
+    return {
+        "theta": cells[..., 0],
+        "phi": cells[..., 1],
+        "valid": valid == 1.0,
+        "patch_size": head["patch_size"],
+        "theta_max": head["theta_max"],
+    }
 
 
 def write_anglemap_csv(path, grid: PatchGrid) -> None:
     """Columns row,col,theta,phi,valid; floats as repr for exact round-trips."""
     rows, cols = grid.grid_dims
-    buf = io.StringIO()
-    buf.write(
+    meta = (
         f"{_ANGLE_CSV_TAG} v{FORMAT_VERSION} rows={rows} cols={cols} "
-        f"patch_size={grid.patch_size} theta_max={grid.theta_max!r}\n"
+        f"patch_size={grid.patch_size} theta_max={grid.theta_max!r}"
     )
-    buf.write("row,col,theta,phi,valid\n")
-    for r in range(rows):
-        for c in range(cols):
-            theta, phi = grid.coords[r, c]
-            valid = int(grid.valid_mask[r, c])
-            buf.write(f"{r},{c},{float(theta)!r},{float(phi)!r},{valid}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    row, col = np.divmod(np.arange(rows * cols), cols)
+    flat = grid.coords.reshape(-1, 2)
+    valid = grid.valid_mask.reshape(-1).astype(np.uint8)
+    _write_csv(path, [meta], _ANGLE_CSV_COLUMNS, [row, col, flat[:, 0], flat[:, 1], valid])
 
 
 def read_anglemap_csv(path) -> dict[str, Any]:
     """Parse an angle-map CSV back into arrays (theta, phi, valid) plus metadata."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(_ANGLE_CSV_TAG):
-            raise FormatError(f"not an angle-map CSV: {header[:60]!r}")
         tokens = header.split()
-        version = tokens[2]
-        if version != f"v{FORMAT_VERSION}":
-            raise FormatError(f"unknown angle-map CSV version {version!r}")
-        meta = dict(item.split("=") for item in tokens[3:])
+        if " ".join(tokens[:2]) != _ANGLE_CSV_TAG:
+            raise FormatError(f"not an angle-map CSV: {header[:60]!r}")
+        if tokens[2:3] != [f"v{FORMAT_VERSION}"]:
+            raise FormatError(f"unknown angle-map CSV version {' '.join(tokens[2:3])!r}")
+        meta = dict(token.partition("=")[::2] for token in tokens[3:])
         columns = fh.readline().rstrip("\n")
-        if columns != "row,col,theta,phi,valid":
+        if columns != ",".join(_ANGLE_CSV_COLUMNS):
             raise FormatError(f"unexpected column header {columns!r}")
-        rows = int(meta["rows"])
-        cols = int(meta["cols"])
-        theta = np.empty((rows, cols))
-        phi = np.empty((rows, cols))
-        valid = np.empty((rows, cols), dtype=bool)
-        count = 0
-        for line in fh:
-            r_s, c_s, t_s, p_s, v_s = line.rstrip("\n").split(",")
-            r, c = int(r_s), int(c_s)
-            theta[r, c] = float(t_s)
-            phi[r, c] = float(p_s)
-            valid[r, c] = bool(int(v_s))
-            count += 1
-        if count != rows * cols:
-            raise FormatError(f"expected {rows * cols} rows, found {count}")
-    return {
-        "theta": theta,
-        "phi": phi,
-        "valid": valid,
-        "patch_size": int(meta["patch_size"]),
-        "theta_max": float(meta["theta_max"]),
-    }
+        head = {f: _header_value(f, meta.get(f)) for f in _ANGLE_BIN_FIELDS[:4]}
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"malformed angle-map CSV line: {exc}") from exc
+    n = head["rows"] * head["cols"]
+    if data.shape != (n, 5):
+        raise FormatError(f"expected {n} rows of 5 fields, found shape {data.shape}")
+    row, col = np.divmod(np.arange(n), head["cols"])
+    if not (np.array_equal(data[:, 0], row) and np.array_equal(data[:, 1], col)):
+        raise FormatError("angle-map CSV rows are not in row-major row,col order")
+    return _anglemap(data[:, 2:], head)
 
 
 def write_anglemap_bin(path, grid: PatchGrid) -> None:
     """8-float64 header then (theta, phi, valid) float64 triples, row-major, LE."""
     rows, cols = grid.grid_dims
     header = np.array(
-        [
-            ANGLE_MAP_MAGIC,
-            float(FORMAT_VERSION),
-            float(rows),
-            float(cols),
-            float(grid.patch_size),
-            grid.theta_max,
-            0.0,
-            0.0,
-        ],
+        [ANGLE_MAP_MAGIC, FORMAT_VERSION, rows, cols, grid.patch_size, grid.theta_max, 0, 0],
         dtype="<f8",
     )
     body = np.concatenate(
@@ -202,28 +253,11 @@ def write_anglemap_bin(path, grid: PatchGrid) -> None:
 
 
 def read_anglemap_bin(path) -> dict[str, Any]:
-    raw = np.fromfile(path, dtype="<f8")
-    if len(raw) < 8:
-        raise FormatError("angle-map binary too short for header")
-    magic, version, rows_f, cols_f, patch_size, theta_max = raw[:6]
-    if magic != ANGLE_MAP_MAGIC:
-        raise FormatError(f"bad angle-map magic {magic}")
-    if version != float(FORMAT_VERSION):
-        raise FormatError(f"unknown angle-map version {version}")
-    rows, cols = int(rows_f), int(cols_f)
-    body = raw[8:]
-    if len(body) != rows * cols * 3:
-        raise FormatError(
-            f"angle-map body holds {len(body)} values, expected {rows * cols * 3}"
-        )
-    body = body.reshape(rows, cols, 3)
-    return {
-        "theta": body[..., 0],
-        "phi": body[..., 1],
-        "valid": body[..., 2] != 0.0,
-        "patch_size": int(patch_size),
-        "theta_max": float(theta_max),
-    }
+    head, body = _read_bin(path, "angle-map", ANGLE_MAP_MAGIC, _ANGLE_BIN_FIELDS)
+    n = head["rows"] * head["cols"] * 3
+    if len(body) != n:
+        raise FormatError(f"angle-map body holds {len(body)} values, expected {n}")
+    return _anglemap(body, head)
 
 
 # -- lookup tables ------------------------------------------------------------
@@ -232,8 +266,7 @@ def read_anglemap_bin(path) -> dict[str, Any]:
 def write_lut_bin(path, lut: InverseLut) -> None:
     """5-float64 header (magic, version, resolution, r_max, theta_max) + entries."""
     header = np.array(
-        [LUT_MAGIC, float(FORMAT_VERSION), float(lut.resolution), lut.r_max, lut.theta_max],
-        dtype="<f8",
+        [LUT_MAGIC, FORMAT_VERSION, lut.resolution, lut.r_max, lut.theta_max], dtype="<f8"
     )
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
@@ -241,53 +274,26 @@ def write_lut_bin(path, lut: InverseLut) -> None:
 
 
 def read_lut_bin(path) -> InverseLut:
-    raw = np.fromfile(path, dtype="<f8")
-    if len(raw) < 5:
-        raise FormatError("LUT binary too short for header")
-    magic, version, resolution_f, r_max, theta_max = raw[:5]
-    if magic != LUT_MAGIC:
-        raise FormatError(f"bad LUT magic {magic}")
-    if version != float(FORMAT_VERSION):
-        raise FormatError(f"unknown LUT version {version}")
-    resolution = int(resolution_f)
-    entries = raw[5:]
-    if len(entries) != resolution:
-        raise FormatError(f"LUT holds {len(entries)} entries, expected {resolution}")
-    return InverseLut(
-        entries=entries, resolution=resolution, r_max=float(r_max), theta_max=float(theta_max)
-    )
+    head, entries = _read_bin(path, "LUT", LUT_MAGIC, ("resolution", "r_max", "theta_max"))
+    if len(entries) != head["resolution"]:
+        raise FormatError(f"LUT holds {len(entries)} entries, expected {head['resolution']}")
+    try:
+        return InverseLut(entries=entries, **head)
+    except ConfigError as exc:
+        raise FormatError(f"LUT table is malformed: {exc}") from exc
 
 
 def write_lut_csv(path, lut: InverseLut) -> None:
-    radii = np.linspace(0.0, lut.r_max, lut.resolution)
-    buf = io.StringIO()
-    buf.write(
+    meta = (
         f"{_LUT_CSV_TAG} v{FORMAT_VERSION} resolution={lut.resolution} "
-        f"r_max={lut.r_max!r} theta_max={lut.theta_max!r}\n"
+        f"r_max={lut.r_max!r} theta_max={lut.theta_max!r}"
     )
-    buf.write("index,r,theta\n")
-    for i, (r, t) in enumerate(zip(radii, lut.entries)):
-        buf.write(f"{i},{float(r)!r},{float(t)!r}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    radii = np.linspace(0.0, lut.r_max, lut.resolution)
+    columns = [np.arange(lut.resolution), radii, lut.entries]
+    _write_csv(path, [meta], ["index", "r", "theta"], columns)
 
 
-# -- attention dumps and report tables ---------------------------------------
-
-
-def write_attention_csv(path, logits: np.ndarray, attn: np.ndarray) -> None:
-    """Per-pair attention dump with columns q_index,k_index,logit,weight."""
-    logits = np.asarray(logits)
-    attn = np.asarray(attn)
-    if logits.shape != attn.shape or logits.ndim != 2:
-        raise ConfigError("logits and weights must be equal-shape 2-D arrays")
-    buf = io.StringIO()
-    buf.write("q_index,k_index,logit,weight\n")
-    for qi in range(logits.shape[0]):
-        for ki in range(logits.shape[1]):
-            buf.write(f"{qi},{ki},{float(logits[qi, ki])!r},{float(attn[qi, ki])!r}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+# -- reports ------------------------------------------------------------------
 
 
 def dump_report_yaml(report: dict[str, Any]) -> str:
@@ -301,13 +307,7 @@ def write_report_yaml(path, report: dict[str, Any]) -> None:
 
 
 def write_csv_table(path, header: list[str], rows: list[list[Any]]) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
-        buf.write("\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(path, [], header, [np.array(column, dtype=object) for column in zip(*rows)])
 
 
 def _plain(obj):

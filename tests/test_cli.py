@@ -7,7 +7,9 @@ import pytest
 import yaml
 
 from fishrope import formats, patch_angles
+from fishrope.camera import MAX_LUT_RESOLUTION, MAX_NEWTON_ITERATIONS
 from fishrope.cli import main
+from fishrope.experiments import MAX_BENCH_QUERIES, MAX_FEATURE_DIM
 from fishrope.fixtures import wide_camera
 
 
@@ -194,6 +196,27 @@ class TestInputContract:
         out = tmp_path / "r.yaml"
         argv = ["bench", "--calib", calib, "--out", str(out)] + extra
         self._exits_2_with_one_line(argv, out, capsys, message)
+
+    def test_lift_single_key(self, calib, tmp_path, capsys):
+        out = tmp_path / "r.yaml"
+        argv = ["lift", "--calib", calib, "--out", str(out), "--patch-size", "5000"]
+        self._exits_2_with_one_line(argv, out, capsys, "lift needs at least 2")
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["lut", "--resolution"], MAX_LUT_RESOLUTION),
+            (["bench", "--n-queries"], MAX_BENCH_QUERIES),
+            (["bench", "--dim"], MAX_FEATURE_DIM),
+            (["lift", "--dim"], MAX_FEATURE_DIM),
+            (["unproject", "--u", "512", "--v", "512", "--iterations"], MAX_NEWTON_ITERATIONS),
+        ],
+        ids=["lut-resolution", "bench-n-queries", "bench-dim", "lift-dim", "unproject-iterations"],
+    )
+    def test_flag_above_ceiling(self, calib, tmp_path, capsys, argv, limit):
+        out = tmp_path / "r.out"
+        argv = argv + [str(limit + 1), "--calib", calib, "--out", str(out)]
+        self._exits_2_with_one_line(argv, out, capsys, f"above the limit of {limit}")
 
     @pytest.mark.parametrize("dim", ["6", "0"])
     def test_lift_feature_dim(self, calib, tmp_path, capsys, dim):
