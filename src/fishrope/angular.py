@@ -25,6 +25,10 @@ from .errors import ConfigError
 # are ~10^4 cells; the cap turns a mistyped resolution into a config error
 # before any per-cell array is allocated.
 MAX_BEV_CELLS = 4096 * 4096
+# Largest patch side, in pixels.  A patch wider than the image is clipped
+# to it, so a larger size changes nothing; the cap keeps a mistyped size
+# inside the integer range of the tiling arithmetic.
+MAX_PATCH_SIZE = 2**16
 
 
 def _readonly_bool(a: np.ndarray) -> np.ndarray:
@@ -100,6 +104,8 @@ def patch_angles(
     """
     if patch_size < 1:
         raise ConfigError(f"patch size must be >= 1, got {patch_size}")
+    if patch_size > MAX_PATCH_SIZE:
+        raise ConfigError(f"patch size {patch_size} is above the limit of {MAX_PATCH_SIZE}")
     if lut is None:
         lut = camera.build_lut()
     w, h = camera.image_size

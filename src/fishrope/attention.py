@@ -11,12 +11,17 @@ keys.  Position enters through one of four encodings:
     fishrope    rotary over lens angular coordinates (theta, phi)
 
 Rotations act per head on query and key projections; logits are
-temperature-scaled inner products, computed by BLAS matmul over fixed
-query tiles; softmax rows are max-subtracted and exclude masked keys
+temperature-scaled inner products, computed by BLAS matmul over query
+tiles of about LOGIT_TILE logits (2 MiB of float64, sized to a per-core
+L2 cache); softmax rows are max-subtracted and exclude masked keys
 entirely (equivalent to -inf logits), so weights over valid keys always
-sum to 1.  logit_argmax, which the BEV lift uses, streams over those
-tiles and keeps only each row's argmax, so its memory stays bounded by
-one tile instead of growing with N_q x N_k.
+sum to 1.  cross_attention (and so self_attention) and logit_argmax
+stream over those tiles: each tile holds whole query rows, so the exact
+softmax, the value product or the row argmax runs tile by tile, and
+memory stays bounded by about max(LOGIT_TILE, heads * N_k) logits instead
+of growing with N_q x N_k.  Only logit_matrix, whose result is the full
+matrix, and self_attention_jacobian, whose result is larger still, hold
+all the logits at once.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -36,9 +41,11 @@ from .rope import ENCODINGS, RotaryConfig
 
 _ROTARY = ("axial_rope", "fishrope")
 
-# Logits per query tile (16 MiB of float64): the working set of
-# logit_argmax, whatever the number of queries.
-LOGIT_TILE = 1 << 21
+# Logits per query tile (2 MiB of float64, one per-core L2): the working
+# set of every streamed logit consumer, whatever the number of queries.
+# A row is never split, so a tile holds max(LOGIT_TILE, heads * N_k)
+# logits at most.
+LOGIT_TILE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -312,14 +319,16 @@ def logit_argmax(
 def _masked_softmax(logits: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     """Row softmax over valid keys only; max-subtracted for stability.
 
-    logits has shape (heads, N_q, N_k).  Rows are assumed to have at
-    least one valid key; masked keys get exactly zero weight.
+    logits has shape (heads, N_q, N_k) and is left untouched.  Rows are
+    assumed to have at least one valid key; masked keys get exactly zero
+    weight.  After the masked copy every step works in place.
     """
-    neg = np.where(key_mask[None, None, :], logits, -np.inf)
-    peak = np.max(neg, axis=-1, keepdims=True)
-    expd = np.exp(neg - peak)
-    expd = np.where(key_mask[None, None, :], expd, 0.0)
-    return expd / np.sum(expd, axis=-1, keepdims=True)
+    expd = np.where(key_mask[None, None, :], logits, -np.inf)
+    expd -= np.max(expd, axis=-1, keepdims=True)
+    np.exp(expd, out=expd)
+    expd[..., ~key_mask] = 0.0
+    expd /= np.sum(expd, axis=-1, keepdims=True)
+    return expd
 
 
 def self_attention(
@@ -342,11 +351,13 @@ def cross_attention(
     weights: ProjectionWeights,
     config: AttentionConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense cross-attention from query tokens to key tokens.
+    """Cross-attention from query tokens to key tokens, streamed over query tiles.
 
     Both grids must come from the same camera so their coordinates share
     one angular space.  Returns (outputs, flags); a query that is masked
     out, or that faces no valid key, yields a zero row and a False flag.
+    Softmax and the value product run per tile of whole query rows, so
+    memory stays bounded by about max(LOGIT_TILE, heads * N_k) logits.
     """
     if (
         queries.camera_token is not None
@@ -357,11 +368,12 @@ def cross_attention(
     flags = queries.mask & bool(np.any(keys.mask))
     if not np.any(flags):
         return np.zeros((queries.n_tokens, config.model_dim)), flags
-    logits = logit_matrix(queries, keys, weights, config)
-    logits = logits.reshape(config.heads, queries.n_tokens, keys.n_tokens)
-    attn = _masked_softmax(logits, keys.mask)
+    q, k = _projected_qk(queries, keys, weights, config)
     v = _project_heads(_embed(keys, config), keys.coords, weights.wv, config, rotate=False)
-    out_heads = np.einsum("hqk,hkd->hqd", attn, v)
+    out_heads = np.empty((config.heads, queries.n_tokens, config.head_dim))
+    for rows, tile in _logit_tiles(q, k, config.scale):
+        attn = _masked_softmax(tile, keys.mask)
+        out_heads[:, rows] = np.einsum("hqk,hkd->hqd", attn, v)
     out = np.moveaxis(out_heads, 0, 1).reshape(queries.n_tokens, config.model_dim)
     return np.where(flags[:, None], out, 0.0), flags
 

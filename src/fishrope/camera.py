@@ -335,6 +335,8 @@ class InverseLut:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 1 or len(entries) != self.resolution or self.resolution < 2:
             raise ConfigError("LUT entries must be a 1-D array of length `resolution`")
+        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
+            raise ConfigError(f"LUT r_max must be finite and positive, got {self.r_max}")
         if entries[0] != 0.0:
             raise ConfigError(f"LUT must start at 0, got {entries[0]}")
         if np.any(np.diff(entries) <= 0.0):

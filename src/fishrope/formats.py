@@ -20,7 +20,10 @@ on an unknown magic, tag or version; a non-finite header value, or a
 count (rows, cols, patch_size, resolution) that is not a non-negative
 whole number; a body of the wrong length or of partial float64s; a
 malformed or out-of-order angle-map CSV line; a `valid` flag other than
-0 or 1; LUT entries that InverseLut refuses.
+0 or 1; an angle map whose patch_size is below 1, whose theta_max is not
+positive, or with a valid cell outside theta in [0, theta_max] and
+|phi| <= pi; a LUT that InverseLut refuses (entries, or an r_max that is
+not finite and positive).
 """
 
 from __future__ import annotations
@@ -184,14 +187,26 @@ def _read_bin(path, kind: str, magic: float, fields: tuple[str, ...]):
 
 def _anglemap(cells: np.ndarray, head: dict[str, Any]) -> dict[str, Any]:
     """Reader result from row-major (theta, phi, valid) cells and header fields."""
+    if head["patch_size"] < 1 or head["theta_max"] <= 0.0:
+        raise FormatError(
+            f"angle-map needs patch_size >= 1 and theta_max > 0, got "
+            f"{head['patch_size']} and {head['theta_max']}"
+        )
     cells = cells.reshape(head["rows"], head["cols"], 3)
-    valid = cells[..., 2]
+    theta, phi, valid = np.moveaxis(cells, -1, 0)
     if not np.all((valid == 0.0) | (valid == 1.0)):
         raise FormatError("angle-map valid flags must be 0 or 1")
+    valid = valid == 1.0
+    in_range = (theta >= 0.0) & (theta <= head["theta_max"]) & (np.abs(phi) <= math.pi)
+    if not np.all(in_range[valid]):
+        raise FormatError(
+            f"a valid angle-map cell lies outside theta in [0, {head['theta_max']}], "
+            "|phi| <= pi"
+        )
     return {
-        "theta": cells[..., 0],
-        "phi": cells[..., 1],
-        "valid": valid == 1.0,
+        "theta": theta,
+        "phi": phi,
+        "valid": valid,
         "patch_size": head["patch_size"],
         "theta_max": head["theta_max"],
     }

@@ -2,8 +2,9 @@
 
 Deliberately naive implementations that share no code path with the
 package: plain power-sum polynomial evaluation, bisection inversion,
-dense rotation matrices assembled entry by entry, and the per-row loop
-forms of the retrieval bench's tie-breaking argmax and ranking.
+dense rotation matrices assembled entry by entry, the per-row loop
+forms of the retrieval bench's tie-breaking argmax and ranking, and
+attention over the whole (heads, N_q, N_k) logit matrix at once.
 """
 
 import math
@@ -71,3 +72,21 @@ def ranks_of_loop(rows: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> np
         order = np.lexsort((perm, -rows[i]))
         ranks[i] = int(np.flatnonzero(order == targets[i])[0]) + 1
     return ranks
+
+
+def dense_cross_attention(logits: np.ndarray, key_mask: np.ndarray, values: np.ndarray,
+                          query_flags: np.ndarray) -> np.ndarray:
+    """Masked softmax and value product over all logits at once.
+
+    logits is (heads, N_q, N_k), values (heads, N_k, head_dim); returns
+    (N_q, heads * head_dim) with the rows of unflagged queries zeroed.
+    """
+    neg = np.where(key_mask[None, None, :], logits, -np.inf)
+    peak = np.max(neg, axis=-1, keepdims=True)
+    expd = np.exp(neg - peak)
+    expd = np.where(key_mask[None, None, :], expd, 0.0)
+    attn = expd / np.sum(expd, axis=-1, keepdims=True)
+    out_heads = np.einsum("hqk,hkd->hqd", attn, values)
+    heads, n_q, head_dim = out_heads.shape
+    out = np.moveaxis(out_heads, 0, 1).reshape(n_q, heads * head_dim)
+    return np.where(query_flags[:, None], out, 0.0)

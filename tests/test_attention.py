@@ -25,6 +25,7 @@ from fishrope import attention
 from fishrope.angular import BevGridSpec, bev_angles, patch_angles
 from fishrope.experiments import fd_self_attention_jacobian, probe_feature
 from fishrope.fixtures import downward_extrinsics, wide_camera
+from .oracles import dense_cross_attention
 
 
 def angular_tokens(rng, n, dim, mask=None):
@@ -340,12 +341,86 @@ class TestLogitArgmax:
         assert chosen.shape == (n,)
         assert peak < dense_bytes / 4
 
+    def test_peak_memory_near_one_tile(self):
+        # one tile of LOGIT_TILE float64 logits plus 1 MiB of q and k:
+        # about 3 MiB at 2**18 logits; a 2**21-logit tile needs 17 MiB
+        n, dim = 4096, 16
+        rng = np.random.default_rng(26)
+        q = angular_tokens(rng, n, dim)
+        k = angular_tokens(rng, n, dim)
+        weights = ProjectionWeights.random(dim, seed=27)
+        tracemalloc.start()
+        try:
+            logit_argmax(q, k, weights, fishrope_config(dim))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestCrossAttention:
     def _grids(self, rng, nq=6, nk=5, dim=8):
         queries = angular_tokens(rng, nq, dim)
         keys = angular_tokens(rng, nk, dim)
         return queries, keys
+
+    @pytest.mark.parametrize("n_queries", [3, 9])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("encoding", ["none", "sinusoidal", "axial_rope", "fishrope"])
+    def test_streamed_equals_dense_oracle(self, monkeypatch, encoding, heads, n_queries):
+        # 40 logits per tile against 10 keys: 4 query rows per tile for one
+        # head, 2 for two, so 9 queries end on a ragged tile
+        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        rng = np.random.default_rng(30)
+        dim = 8 * heads
+        qmask = np.ones(n_queries, bool)
+        qmask[1] = False
+        kmask = np.ones(10, bool)
+        kmask[[2, 7]] = False
+        queries = angular_tokens(rng, n_queries, dim, mask=qmask)
+        keys = angular_tokens(rng, 10, dim, mask=kmask)
+        weights = ProjectionWeights.random(dim, seed=31)
+        config = AttentionConfig(
+            heads=heads,
+            head_dim=8,
+            encoding=encoding,
+            rotary=RotaryConfig(dim=8) if encoding in ("axial_rope", "fishrope") else None,
+            image_size=(640, 480) if encoding == "axial_rope" else None,
+        )
+        out, flags = cross_attention(queries, keys, weights, config)
+        logits = logit_matrix(queries, keys, weights, config).reshape(heads, n_queries, 10)
+        values = attention._project_heads(
+            attention._embed(keys, config), keys.coords, weights.wv, config, rotate=False
+        )
+        expected = dense_cross_attention(logits, kmask, values, flags)
+        np.testing.assert_array_equal(flags, qmask)
+        np.testing.assert_array_equal(out, expected)
+        self_out = self_attention(queries, weights, config)
+        logits = logit_matrix(queries, queries, weights, config)
+        values = attention._project_heads(
+            attention._embed(queries, config), queries.coords, weights.wv, config, rotate=False
+        )
+        expected = dense_cross_attention(
+            logits.reshape(heads, n_queries, n_queries), qmask, values, qmask
+        )
+        np.testing.assert_array_equal(self_out, expected)
+
+    def test_peak_memory_bounded_by_tiles(self):
+        # each (4096, 4096) float64 array is 128 MiB; streamed, the peak is
+        # a few tiles, about 8 MiB
+        n, dim = 4096, 16
+        rng = np.random.default_rng(32)
+        queries = angular_tokens(rng, n, dim)
+        keys = angular_tokens(rng, n, dim)
+        weights = ProjectionWeights.random(dim, seed=33)
+        tracemalloc.start()
+        try:
+            out, _ = cross_attention(queries, keys, weights, fishrope_config(dim))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, dim)
+        assert peak < 16 * 2**20
 
     def test_camera_mismatch_rejected(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import pathlib
 import subprocess
 import sys
@@ -5,8 +8,11 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fishrope import formats, patch_angles
+from fishrope.angular import MAX_PATCH_SIZE
 from fishrope.camera import MAX_LUT_RESOLUTION, MAX_NEWTON_ITERATIONS
 from fishrope.cli import main
 from fishrope.experiments import MAX_BENCH_QUERIES, MAX_FEATURE_DIM
@@ -205,13 +211,17 @@ class TestInputContract:
     @pytest.mark.parametrize(
         "argv, limit",
         [
+            (["angles", "--patch-size"], MAX_PATCH_SIZE),
             (["lut", "--resolution"], MAX_LUT_RESOLUTION),
             (["bench", "--n-queries"], MAX_BENCH_QUERIES),
             (["bench", "--dim"], MAX_FEATURE_DIM),
             (["lift", "--dim"], MAX_FEATURE_DIM),
             (["unproject", "--u", "512", "--v", "512", "--iterations"], MAX_NEWTON_ITERATIONS),
         ],
-        ids=["lut-resolution", "bench-n-queries", "bench-dim", "lift-dim", "unproject-iterations"],
+        ids=[
+            "angles-patch-size", "lut-resolution", "bench-n-queries", "bench-dim", "lift-dim",
+            "unproject-iterations",
+        ],
     )
     def test_flag_above_ceiling(self, calib, tmp_path, capsys, argv, limit):
         out = tmp_path / "r.out"
@@ -237,6 +247,48 @@ class TestInputContract:
         out = tmp_path / "angles.csv"
         argv = ["angles", "--calib", str(bad), "--out", str(out)]
         self._exits_2_with_one_line(argv, out, capsys, "must be a list")
+
+
+def _ints(low, high):
+    """Edge-case integers, or one from [low, high] to bound the work per call."""
+    return st.one_of(st.sampled_from([0, -1, -(2**63), 10**300]), st.integers(low, high))
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300]),
+    st.floats(-2000.0, 2000.0),
+)
+
+# `--flag=value` keeps argparse from reading "-1e+300" or "-inf" as a flag.
+_FUZZED_ARGV = st.one_of(
+    st.builds(lambda t, p: ["project", f"--theta={t!r}", f"--phi={p!r}"], _FLOATS, _FLOATS),
+    st.builds(
+        lambda u, v, n: ["unproject", f"--u={u!r}", f"--v={v!r}", f"--iterations={n}"],
+        _FLOATS, _FLOATS, _ints(1, 1000),
+    ),
+    st.builds(lambda n: ["angles", "--format", "bin", f"--patch-size={n}"], _ints(16, 4096)),
+    st.builds(lambda n: ["lut", "--format", "bin", f"--resolution={n}"], _ints(2, 2**16)),
+)
+
+
+# calib and tmp_path are the same read-only file and output directory for
+# every example, so sharing the function-scoped fixtures is safe.
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_FUZZED_ARGV)
+def test_fuzzed_flags_keep_the_exit_contract(calib, tmp_path, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--calib", calib, "--out", str(tmp_path / "artifact")])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code != 0:
+        assert err.count("\n") == 1, (argv, err)
 
 
 class TestSelfcheckCommand:

@@ -266,9 +266,21 @@ def _csv_replace(line, old, new):
     return mutate
 
 
+def _csv_meta(field, value):
+    """Set one `field=value` token of the angle-map CSV metadata line."""
+    def mutate(lines):
+        tokens = lines[0].split()
+        index = [t.partition("=")[0] for t in tokens].index(field)
+        tokens[index] = f"{field}={value}"
+        lines[0] = " ".join(tokens)
+    return mutate
+
+
 # Binary header slots: 0 magic, 1 version, then the fields; angle-map cells
 # start at value 8 as (theta, phi, valid).  CSV line 0 is the metadata, line
-# 1 the column header, line 2 + k the k-th cell in row-major order.
+# 1 the column header, line 2 + k the k-th cell in row-major order.  Cell
+# CENTER, the middle of the grid, is valid.
+CENTER = GRID_DIMS * GRID_DIMS // 2
 MALFORMED = {
     "anglemap-bin-nan-rows": ("anglemap_bin", _set(2, np.nan)),
     "anglemap-bin-fractional-rows": ("anglemap_bin", _set(2, 11.5)),
@@ -286,6 +298,18 @@ MALFORMED = {
     "anglemap-csv-nan-rows": ("anglemap_csv", _csv_replace(0, f"rows={GRID_DIMS}", "rows=nan")),
     "lut-bin-nan-theta-max": ("lut_bin", _set(4, np.nan)),
     "lut-bin-decreasing-entry": ("lut_bin", _set(6, -1.0)),
+    "lut-bin-negative-r-max": ("lut_bin", _set(3, -1.0)),
+    "lut-bin-zero-r-max": ("lut_bin", _set(3, 0.0)),
+    "anglemap-bin-zero-patch-size": ("anglemap_bin", _set(4, 0.0)),
+    "anglemap-bin-negative-theta-max": ("anglemap_bin", _set(5, -1.0)),
+    "anglemap-bin-theta-max-below-body": ("anglemap_bin", _set(5, 0.5)),
+    "anglemap-bin-negative-theta": ("anglemap_bin", _set(8 + 3 * CENTER, -0.1)),
+    "anglemap-bin-nan-theta": ("anglemap_bin", _set(8 + 3 * CENTER, np.nan)),
+    "anglemap-bin-phi-beyond-pi": ("anglemap_bin", _set(8 + 3 * CENTER + 1, 4.0)),
+    "anglemap-csv-zero-patch-size": ("anglemap_csv", _csv_meta("patch_size", "0")),
+    "anglemap-csv-negative-theta-max": ("anglemap_csv", _csv_meta("theta_max", "-1.0")),
+    "anglemap-csv-theta-beyond-max": ("anglemap_csv", _csv_field(2 + CENTER, 2, "3.0")),
+    "anglemap-csv-phi-beyond-pi": ("anglemap_csv", _csv_field(2 + CENTER, 3, "-4.0")),
 }
 
 
@@ -322,9 +346,11 @@ def test_csv_reader_rejects_a_binary_file(tmp_path):
 
 
 # Header slots a reader must reject any of the fuzz values in (magic,
-# version and the counts the body length depends on), and the count slots.
+# version and the counts the body length depends on), the count slots, and
+# the slots that must be positive (patch_size, theta_max, r_max).
 _ALWAYS_CHECKED = {"anglemap_bin": {0, 1, 2, 3}, "lut_bin": {0, 1, 2}}
 _COUNT_SLOTS = {"anglemap_bin": {2, 3, 4}, "lut_bin": {2}}
+_POSITIVE_SLOTS = {"anglemap_bin": {4, 5}, "lut_bin": {3, 4}}
 _HEADER_LEN = {"anglemap_bin": 8, "lut_bin": 5}
 
 
@@ -368,6 +394,7 @@ def test_bin_reader_fuzzed_header_raises_only_format_error(originals, kind, muta
             math.isnan(value)
             or slot in _ALWAYS_CHECKED[kind]
             or (slot in _COUNT_SLOTS[kind] and value in (-1.0, 1.5))
+            or (slot in _POSITIVE_SLOTS[kind] and value == -1.0)
         )
     path = root / f"fuzzed-{kind}"
     path.write_bytes(mutated)
