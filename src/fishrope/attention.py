@@ -11,7 +11,7 @@ keys.  Position enters through one of four encodings:
     fishrope    rotary over lens angular coordinates (theta, phi)
 
 Rotations act per head on query and key projections; logits are
-temperature-scaled inner products, computed by BLAS matmul over query
+inner products scaled by 1/sqrt(head_dim), computed by BLAS matmul over query
 tiles of about LOGIT_TILE logits (2 MiB of float64, sized to a per-core
 L2 cache); softmax rows are max-subtracted and exclude masked keys
 entirely (equivalent to -inf logits), so weights over valid keys always
@@ -158,18 +158,16 @@ class ProjectionWeights:
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Head layout, encoding choice, and logit temperature.
+    """Head layout and encoding choice; logits are scaled by 1/sqrt(head_dim).
 
     head_dim must equal rotary.dim for the rotary encodings; image_size
-    is required by axial_rope for pixel normalization.  temperature
-    defaults to 1/sqrt(head_dim).
+    is required by axial_rope for pixel normalization.
     """
 
     heads: int = 1
     head_dim: int = 8
     encoding: str = "none"
     rotary: RotaryConfig | None = None
-    temperature: float | None = None
     image_size: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
@@ -197,11 +195,7 @@ class AttentionConfig:
 
     @property
     def scale(self) -> float:
-        return (
-            self.temperature
-            if self.temperature is not None
-            else 1.0 / np.sqrt(self.head_dim)
-        )
+        return 1.0 / np.sqrt(self.head_dim)
 
 
 def _rotary_positions(coords: np.ndarray, config: AttentionConfig) -> np.ndarray:

@@ -31,12 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError,
-    ConfigError,
-    DomainError,
-    OutOfImageCircleError,
-)
+from .errors import ConfigError, DomainError, OutOfImageCircleError
 
 # Fraction of r_max tolerated (and clamped) beyond the image circle.
 CLAMP_BAND_FRACTION = 1e-3
@@ -74,9 +69,6 @@ class AngularCoord:
             raise DomainError(f"incidence angle must be >= 0, got {self.theta}")
         if not (-math.pi <= self.phi <= math.pi):
             raise DomainError(f"azimuth must lie in [-pi, pi], got {self.phi}")
-
-    def __iter__(self):
-        return iter((self.theta, self.phi))
 
 
 def _normalize_phi(phi):
@@ -198,7 +190,8 @@ class KannalaBrandtCamera:
         """Map incidence/azimuth angles to pixel coordinates (u, v).
 
         Accepts scalars or broadcastable arrays.  Raises DomainError if any
-        theta falls outside [0, theta_max].
+        theta falls outside [0, theta_max] or any phi outside [-pi, pi],
+        the closed domain AngularCoord enforces.
         """
         theta = np.asarray(theta, dtype=np.float64)
         phi = np.asarray(phi, dtype=np.float64)
@@ -206,10 +199,12 @@ class KannalaBrandtCamera:
             raise DomainError("non-finite projection input")
         bad = (theta < 0.0) | (theta > self.theta_max)
         if np.any(bad):
-            offending = float(np.asarray(theta)[bad].flat[0])
             raise DomainError(
-                f"incidence angle {offending} outside [0, {self.theta_max}]"
+                f"incidence angle {float(theta[bad].flat[0])} outside [0, {self.theta_max}]"
             )
+        bad = np.abs(phi) > math.pi
+        if np.any(bad):
+            raise DomainError(f"azimuth {float(phi[bad].flat[0])} outside [-pi, pi]")
         r = self.radial(theta)
         cx, cy = self.principal_point
         u = cx + r * np.cos(phi)
@@ -456,13 +451,3 @@ class Extrinsics:
         phi = _normalize_phi(np.arctan2(y, x))
         phi = np.where(in_front, np.where(rho == 0.0, 0.0, phi), np.nan)
         return theta, phi, in_front
-
-    def world_to_camera_ray(self, world_point) -> AngularCoord:
-        """Angles of a single world point; raises BehindCameraError for z_cam <= 0."""
-        world_point = np.asarray(world_point, dtype=np.float64)
-        theta, phi, in_front = self.ray_angles(world_point.reshape(1, 3))
-        if not in_front[0]:
-            raise BehindCameraError(
-                f"world point {world_point.tolist()} is behind the camera"
-            )
-        return AngularCoord(float(theta[0]), float(phi[0]))

@@ -17,10 +17,6 @@ class OutOfImageCircleError(DomainError):
     """Pixel radius lies beyond the image circle (past the clamp band)."""
 
 
-class BehindCameraError(DomainError):
-    """World point maps behind the camera (non-positive optical-axis component)."""
-
-
 class ShapeError(FishropeError, ValueError):
     """Array shape inconsistent with the operation's contract."""
 

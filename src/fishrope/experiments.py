@@ -124,6 +124,9 @@ def _check_encodings(encodings: tuple[str, ...], feature_dim: int) -> None:
     unknown = set(encodings) - set(ENCODINGS)
     if unknown:
         raise ConfigError(f"unknown encodings {sorted(unknown)}")
+    repeated = sorted({e for e in encodings if encodings.count(e) > 1})
+    if repeated:
+        raise ConfigError(f"repeated encodings {repeated}")
     if feature_dim > MAX_FEATURE_DIM:
         raise ConfigError(f"feature_dim {feature_dim} is above the limit of {MAX_FEATURE_DIM}")
     if feature_dim < 4 or feature_dim % 4 != 0:
@@ -398,11 +401,23 @@ class CheckerPattern:
             raise ConfigError(f"checker origin must be finite, got {self.origin}")
 
     def labels_at(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64) - self.origin[0]
-        y = np.asarray(y, dtype=np.float64) - self.origin[1]
-        return ((np.floor(x / self.square) + np.floor(y / self.square)) % 2).astype(
-            np.int64
-        )
+        """Square parity at (x, y); ConfigError where squares cannot be told apart.
+
+        That is where a square index (x - origin) / square is non-finite or
+        at least 2**52 in magnitude, so float64 keeps no fraction of it.
+        """
+        with np.errstate(over="ignore"):
+            ix = (np.asarray(x, dtype=np.float64) - self.origin[0]) / self.square
+            iy = (np.asarray(y, dtype=np.float64) - self.origin[1]) / self.square
+        for idx in (ix, iy):
+            bad = ~(np.abs(idx) < 2.0**52)
+            if np.any(bad):
+                raise ConfigError(
+                    f"checker square index {float(idx[bad].flat[0])} is non-finite or "
+                    f"at least 2**52 in magnitude: square {self.square} at origin "
+                    f"{self.origin} cannot label the ground"
+                )
+        return ((np.floor(ix) + np.floor(iy)) % 2).astype(np.int64)
 
 
 @dataclass(frozen=True)

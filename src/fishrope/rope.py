@@ -59,10 +59,6 @@ class FrequencySchedule:
         if np.any(np.diff(freqs) >= 0.0):
             raise ConfigError("schedule frequencies must be strictly decreasing")
 
-    @property
-    def planes(self) -> int:
-        return len(self.freqs)
-
 
 def make_schedule(subspace_dims: int, base: float = DEFAULT_BASE) -> FrequencySchedule:
     """Geometric frequency schedule for a rotary subspace of even dimension."""
@@ -137,56 +133,14 @@ def _rotate_planes(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def rotate_pairs(x, angle: float, schedule: FrequencySchedule) -> np.ndarray:
-    """Rotate consecutive dimension pairs of x by angle * freqs[i].
-
-    Pair (x[2i], x[2i+1]) maps to
-        (x[2i]*cos - x[2i+1]*sin,  x[2i]*sin + x[2i+1]*cos)
-    with the per-plane angle angle * freqs[i].  Norm-preserving.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != 2 * schedule.planes:
-        raise ShapeError(
-            f"vector length {x.shape} does not match {schedule.planes} rotation planes"
-        )
-    return _rotate_planes(x, angle * schedule.freqs)
-
-
-def _coord_pair(coord) -> tuple[float, float]:
-    a, b = coord
-    return float(a), float(b)
-
-
-def apply_fishrope(x, coord, config: RotaryConfig) -> np.ndarray:
-    """Rotate x by its angular coordinate: theta-subspace by theta, phi-subspace by phi.
-
-    coord is an AngularCoord or any (theta, phi) pair.  The first
-    config.theta_dims entries rotate through the theta schedule, the
-    remainder through the phi schedule.  Single-row `apply_rotary_batch`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != config.dim:
-        raise ShapeError(f"vector length {x.shape} does not match dim {config.dim}")
-    return apply_rotary_batch(x[None], [_coord_pair(coord)], config)[0]
-
-
-def apply_axial_rope(x, pixel, config: RotaryConfig, image_size) -> np.ndarray:
-    """Cartesian baseline: the same rotation driven by normalized pixel coordinates.
-
-    (u, v) is normalized to [0, 1] by the image width and height and
-    substituted for (theta, phi).
-    """
-    u, v = _coord_pair(pixel)
-    w, h = image_size
-    return apply_fishrope(x, (u / float(w), v / float(h)), config)
-
-
 def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
-    """Vectorized rotation of rows of x (N, dim) by positions (N, 2).
+    """Rotate rows of x (N, dim) by positions (N, 2); the one rotary kernel.
 
     positions carry (theta, phi) pairs, or normalized pixel pairs for
-    the Cartesian baseline; rows rotate independently.  The single-row
-    forms, `relative_logit` and `rotation_matrix` all go through here.
+    the Cartesian baseline; rows rotate independently.  The first
+    config.theta_dims entries rotate through the theta schedule, the
+    rest through the phi schedule.  `relative_logit` and the attention
+    kernels all go through here; a single vector is a one-row array.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -256,30 +210,14 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     return float(logits) if logits.ndim == 0 else logits
 
 
-def rotation_matrix(position, config: RotaryConfig) -> np.ndarray:
-    """Explicit (dim, dim) block-diagonal rotation for one position pair.
-
-    Mostly useful for analysis and gradient computations; column j is the
-    rotated unit vector e_j, so `apply_rotary_batch` is equivalent and
-    cheaper.
-    """
-    rows = np.tile(_coord_pair(position), (config.dim, 1))
-    return apply_rotary_batch(np.eye(config.dim), rows, config).T
-
-
-def sinusoidal_pe(position, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
-    """Additive two-axis sinusoidal encoding of a (theta, phi) or pixel pair.
+def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
+    """Additive two-axis sinusoidal encoding of (theta, phi) or pixel rows (N, 2).
 
     Each axis owns dim/2 entries laid out as interleaved
     (sin(a * w_i), cos(a * w_i)) with the dim/2 geometric schedule, so
     position 0 encodes to the alternating pattern (0, 1, 0, 1, ...).
-    dim must be divisible by 4.  Single-row `sinusoidal_pe_batch`.
+    dim must be divisible by 4.
     """
-    return sinusoidal_pe_batch([_coord_pair(position)], dim, base)[0]
-
-
-def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
-    """Row-wise sinusoidal_pe for positions of shape (N, 2)."""
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ShapeError(f"positions must have shape (N, 2), got {positions.shape}")

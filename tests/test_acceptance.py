@@ -16,7 +16,6 @@ from fishrope import (
     RetrievalBenchConfig,
     RotaryConfig,
     TokenGrid,
-    apply_fishrope,
     logit_matrix,
     relative_logit,
     retrieval_bench,
@@ -28,6 +27,7 @@ from fishrope import (
 from fishrope.angular import BevGridSpec, bev_angles, patch_angles
 from fishrope.cli import main
 from fishrope.fixtures import downward_extrinsics, fixture_cameras, wide_camera
+from fishrope.rope import apply_rotary_batch
 
 from .conftest import CALIBRATION_FILE
 
@@ -69,7 +69,8 @@ def test_criterion_1_relative_position_identity():
         cm = (rng.uniform(0.0, 1.7), rng.uniform(-math.pi, math.pi))
         cn = (rng.uniform(0.0, 1.7), rng.uniform(-math.pi, math.pi))
         absolute = float(
-            apply_fishrope(q, cm, config) @ apply_fishrope(k, cn, config)
+            apply_rotary_batch(q[None], [cm], config)[0]
+            @ apply_rotary_batch(k[None], [cn], config)[0]
         )
         relative = relative_logit(q, k, (cn[0] - cm[0], cn[1] - cm[1]), config)
         worst = max(worst, abs(absolute - relative))

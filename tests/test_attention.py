@@ -93,7 +93,6 @@ class TestAttentionConfig:
     def test_default_temperature(self):
         config = AttentionConfig(head_dim=16)
         assert config.scale == pytest.approx(0.25)
-        assert AttentionConfig(head_dim=16, temperature=2.0).scale == 2.0
 
 
 class TestSelfAttention:

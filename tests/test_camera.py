@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from fishrope import (
     AngularCoord,
-    BehindCameraError,
     ConfigError,
     DomainError,
     Extrinsics,
@@ -90,6 +90,15 @@ class TestProject:
             cam.project(-0.1, 0.0)
         with pytest.raises(DomainError):
             cam.project(float("nan"), 0.0)
+
+    def test_rejects_phi_outside_domain(self):
+        # the closed [-pi, pi] that AngularCoord enforces; the first bad value is named
+        cam = toy_camera()
+        for phi in (math.pi, -math.pi):
+            cam.project(0.5, phi)
+        for phi in (math.nextafter(math.pi, 4.0), -4.0, 1e300):
+            with pytest.raises(DomainError, match=re.escape(f"azimuth {phi!r} outside")):
+                cam.project(np.full(3, 0.5), np.array([0.0, phi, 2e300]))
 
     def test_vectorized_matches_scalar(self):
         cam = fixture_cameras()["wide"]
@@ -266,27 +275,29 @@ class TestExtrinsics:
             Extrinsics(rotation=flip, translation=np.zeros(3))
 
     def test_identity_on_axis(self):
-        ext = Extrinsics.identity()
-        coord = ext.world_to_camera_ray(np.array([0.0, 0.0, 5.0]))
-        assert coord == AngularCoord(0.0, 0.0)
+        theta, phi, in_front = Extrinsics.identity().ray_angles([0.0, 0.0, 5.0])
+        assert (theta, phi, in_front) == (0.0, 0.0, True)
 
     def test_identity_45_degrees(self):
-        ext = Extrinsics.identity()
-        coord = ext.world_to_camera_ray(np.array([1.0, 0.0, 1.0]))
-        assert coord.theta == pytest.approx(math.pi / 4, abs=1e-12)
-        assert coord.phi == pytest.approx(0.0, abs=1e-12)
+        theta, phi, in_front = Extrinsics.identity().ray_angles([1.0, 0.0, 1.0])
+        assert in_front
+        assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+        assert phi == pytest.approx(0.0, abs=1e-12)
 
     def test_downward_camera_ground_point(self):
         # camera 1 m up looking straight down; ground point 0.5 m along +x
-        ext = downward_extrinsics(1.0)
-        coord = ext.world_to_camera_ray(np.array([0.5, 0.0, 0.0]))
-        assert coord.theta == pytest.approx(math.atan(0.5), abs=1e-12)
-        assert coord.phi == pytest.approx(0.0, abs=1e-12)
+        theta, phi, in_front = downward_extrinsics(1.0).ray_angles([0.5, 0.0, 0.0])
+        assert in_front
+        assert theta == pytest.approx(math.atan(0.5), abs=1e-12)
+        assert phi == pytest.approx(0.0, abs=1e-12)
 
-    def test_behind_camera_raises(self):
-        ext = Extrinsics.identity()
-        with pytest.raises(BehindCameraError):
-            ext.world_to_camera_ray(np.array([0.0, 0.0, -1.0]))
+    def test_behind_camera_is_masked(self):
+        # behind (z < 0) and in the image plane (z = 0) are both masked, not raised
+        points = [[0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
+        theta, phi, in_front = Extrinsics.identity().ray_angles(points)
+        assert in_front.tolist() == [False, False, True]
+        assert np.all(np.isnan(theta[:2])) and np.all(np.isnan(phi[:2]))
+        assert np.all(np.isfinite(theta[2:])) and np.all(np.isfinite(phi[2:]))
 
     def test_compose_matches_sequential_transform(self):
         rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fishrope.camera import MAX_LUT_RESOLUTION, MAX_NEWTON_ITERATIONS
 from fishrope.cli import main
 from fishrope.experiments import MAX_BENCH_QUERIES, MAX_FEATURE_DIM
 from fishrope.fixtures import wide_camera
+from fishrope.rope import ENCODINGS
 
 
 @pytest.fixture
@@ -239,6 +241,24 @@ class TestInputContract:
         argv = ["lift", "--calib", calib, "--out", str(out), "--resolution", "1e-9"]
         self._exits_2_with_one_line(argv, out, capsys, "above the limit")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["project", "--theta", "0.5", "--phi", "1e300"], "azimuth 1e+300 outside"),
+            (["lift", "--checker-origin", "1e300", "0"], "checker square index -1e+299"),
+            (["lift", "--checker", "1e-320"], "checker square index inf"),
+            (["bench", "--encodings", "fishrope,fishrope"], "repeated encodings"),
+        ],
+        ids=["project-phi", "lift-checker-origin", "lift-checker", "bench-repeated"],
+    )
+    def test_no_silent_result(self, calib, tmp_path, capsys, argv, message):
+        # each once exited 0 with a meaningless pixel or score; numpy may not warn either
+        out = tmp_path / "r.yaml"
+        argv = argv + ["--calib", calib, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self._exits_2_with_one_line(argv, out, capsys, message)
+
     def test_scalar_calibration_coeffs(self, calib, tmp_path, capsys):
         doc = yaml.safe_load(pathlib.Path(calib).read_text(encoding="utf-8"))
         doc["coeffs"] = 5
@@ -259,6 +279,46 @@ _FLOATS = st.one_of(
     st.floats(-2000.0, 2000.0),
 )
 
+
+def _at_least(low):
+    """Edge-case floats, or one from [low, 1e4] to bound the work per call."""
+    return st.one_of(
+        st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-320]),
+        st.floats(low, 1e4),
+    )
+
+
+def _decimals(low, high):
+    return st.floats(low, high).map("{:.3f}".format)
+
+
+def _pair(values):
+    return st.tuples(values, values).map(list)
+
+
+# A two-value flag cannot use `--flag=value`, and argparse reads "-1e+300"
+# or "-inf" after it as a flag, so its values are decimals, nan, inf or 1e300.
+_EDGE_PAIR = _pair(st.one_of(st.sampled_from(["nan", "inf", "1e300"]), _decimals(-50.0, 50.0)))
+_MULTIPLES_OF_4 = st.integers(1, 8).map(lambda n: 4 * n)
+
+
+def _bench(patch, queries, dims, encodings):
+    return st.builds(
+        lambda p, n, d, e: ["bench", f"--patch-size={p}", f"--n-queries={n}", f"--dim={d}",
+                            "--encodings=" + ",".join(e)],
+        patch, queries, dims, encodings,
+    )
+
+
+def _lift(patch, dims, resolution, checker, origin):
+    return st.builds(
+        lambda p, d, r, c, o, e: ["lift", f"--patch-size={p}", f"--dim={d}",
+                                  f"--resolution={r!r}", f"--checker={c!r}",
+                                  "--checker-origin", *o, "--extent", *e],
+        patch, dims, resolution, checker, origin, _pair(_decimals(0.0, 40.0)),
+    )
+
+
 # `--flag=value` keeps argparse from reading "-1e+300" or "-inf" as a flag.
 _FUZZED_ARGV = st.one_of(
     st.builds(lambda t, p: ["project", f"--theta={t!r}", f"--phi={p!r}"], _FLOATS, _FLOATS),
@@ -270,17 +330,21 @@ _FUZZED_ARGV = st.one_of(
     st.builds(lambda n: ["lut", "--format", "bin", f"--resolution={n}"], _ints(2, 2**16)),
 )
 
-
-# calib and tmp_path are the same read-only file and output directory for
-# every example, so sharing the function-scoped fixtures is safe.
-@settings(
-    max_examples=120,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+# bench and lift each get a builder of mostly bad values and one of mostly
+# good ones, so that some draws run to the end.  They have their own test so
+# that their many flags do not take draws away from the four above.
+_FUZZED_EXPERIMENT_ARGV = st.one_of(
+    _bench(_ints(64, 4096), _ints(1, 64), _ints(1, 64),
+           st.lists(st.sampled_from(ENCODINGS + ("learned", "")), max_size=5)),
+    _bench(st.integers(64, 256), st.integers(1, 64), _MULTIPLES_OF_4,
+           st.lists(st.sampled_from(ENCODINGS), min_size=1, max_size=4, unique=True)),
+    _lift(_ints(32, 4096), _ints(1, 64), _at_least(0.5), _at_least(1e-3), _EDGE_PAIR),
+    _lift(st.integers(32, 256), _MULTIPLES_OF_4, st.floats(0.5, 4.0), st.floats(0.5, 20.0),
+          _pair(_decimals(-50.0, 50.0))),
 )
-@given(argv=_FUZZED_ARGV)
-def test_fuzzed_flags_keep_the_exit_contract(calib, tmp_path, argv):
+
+
+def _keeps_the_exit_contract(calib, tmp_path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--calib", calib, "--out", str(tmp_path / "artifact")])
@@ -289,6 +353,29 @@ def test_fuzzed_flags_keep_the_exit_contract(calib, tmp_path, argv):
     assert "Traceback" not in err, (argv, err)
     if code != 0:
         assert err.count("\n") == 1, (argv, err)
+
+
+# calib and tmp_path are the same read-only file and output directory for
+# every example, so sharing the function-scoped fixtures is safe.
+def _fuzz_settings(max_examples):
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+
+
+@_fuzz_settings(120)
+@given(argv=_FUZZED_ARGV)
+def test_fuzzed_flags_keep_the_exit_contract(calib, tmp_path, argv):
+    _keeps_the_exit_contract(calib, tmp_path, argv)
+
+
+@_fuzz_settings(80)
+@given(argv=_FUZZED_EXPERIMENT_ARGV)
+def test_fuzzed_experiment_flags_keep_the_exit_contract(calib, tmp_path, argv):
+    _keeps_the_exit_contract(calib, tmp_path, argv)
 
 
 class TestSelfcheckCommand:

@@ -169,6 +169,8 @@ class TestRetrievalBench:
             RetrievalBenchConfig(camera=wide_camera(), n_queries=0)
         with pytest.raises(ConfigError):
             RetrievalBenchConfig(camera=wide_camera(), encodings=("bogus",))
+        with pytest.raises(ConfigError, match="repeated encodings"):
+            RetrievalBenchConfig(camera=wide_camera(), encodings=("fishrope", "fishrope"))
         with pytest.raises(ConfigError):
             RetrievalBenchConfig(camera=wide_camera(), feature_dim=10)
 

@@ -6,24 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishrope import (
+    AttentionConfig,
     ConfigError,
+    ProjectionWeights,
     RotaryConfig,
     ShapeError,
-    apply_axial_rope,
-    apply_fishrope,
+    TokenGrid,
+    logit_matrix,
     make_schedule,
     relative_logit,
-    rotate_pairs,
-    sinusoidal_pe,
 )
-from fishrope.rope import (
-    _wrap_angle,
-    apply_rotary_batch,
-    rotation_matrix,
-    sinusoidal_pe_batch,
-)
+from fishrope.rope import _wrap_angle, apply_rotary_batch, sinusoidal_pe_batch
 
 from .oracles import dense_rotation
+
+
+def _rotate(x, coord, config):
+    """apply_rotary_batch on the one-row array of a single vector."""
+    return apply_rotary_batch(np.asarray(x, dtype=np.float64)[None], [coord], config)[0]
 
 
 class TestSchedule:
@@ -60,39 +60,44 @@ class TestSchedule:
 
 
 class TestRotatePairs:
+    """Plane rotation of consecutive pairs, through a theta-only config."""
+
     def test_quarter_turn(self):
-        sched = make_schedule(2)
-        out = rotate_pairs([1.0, 0.0], math.pi / 2, sched)
+        out = _rotate([1.0, 0.0], (math.pi / 2, 0.0), RotaryConfig(dim=2, theta_dims=2))
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-15)
 
     def test_zero_angle_is_identity(self):
-        sched = make_schedule(8)
         x = np.arange(8.0)
-        np.testing.assert_allclose(rotate_pairs(x, 0.0, sched), x)
+        np.testing.assert_allclose(_rotate(x, (0.0, 0.0), RotaryConfig(dim=8, theta_dims=8)), x)
 
     def test_per_plane_frequencies(self):
-        sched = make_schedule(4, 100.0)  # freqs [1, 0.1]
-        out = rotate_pairs([1.0, 0.0, 1.0, 0.0], 1.0, sched)
+        config = RotaryConfig(dim=4, theta_dims=4, base=100.0)  # freqs [1, 0.1]
+        out = _rotate([1.0, 0.0, 1.0, 0.0], (1.0, 0.0), config)
         expected = [math.cos(1.0), math.sin(1.0), math.cos(0.1), math.sin(0.1)]
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_shape_mismatch(self):
+        config = RotaryConfig(dim=2, theta_dims=2)
         with pytest.raises(ShapeError):
-            rotate_pairs([1.0, 0.0, 0.0], 1.0, make_schedule(2))
+            apply_rotary_batch([[1.0, 0.0, 0.0]], [(1.0, 0.0)], config)
+        with pytest.raises(ShapeError):
+            apply_rotary_batch([[1.0, 0.0]], [(1.0, 0.0), (2.0, 0.0)], config)
 
 
 class TestApplyFishrope:
     def test_zero_coord_is_identity(self):
         config = RotaryConfig(dim=8)
         x = np.random.default_rng(0).standard_normal(8)
-        np.testing.assert_allclose(apply_fishrope(x, (0.0, 0.0), config), x)
+        np.testing.assert_allclose(_rotate(x, (0.0, 0.0), config), x)
 
     def test_theta_only_variant_equals_full_dim_rotation(self):
         config = RotaryConfig(dim=8, theta_dims=8)
         x = np.random.default_rng(1).standard_normal(8)
-        got = apply_fishrope(x, (0.7, 2.0), config)  # phi has no subspace
-        expected = rotate_pairs(x, 0.7, make_schedule(8))
-        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        got = _rotate(x, (0.7, 2.0), config)  # phi has no subspace
+        np.testing.assert_array_equal(got, _rotate(x, (0.7, 0.0), config))
+        np.testing.assert_allclose(
+            got, dense_rotation(8, 8, 10000.0, 0.7, 0.0) @ x, atol=1e-15
+        )
 
     def test_matches_dense_matrix_oracle_on_one_hot(self):
         config = RotaryConfig(dim=8)
@@ -100,7 +105,7 @@ class TestApplyFishrope:
         for i in range(8):
             x = np.zeros(8)
             x[i] = 1.0
-            got = apply_fishrope(x, (0.3, 1.2), config)
+            got = _rotate(x, (0.3, 1.2), config)
             np.testing.assert_allclose(got, mat[:, i], atol=1e-15)
 
     def test_matches_dense_matrix_oracle_random(self):
@@ -110,34 +115,23 @@ class TestApplyFishrope:
             mat = dense_rotation(dim, td, base, 0.9, -2.1, angle_scale=scale)
             x = rng.standard_normal(dim)
             np.testing.assert_allclose(
-                apply_fishrope(x, (0.9, -2.1), config), mat @ x, atol=1e-13
+                _rotate(x, (0.9, -2.1), config), mat @ x, atol=1e-13
             )
 
     def test_product_rotation_matrix_agrees_with_oracle(self):
+        # The rotation-block build of self_attention_jacobian: rotate the rows
+        # of the identity, so row c is A e_c and the transpose is A.
         config = RotaryConfig(dim=10, theta_dims=6, base=300.0)
+        rows = apply_rotary_batch(np.eye(10), np.tile((0.4, -1.0), (10, 1)), config)
         np.testing.assert_allclose(
-            rotation_matrix((0.4, -1.0), config),
-            dense_rotation(10, 6, 300.0, 0.4, -1.0),
-            atol=1e-15,
+            rows.T, dense_rotation(10, 6, 300.0, 0.4, -1.0), atol=1e-15
         )
-
-    def test_batch_matches_scalar_across_splits(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((20, 8))
-        coords = np.stack(
-            [rng.uniform(0, 1.7, 20), rng.uniform(-math.pi, math.pi, 20)], axis=-1
-        )
-        for theta_dims in (0, 2, 4, 8):
-            config = RotaryConfig(dim=8, theta_dims=theta_dims)
-            batch = apply_rotary_batch(x, coords, config)
-            for i in range(20):
-                np.testing.assert_allclose(
-                    batch[i], apply_fishrope(x[i], coords[i], config), atol=1e-15
-                )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            apply_fishrope(np.zeros(6), (0.1, 0.2), RotaryConfig(dim=8))
+            _rotate(np.zeros(6), (0.1, 0.2), RotaryConfig(dim=8))
+        with pytest.raises(ShapeError):
+            apply_rotary_batch(np.zeros(8), [(0.1, 0.2)], RotaryConfig(dim=8))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -162,50 +156,65 @@ class TestApplyFishrope:
         dim = 2 * dim_half
         config = RotaryConfig(dim=dim, theta_dims=2 * (dim_half // 2))
         x = np.random.default_rng(seed).standard_normal(dim)
-        out = apply_fishrope(x, (theta, phi), config)
+        out = _rotate(x, (theta, phi), config)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
 
+def _logits(encoding, features, coords, image_size=None):
+    """Single-head logit_matrix of tokens over themselves, identity weights."""
+    config = AttentionConfig(
+        head_dim=8, encoding=encoding, rotary=RotaryConfig(dim=8), image_size=image_size
+    )
+    tokens = TokenGrid(features=features, coords=coords, mask=np.ones(len(coords), bool))
+    return logit_matrix(tokens, tokens, ProjectionWeights.identity(8), config)
+
+
 class TestAxialRope:
+    """axial_rope is fishrope fed pixels normalized by the image size."""
+
     def test_zero_pixel_is_identity(self):
-        config = RotaryConfig(dim=8)
-        x = np.random.default_rng(3).standard_normal(8)
-        np.testing.assert_allclose(
-            apply_axial_rope(x, (0.0, 0.0), config, (640, 480)), x
+        x = np.random.default_rng(3).standard_normal((4, 8))
+        np.testing.assert_array_equal(
+            _logits("axial_rope", x, np.zeros((4, 2)), (640, 480)),
+            _logits("none", x, np.zeros((4, 2))),
         )
 
     def test_definitional_substitution(self):
-        # axial == fishrope fed normalized pixel coordinates as angles
-        config = RotaryConfig(dim=8)
-        x = np.random.default_rng(4).standard_normal(8)
-        got = apply_axial_rope(x, (320.0, 120.0), config, (640, 480))
-        expected = apply_fishrope(x, (0.5, 0.25), config)
-        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((12, 8))
+        pixels = rng.uniform(0.0, 640.0, (12, 2))
+        size = np.array([640.0, 480.0])
+        np.testing.assert_array_equal(
+            _logits("axial_rope", x, pixels, (640, 480)),
+            _logits("fishrope", x, pixels / size),
+        )
 
     def test_dense_matrix_oracle(self):
-        config = RotaryConfig(dim=8)
-        x = np.random.default_rng(5).standard_normal(8)
-        mat = dense_rotation(8, 4, 10000.0, 100.0 / 640.0, 250.0 / 480.0)
+        x = np.random.default_rng(5).standard_normal((2, 8))
+        pixels = np.array([[100.0, 250.0], [320.0, 120.0]])
+        mats = [dense_rotation(8, 4, 10000.0, u / 640.0, v / 480.0) for u, v in pixels]
+        rotated = np.stack([m @ row for m, row in zip(mats, x)])
         np.testing.assert_allclose(
-            apply_axial_rope(x, (100.0, 250.0), config, (640, 480)), mat @ x, atol=1e-14
+            _logits("axial_rope", x, pixels, (640, 480)),
+            rotated @ rotated.T / math.sqrt(8),
+            atol=1e-14,
         )
 
 
 class TestSinusoidal:
     def test_zero_position_alternating_pattern(self):
-        pe = sinusoidal_pe((0.0, 0.0), 8)
+        pe = sinusoidal_pe_batch([(0.0, 0.0)], 8)[0]
         np.testing.assert_allclose(pe, [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_equal_positions_equal_encodings(self):
-        a = sinusoidal_pe((0.4, -1.0), 16)
-        b = sinusoidal_pe((0.4, -1.0), 16)
+        a, b = sinusoidal_pe_batch([(0.4, -1.0), (0.4, -1.0)], 16)
         np.testing.assert_array_equal(a, b)
 
     def test_matches_scalar_closed_form(self):
         # entry pairs (2i, 2i+1) of each half are sin/cos(p * base^(-4i/dim))
         dim, base = 12, 10000.0
         a, b = 0.8, -2.3
-        pe = sinusoidal_pe((a, b), dim, base)
+        pe = sinusoidal_pe_batch([(a, b)], dim, base)[0]
         half = dim // 2
         for i in range(half // 2):
             freq = base ** (-2.0 * i / half)
@@ -216,14 +225,9 @@ class TestSinusoidal:
 
     def test_dim_validation(self):
         with pytest.raises(ConfigError):
-            sinusoidal_pe((0.0, 0.0), 6)
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        positions = rng.uniform(-2, 2, (10, 2))
-        batch = sinusoidal_pe_batch(positions, 16)
-        for i, pos in enumerate(positions):
-            np.testing.assert_array_equal(batch[i], sinusoidal_pe(pos, 16))
+            sinusoidal_pe_batch([(0.0, 0.0)], 6)
+        with pytest.raises(ShapeError):
+            sinusoidal_pe_batch([0.0, 0.0], 8)
 
 
 class TestRelativeLogit:
@@ -257,8 +261,7 @@ class TestRelativeLogit:
         config = RotaryConfig(dim=dim)
         q, k = rng.standard_normal(dim), rng.standard_normal(dim)
         absolute = float(
-            apply_fishrope(q, (theta_m, phi_m), config)
-            @ apply_fishrope(k, (theta_n, phi_n), config)
+            _rotate(q, (theta_m, phi_m), config) @ _rotate(k, (theta_n, phi_n), config)
         )
         relative = relative_logit(
             q, k, (theta_n - theta_m, phi_n - phi_m), config
@@ -300,10 +303,10 @@ class TestRelativeLogit:
     )
     def test_orthogonality_composition(self, alpha, beta, seed):
         # rotating by alpha then by (beta - alpha) equals rotating by beta
-        sched = make_schedule(8, 500.0)
+        config = RotaryConfig(dim=8, theta_dims=8, base=500.0)
         x = np.random.default_rng(seed).standard_normal(8)
-        via = rotate_pairs(rotate_pairs(x, alpha, sched), beta - alpha, sched)
-        np.testing.assert_allclose(via, rotate_pairs(x, beta, sched), atol=1e-12)
+        via = _rotate(_rotate(x, (alpha, 0.0), config), (beta - alpha, 0.0), config)
+        np.testing.assert_allclose(via, _rotate(x, (beta, 0.0), config), atol=1e-12)
 
 
 def _wrapped(dphi: float) -> float:
