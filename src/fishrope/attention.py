@@ -11,17 +11,20 @@ keys.  Position enters through one of four encodings:
     fishrope    rotary over lens angular coordinates (theta, phi)
 
 Rotations act per head on query and key projections; logits are
-inner products scaled by 1/sqrt(head_dim), computed by BLAS matmul over query
-tiles of about LOGIT_TILE logits (2 MiB of float64, sized to a per-core
-L2 cache); softmax rows are max-subtracted and exclude masked keys
-entirely (equivalent to -inf logits), so weights over valid keys always
-sum to 1.  cross_attention (and so self_attention) and logit_argmax
-stream over those tiles: each tile holds whole query rows, so the exact
-softmax, the value product or the row argmax runs tile by tile, and
-memory stays bounded by about max(LOGIT_TILE, heads * N_k) logits instead
-of growing with N_q x N_k.  Only logit_matrix, whose result is the full
-matrix, and self_attention_jacobian, whose result is larger still, hold
-all the logits at once.
+inner products scaled by 1/sqrt(head_dim).  The products come from BLAS
+matmul over query tiles of about LOGIT_TILE logits (2 MiB of float64,
+sized to a per-core L2 cache) against one C-contiguous copy of the keys;
+logit_matrix and cross_attention scale each tile, and logit_argmax does
+not, because a positive scale cannot reorder a row.  Softmax rows are
+max-subtracted and exclude masked keys entirely (equivalent to -inf
+logits), so weights over valid keys always sum to 1.  cross_attention
+(and so self_attention) and logit_argmax stream over those tiles: each
+tile holds whole query rows, so the exact softmax, the value product or
+the row argmax runs tile by tile, and memory stays bounded by about
+max(LOGIT_TILE, heads * N_k) logits instead of growing with N_q x N_k.
+Only logit_matrix, whose result is the full matrix, and
+self_attention_jacobian, whose result is larger still, hold all the
+logits at once.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -253,23 +256,25 @@ def _projected_qk(
     return q, k
 
 
-def _logit_tiles(q: np.ndarray, k: np.ndarray, scale: float):
-    """Yield (query slice, scaled logits (heads, rows, N_k)) tile by tile.
+def _logit_tiles(q: np.ndarray, k: np.ndarray):
+    """Yield (query slice, unscaled logits q @ k^T (heads, rows, N_k)) tile by tile.
 
     Each tile is a view of one buffer that the next step overwrites.
-    Every logit consumer goes through here: BLAS rounding can depend on
-    the shape of a product, so sharing the tiling, not just the formula,
-    keeps dense and streamed callers bit-identical.
+    The keys are copied once into a C-contiguous (heads, head_dim, N_k)
+    operand, so BLAS reads them in order on every tile.  Consumers apply
+    config.scale themselves, or not at all where only the order of a row
+    matters.  Every logit consumer goes through here: BLAS rounding can
+    depend on the shape of a product, so sharing the tiling, not just the
+    formula, keeps dense and streamed callers bit-identical.
     """
     heads, n_q, _ = q.shape
     n_k = k.shape[1]
-    k_t = k.swapaxes(1, 2)
+    k_t = np.ascontiguousarray(k.swapaxes(1, 2))
     step = max(1, min(n_q, LOGIT_TILE // max(1, heads * n_k)))
     buf = np.empty((heads, step, n_k))
     for start in range(0, n_q, step):
         stop = min(start + step, n_q)
         tile = np.matmul(q[:, start:stop], k_t, out=buf[:, : stop - start])
-        tile *= scale
         yield slice(start, stop), tile
 
 
@@ -286,8 +291,8 @@ def logit_matrix(
     """
     q, k = _projected_qk(queries, keys, weights, config)
     logits = np.empty((config.heads, q.shape[1], k.shape[1]))
-    for rows, tile in _logit_tiles(q, k, config.scale):
-        logits[:, rows] = tile
+    for rows, tile in _logit_tiles(q, k):
+        np.multiply(tile, config.scale, out=logits[:, rows])
     return logits[0] if config.heads == 1 else logits
 
 
@@ -299,13 +304,17 @@ def logit_argmax(
 ) -> np.ndarray:
     """Row argmax of the logits, (N_q,) for one head, (heads, N_q) otherwise.
 
-    Equals np.argmax(logit_matrix(...), axis=-1), first-occurrence ties
-    included, but streams over query tiles of about LOGIT_TILE logits,
-    so memory stays bounded by one tile whatever N_q is.
+    Ranks the unscaled products q.k, first-occurrence ties included, and
+    streams over query tiles of about LOGIT_TILE logits, so memory stays
+    bounded by one tile whatever N_q is.  It equals
+    np.argmax(logit_matrix(...), axis=-1) bit for bit when 1/sqrt(head_dim)
+    is a power of two (head_dim 4, 16, 64, 256; subnormal logits aside).
+    Otherwise it can differ only where a row's top products round to one
+    scaled logit, and there it picks the larger product.
     """
     q, k = _projected_qk(queries, keys, weights, config)
     chosen = np.empty((config.heads, q.shape[1]), dtype=np.intp)
-    for rows, tile in _logit_tiles(q, k, config.scale):
+    for rows, tile in _logit_tiles(q, k):
         chosen[:, rows] = np.argmax(tile, axis=-1)
     return chosen[0] if config.heads == 1 else chosen
 
@@ -365,7 +374,8 @@ def cross_attention(
     q, k = _projected_qk(queries, keys, weights, config)
     v = _project_heads(_embed(keys, config), keys.coords, weights.wv, config, rotate=False)
     out_heads = np.empty((config.heads, queries.n_tokens, config.head_dim))
-    for rows, tile in _logit_tiles(q, k, config.scale):
+    for rows, tile in _logit_tiles(q, k):
+        tile *= config.scale
         attn = _masked_softmax(tile, keys.mask)
         out_heads[:, rows] = np.einsum("hqk,hkd->hqd", attn, v)
     out = np.moveaxis(out_heads, 0, 1).reshape(queries.n_tokens, config.model_dim)

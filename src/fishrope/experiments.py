@@ -420,6 +420,18 @@ class CheckerPattern:
         return ((np.floor(ix) + np.floor(iy)) % 2).astype(np.int64)
 
 
+def _require_two_labels(pattern, labels: np.ndarray, what: str) -> None:
+    """A checkerboard that gives one label everywhere makes every pick right.
+
+    UniformPattern is exempt: it is the documented single-label case.
+    """
+    if isinstance(pattern, CheckerPattern) and np.all(labels == labels[0]):
+        raise ConfigError(
+            f"{pattern!r} gives every {what} label {int(labels[0])}, "
+            "so any pick would score 1"
+        )
+
+
 @dataclass(frozen=True)
 class UniformPattern:
     """Single-label ground plane (degenerate round-trip calibration case)."""
@@ -537,6 +549,7 @@ def bev_roundtrip(
     key_labels = pattern.labels_at(hits[hit_mask, 0], hits[hit_mask, 1])
     n_keys = key_coords.shape[0]
     _require_two_keys(n_keys, config.patch_size, "lift")
+    _require_two_labels(pattern, key_labels, "image patch key")
 
     spec = BevGridSpec.from_extent(config.extent, config.resolution)
     bev = bev_angles(spec, camera, extrinsics)
@@ -544,6 +557,7 @@ def bev_roundtrip(
         raise EmptyOverlapError("no BEV cell is visible to the camera")
     cell_coords, cell_world = bev.flat_visible()
     true_labels = pattern.labels_at(cell_world[:, 0], cell_world[:, 1])
+    _require_two_labels(pattern, true_labels, "visible BEV cell")
     cell_px = np.stack(camera.project(cell_coords[:, 0], cell_coords[:, 1]), axis=-1)
 
     cx, cy = camera.principal_point

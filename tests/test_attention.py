@@ -310,6 +310,34 @@ class TestLogitArgmax:
         assert np.all(logits == logits[0, 0])
         assert np.array_equal(logit_argmax(q, k, weights, config), np.zeros(9, dtype=int))
 
+    @pytest.mark.parametrize("head_dim", [4, 8, 16])
+    def test_near_tie_picks_larger_unscaled_product(self, monkeypatch, head_dim):
+        # every query's products with keys 2 and 6 are adjacent floats; at
+        # head_dim 8 both round to one scaled logit, so the dense argmax keeps
+        # key 2, while 1/sqrt(4) and 1/sqrt(16) scale exactly
+        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        low = 1.625
+        features = np.ones((self.N_KEYS, head_dim))
+        features[2], features[6] = low, np.nextafter(low, np.inf)
+        k = TokenGrid(
+            features=features, coords=np.zeros((self.N_KEYS, 2)), mask=np.ones(self.N_KEYS, bool)
+        )
+        q = TokenGrid(
+            features=np.eye(head_dim)[np.arange(9) % head_dim],
+            coords=np.zeros((9, 2)),
+            mask=np.ones(9, bool),
+        )
+        config = AttentionConfig(head_dim=head_dim, encoding="none")
+        weights = ProjectionWeights.identity(head_dim)
+        chosen = logit_argmax(q, k, weights, config)
+        logits = logit_matrix(q, k, weights, config)
+        assert np.array_equal(chosen, np.full(9, 6))
+        if head_dim == 8:
+            assert np.all(logits[:, 2] == logits[:, 6])
+            assert np.array_equal(np.argmax(logits, axis=-1), np.full(9, 2))
+        else:
+            assert np.array_equal(chosen, np.argmax(logits, axis=-1))
+
     @pytest.mark.parametrize("n_queries", [2, 6, 7])
     def test_multi_head(self, monkeypatch, n_queries):
         # two heads x 2 rows x 10 keys per tile

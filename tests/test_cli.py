@@ -248,8 +248,19 @@ class TestInputContract:
             (["lift", "--checker-origin", "1e300", "0"], "checker square index -1e+299"),
             (["lift", "--checker", "1e-320"], "checker square index inf"),
             (["bench", "--encodings", "fishrope,fishrope"], "repeated encodings"),
+            (
+                ["lift", "--checker", "1e6", "--checker-origin", "-1000", "-1000"],
+                "gives every visible BEV cell label 0",
+            ),
+            (
+                ["lift", "--checker", "1e6", "--checker-origin", "-100000", "-100000"],
+                "gives every image patch key label 0",
+            ),
         ],
-        ids=["project-phi", "lift-checker-origin", "lift-checker", "bench-repeated"],
+        ids=[
+            "project-phi", "lift-checker-origin", "lift-checker", "bench-repeated",
+            "lift-one-square-cells", "lift-one-square-keys",
+        ],
     )
     def test_no_silent_result(self, calib, tmp_path, capsys, argv, message):
         # each once exited 0 with a meaningless pixel or score; numpy may not warn either
