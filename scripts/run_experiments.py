@@ -41,6 +41,13 @@ def write_lift(out_dir: pathlib.Path, camera) -> experiments.LiftReport:
     return lift
 
 
+def write_selfcheck(out_dir: pathlib.Path) -> experiments.SelfCheckReport:
+    """Every invariant check at the default seed -> out_dir/selfcheck.yaml."""
+    check = experiments.selfcheck()
+    formats.write_report_yaml(out_dir / "selfcheck.yaml", check.as_dict())
+    return check
+
+
 def main() -> int:
     RESULTS.mkdir(exist_ok=True)
     camera = fixtures.wide_camera()
@@ -57,8 +64,7 @@ def main() -> int:
             f"peripheral={s.peripheral_accuracy:.4f} ({s.runtime_s:.2f}s)"
         )
 
-    check = experiments.selfcheck()
-    formats.write_report_yaml(RESULTS / "selfcheck.yaml", check.as_dict())
+    check = write_selfcheck(RESULTS)
     failures = [r for r in check.results if not r.passed]
     print(f"selfcheck: {len(check.results) - len(failures)}/{len(check.results)} passed")
     for r in failures:

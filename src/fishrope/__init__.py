@@ -14,7 +14,6 @@ from .attention import (
     tokens_from_patches,
 )
 from .camera import (
-    AngularCoord,
     Extrinsics,
     InverseLut,
     KannalaBrandtCamera,
@@ -51,7 +50,6 @@ from .rope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularCoord",
     "AttentionConfig",
     "BenchReport",
     "BevGrid",

@@ -94,36 +94,21 @@ class TokenGrid:
         return self.features.shape[1]
 
 
-def tokens_from_patches(
-    grid: PatchGrid, features: np.ndarray, use_pixels: bool = False
-) -> TokenGrid:
-    """Flatten a patch grid into tokens (row-major), one feature row per patch.
-
-    use_pixels binds tokens to patch-center pixels instead of angles,
-    for the Cartesian encodings.  Masked-out entries get zeroed coords.
-    """
-    coords = (grid.centers_px if use_pixels else grid.coords).reshape(-1, 2)
-    mask = grid.valid_mask.reshape(-1)
-    coords = np.where(mask[:, None], coords, 0.0)
-    return TokenGrid(
-        features=features, coords=coords, mask=mask, camera_token=grid.camera_token
-    )
+def _grid_tokens(features, coords, mask, camera_token) -> TokenGrid:
+    """Row-major (theta, phi) tokens of a grid; masked-out entries get zeroed coords."""
+    mask = mask.reshape(-1)
+    coords = np.where(mask[:, None], coords.reshape(-1, 2), 0.0)
+    return TokenGrid(features=features, coords=coords, mask=mask, camera_token=camera_token)
 
 
-def tokens_from_bev(
-    grid: BevGrid, features: np.ndarray, pixels: np.ndarray | None = None
-) -> TokenGrid:
-    """Flatten a BEV grid into query tokens (row-major).
+def tokens_from_patches(grid: PatchGrid, features: np.ndarray) -> TokenGrid:
+    """Patch-center (theta, phi) tokens, row-major, one feature row per patch."""
+    return _grid_tokens(features, grid.coords, grid.valid_mask, grid.camera_token)
 
-    Pass per-cell projected pixels to bind tokens to pixel coordinates
-    for the Cartesian encodings.
-    """
-    coords = (pixels if pixels is not None else grid.cell_angles).reshape(-1, 2)
-    mask = grid.visibility_mask.reshape(-1)
-    coords = np.where(mask[:, None], coords, 0.0)
-    return TokenGrid(
-        features=features, coords=coords, mask=mask, camera_token=grid.camera_token
-    )
+
+def tokens_from_bev(grid: BevGrid, features: np.ndarray) -> TokenGrid:
+    """BEV-cell (theta, phi) query tokens, row-major, one feature row per cell."""
+    return _grid_tokens(features, grid.cell_angles, grid.visibility_mask, grid.camera_token)
 
 
 @dataclass(frozen=True)

@@ -51,26 +51,6 @@ DEFAULT_LUT_RESOLUTION = 4096
 MAX_LUT_RESOLUTION = 2**22
 
 
-@dataclass(frozen=True)
-class AngularCoord:
-    """Ray direction in lens spherical coordinates.
-
-    theta: incidence angle from the optical axis, radians, >= 0.
-    phi: azimuth about the principal point, radians in [-pi, pi).
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise DomainError(f"non-finite angular coordinate ({self.theta}, {self.phi})")
-        if self.theta < 0.0:
-            raise DomainError(f"incidence angle must be >= 0, got {self.theta}")
-        if not (-math.pi <= self.phi <= math.pi):
-            raise DomainError(f"azimuth must lie in [-pi, pi], got {self.phi}")
-
-
 def _normalize_phi(phi):
     """Map azimuth onto the half-open interval [-pi, pi)."""
     return np.where(phi >= math.pi, phi - 2.0 * math.pi, phi)
@@ -189,9 +169,9 @@ class KannalaBrandtCamera:
     def project(self, theta, phi):
         """Map incidence/azimuth angles to pixel coordinates (u, v).
 
-        Accepts scalars or broadcastable arrays.  Raises DomainError if any
-        theta falls outside [0, theta_max] or any phi outside [-pi, pi],
-        the closed domain AngularCoord enforces.
+        u and v have the broadcast shape of theta and phi.  Raises
+        DomainError if any theta falls outside [0, theta_max] or any phi
+        outside the closed [-pi, pi].
         """
         theta = np.asarray(theta, dtype=np.float64)
         phi = np.asarray(phi, dtype=np.float64)
@@ -207,11 +187,7 @@ class KannalaBrandtCamera:
             raise DomainError(f"azimuth {float(phi[bad].flat[0])} outside [-pi, pi]")
         r = self.radial(theta)
         cx, cy = self.principal_point
-        u = cx + r * np.cos(phi)
-        v = cy + r * np.sin(phi)
-        if u.ndim == 0:
-            return float(u), float(v)
-        return u, v
+        return cx + r * np.cos(phi), cy + r * np.sin(phi)
 
     # -- inverse model ------------------------------------------------------
 
@@ -233,40 +209,33 @@ class KannalaBrandtCamera:
             raise ConfigError(
                 f"iteration count {iterations} is above the limit of {MAX_NEWTON_ITERATIONS}"
             )
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(_clamped_radius(r, self.r_max))
+        r = _clamped_radius(r, self.r_max)
         theta = np.clip(r / self.coeffs[0], 0.0, self.theta_max)
         for _ in range(FULL_CONVERGENCE_MAX_ITER if iterations is None else iterations):
             step = (self.radial(theta) - r) / self.radial_derivative(theta)
             theta = np.clip(theta - step, 0.0, self.theta_max)
             if iterations is None and np.max(np.abs(step)) < FULL_CONVERGENCE_TOL:
                 break
-        return float(theta[0]) if scalar else theta
+        return theta
 
     def unproject_newton(
         self, u, v, iterations: int | None = DEFAULT_NEWTON_ITERATIONS
     ):
         """Recover (theta, phi) from pixel coordinates by Newton inversion.
 
-        Returns an AngularCoord for scalar input, or (theta, phi) arrays
-        for array input.  phi = 0 at the principal point, where the
-        azimuth is undefined.
+        theta and phi have the broadcast shape of u and v.  phi = 0 at the
+        principal point, where the azimuth is undefined.
         """
         u = np.asarray(u, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        scalar = u.ndim == 0 and v.ndim == 0
         if not np.all(np.isfinite(u)) or not np.all(np.isfinite(v)):
             raise DomainError("non-finite pixel coordinates")
         cx, cy = self.principal_point
         du = u - cx
         dv = v - cy
         r = np.hypot(du, dv)
-        theta = self.radius_to_theta(r, iterations)
-        phi = _normalize_phi(np.arctan2(dv, du))
-        phi = np.where(np.atleast_1d(r) == 0.0, 0.0, np.atleast_1d(phi))
-        if scalar:
-            return AngularCoord(float(np.asarray(theta)), float(phi[0]))
-        return np.asarray(theta), phi.reshape(np.broadcast(u, v).shape)
+        phi = np.where(r == 0.0, 0.0, _normalize_phi(np.arctan2(dv, du)))
+        return self.radius_to_theta(r, iterations), phi
 
     def build_lut(self, resolution: int = DEFAULT_LUT_RESOLUTION) -> "InverseLut":
         """Tabulate the inverse radial map on a uniform radius grid.
@@ -342,15 +311,13 @@ class InverseLut:
             )
 
     def lookup(self, r):
-        """Linear interpolation of theta at radius r (clamp band as in Newton)."""
-        scalar = np.ndim(r) == 0
+        """Linear interpolation of theta at radius r, in r's shape (clamp band as in Newton)."""
         r = _clamped_radius(r, self.r_max)
         step = self.r_max / (self.resolution - 1)
         pos = r / step
         lo = np.minimum(pos.astype(np.int64), self.resolution - 2)
         frac = pos - lo
-        theta = self.entries[lo] * (1.0 - frac) + self.entries[lo + 1] * frac
-        return float(theta) if scalar else theta
+        return self.entries[lo] * (1.0 - frac) + self.entries[lo + 1] * frac
 
 
 @dataclass(frozen=True)

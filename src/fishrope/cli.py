@@ -6,19 +6,22 @@ the subcommand.  Exit codes form a stable contract:
 
     0  success
     1  runtime failure (including selfcheck failures)
-    2  configuration or input error
+    2  configuration or input error, an unparsable command line included
     3  I/O error on a file named by the user (reading --calib or writing --out)
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import experiments, formats
 from .angular import patch_angles
+from .camera import DEFAULT_LUT_RESOLUTION, DEFAULT_NEWTON_ITERATIONS
 from .errors import ConfigError, DomainError, FishropeError
 from .experiments import CheckerPattern, LiftConfig, RetrievalBenchConfig
+from .fixtures import SCENE_CHECKER_ORIGIN, SCENE_CHECKER_SQUARE
 from .rope import ENCODINGS
 
 EXIT_OK = 0
@@ -27,8 +30,21 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a parse error; every subparser inherits it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # A token that starts like a negative float() value ("-1e-3", "-inf") is a
+        # value; argparse's own pattern misses exponent form and reads it as a flag.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--calib", help="calibration file (YAML)")
     common.add_argument("--out", help="output path")
     common.add_argument(
@@ -36,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fishrope",
         description="Fisheye camera geometry, angular rotary embeddings, BEV lifting.",
         parents=[common],
@@ -47,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch-size", type=int, default=14)
 
     p = sub.add_parser("lut", parents=[common], help="emit an inverse lookup table")
-    p.add_argument("--resolution", type=int, default=4096)
+    p.add_argument("--resolution", type=int, default=DEFAULT_LUT_RESOLUTION)
 
     p = sub.add_parser("project", parents=[common], help="project (theta, phi) to pixels")
     p.add_argument("--theta", type=float, required=True)
@@ -56,31 +72,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unproject", parents=[common], help="invert pixels to (theta, phi)")
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--iterations", type=int, default=DEFAULT_NEWTON_ITERATIONS)
 
     p = sub.add_parser("selfcheck", parents=[common], help="run every invariant check")
 
     p = sub.add_parser("bench", parents=[common], help="run the retrieval benchmark")
-    p.add_argument("--patch-size", type=int, default=64)
-    p.add_argument("--n-queries", type=int, default=512)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--patch-size", type=int, default=RetrievalBenchConfig.patch_size)
+    p.add_argument("--n-queries", type=int, default=RetrievalBenchConfig.n_queries)
+    p.add_argument("--dim", type=int, default=RetrievalBenchConfig.feature_dim)
     p.add_argument(
         "--encodings",
-        default=",".join(ENCODINGS),
+        default=",".join(RetrievalBenchConfig.encodings),
         help="comma-separated subset of " + ",".join(ENCODINGS),
     )
 
     p = sub.add_parser("lift", parents=[common], help="run the BEV round-trip")
-    p.add_argument("--patch-size", type=int, default=16)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--extent", type=float, nargs=2, default=(30.0, 30.0))
-    p.add_argument("--resolution", type=float, default=0.5)
-    p.add_argument("--checker", type=float, default=10.0, help="checker square size, m")
+    p.add_argument("--patch-size", type=int, default=LiftConfig.patch_size)
+    p.add_argument("--dim", type=int, default=LiftConfig.feature_dim)
+    p.add_argument("--extent", type=float, nargs=2, default=LiftConfig.extent)
+    p.add_argument("--resolution", type=float, default=LiftConfig.resolution)
+    p.add_argument(
+        "--checker", type=float, default=SCENE_CHECKER_SQUARE, help="checker square size, m"
+    )
     p.add_argument(
         "--checker-origin",
         type=float,
         nargs=2,
-        default=(2.0, -4.0),
+        default=SCENE_CHECKER_ORIGIN,
         help="checker square corner anchor, m",
     )
     return parser
@@ -137,14 +155,14 @@ def _cmd_lut(args) -> int:
 def _cmd_project(args) -> int:
     camera, _ = _require_calibration(args)
     u, v = camera.project(args.theta, args.phi)
-    print(f"{u!r} {v!r}")
+    print(f"{float(u)!r} {float(v)!r}")
     return EXIT_OK
 
 
 def _cmd_unproject(args) -> int:
     camera, _ = _require_calibration(args)
-    coord = camera.unproject_newton(args.u, args.v, iterations=args.iterations)
-    print(f"{coord.theta!r} {coord.phi!r}")
+    theta, phi = camera.unproject_newton(args.u, args.v, iterations=args.iterations)
+    print(f"{float(theta)!r} {float(phi)!r}")
     return EXIT_OK
 
 
@@ -230,9 +248,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,6 +133,12 @@ def _check_encodings(encodings: tuple[str, ...], feature_dim: int) -> None:
         raise ConfigError(f"feature_dim must be a positive multiple of 4, got {feature_dim}")
 
 
+def _check_seed(seed: int) -> None:
+    """numpy's default_rng takes only non-negative seeds."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 def _require_two_keys(n_keys: int, patch_size: int, experiment: str) -> None:
     """With one key every encoding picks it, so the score says nothing."""
     if n_keys < 2:
@@ -189,6 +195,7 @@ class RetrievalBenchConfig:
                 f"n_queries {self.n_queries} is above the limit of {MAX_BENCH_QUERIES}"
             )
         _check_encodings(self.encodings, self.feature_dim)
+        _check_seed(self.seed)
         lo, hi = self.periphery_band
         if not (0.0 <= lo < hi <= 1.0):
             raise ConfigError(f"bad periphery band {self.periphery_band}")
@@ -457,6 +464,7 @@ class LiftConfig:
 
     def __post_init__(self) -> None:
         _check_encodings(self.encodings, self.feature_dim)
+        _check_seed(self.seed)
         if not (0.0 < self.peripheral_fraction < 1.0):
             raise ConfigError(
                 f"peripheral fraction must be in (0, 1), got {self.peripheral_fraction}"
@@ -1205,6 +1213,7 @@ def check_lift_monotone(seed: int = 0) -> list[CheckResult]:
 
 def selfcheck(seed: int = 0) -> SelfCheckReport:
     """Execute every documented invariant with fixed seeds."""
+    _check_seed(seed)
     results: list[CheckResult] = []
     results += check_camera_roundtrip(seed)
     results += check_monotonicity()

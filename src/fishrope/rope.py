@@ -185,8 +185,8 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     coord_q, which equals the inner product of the absolutely rotated q
     and k.  q and k have shape (..., dim); dtheta and dphi are scalars or
     arrays, and all four broadcast over the leading batch shape.  Returns
-    a float when that shape is empty, else an array of it.  With
-    config.wrap_phi, dphi is first wrapped into [-pi, pi).
+    an array of that shape (0-d when it is empty).  With config.wrap_phi,
+    dphi is first wrapped into [-pi, pi).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -206,8 +206,7 @@ def relative_logit(q, k, delta, config: RotaryConfig):
         positions.reshape(-1, 2),
         config,
     )
-    logits = np.sum(q * rotated.reshape(batch + (config.dim,)), axis=-1)
-    return float(logits) if logits.ndim == 0 else logits
+    return np.sum(q * rotated.reshape(batch + (config.dim,)), axis=-1)
 
 
 def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:

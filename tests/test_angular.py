@@ -42,9 +42,9 @@ class TestPatchAngles:
                 if not grid.valid_mask[r, c]:
                     continue
                 u, v = grid.centers_px[r, c]
-                coord = k2_camera.unproject_newton(float(u), float(v), iterations=None)
-                assert grid.coords[r, c, 0] == pytest.approx(coord.theta, abs=1e-6)
-                assert grid.coords[r, c, 1] == pytest.approx(coord.phi, abs=1e-12)
+                theta, phi = k2_camera.unproject_newton(u, v, iterations=None)
+                assert grid.coords[r, c, 0] == pytest.approx(theta, abs=1e-6)
+                assert grid.coords[r, c, 1] == pytest.approx(phi, abs=1e-12)
 
     def test_partial_edge_patches_keep_true_center(self):
         cam = KannalaBrandtCamera(
@@ -80,13 +80,13 @@ class TestPatchAngles:
     def test_equal_radius_equal_theta(self, radius, phi_a, phi_b):
         cam = fixture_cameras()["wide"]
         cx, cy = cam.principal_point
-        ca = cam.unproject_newton(
+        theta_a, _ = cam.unproject_newton(
             cx + radius * math.cos(phi_a), cy + radius * math.sin(phi_a), iterations=None
         )
-        cb = cam.unproject_newton(
+        theta_b, _ = cam.unproject_newton(
             cx + radius * math.cos(phi_b), cy + radius * math.sin(phi_b), iterations=None
         )
-        assert ca.theta == pytest.approx(cb.theta, abs=1e-9)
+        assert theta_a == pytest.approx(theta_b, abs=1e-9)
 
 
 class TestBevGridSpec:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishrope import (
-    AngularCoord,
     ConfigError,
     DomainError,
     Extrinsics,
@@ -113,14 +112,16 @@ class TestProject:
 class TestUnproject:
     def test_linear_model_inverts_exactly(self):
         cam = toy_camera(coeffs=(1.0, 0.0))
-        coord = cam.unproject_newton(100.5, 100.0)
-        assert coord.theta == pytest.approx(0.5, abs=1e-12)
-        assert coord.phi == 0.0
+        theta, phi = cam.unproject_newton(100.5, 100.0)
+        assert theta == pytest.approx(0.5, abs=1e-12)
+        assert phi == 0.0
 
     def test_principal_point_convention(self):
         cam = toy_camera()
-        coord = cam.unproject_newton(100.0, 100.0)
-        assert coord == AngularCoord(0.0, 0.0)
+        theta, phi = cam.unproject_newton(100.0, 100.0)
+        assert (theta, phi) == (0.0, 0.0)
+        # scalar input gives 0-d results
+        assert np.shape(theta) == np.shape(phi) == ()
 
     def test_k2_radius_against_bisection_oracle(self):
         cam = KannalaBrandtCamera(
@@ -129,17 +130,17 @@ class TestUnproject:
             theta_max=1.0,
             image_size=(640, 480),
         )
-        coord = cam.unproject_newton(320.0 + 250.24, 240.0, iterations=None)
+        theta, _ = cam.unproject_newton(320.0 + 250.24, 240.0, iterations=None)
         oracle = bisect_theta(cam.coeffs, cam.theta_max, 250.24)
-        assert coord.theta == pytest.approx(0.8, abs=1e-9)
-        assert coord.theta == pytest.approx(oracle, abs=1e-9)
+        assert theta == pytest.approx(0.8, abs=1e-9)
+        assert theta == pytest.approx(oracle, abs=1e-9)
 
     def test_clamp_band_and_rejection(self, wide_camera):
         r_max = wide_camera.r_max
         cx, cy = wide_camera.principal_point
         inside_band = cx + r_max * (1.0 + 0.5e-3)
-        coord = wide_camera.unproject_newton(inside_band, cy, iterations=None)
-        assert coord.theta == pytest.approx(wide_camera.theta_max, abs=1e-9)
+        theta, _ = wide_camera.unproject_newton(inside_band, cy, iterations=None)
+        assert theta == pytest.approx(wide_camera.theta_max, abs=1e-9)
         with pytest.raises(OutOfImageCircleError):
             wide_camera.unproject_newton(cx + r_max * 1.01, cy)
 
@@ -159,12 +160,12 @@ class TestUnproject:
     def test_roundtrip_property_wide(self, theta, phi):
         cam = fixture_cameras()["wide"]
         u, v = cam.project(theta, phi)
-        back = cam.unproject_newton(u, v, iterations=None)
-        assert back.theta == pytest.approx(theta, abs=1e-9)
+        back_theta, back_phi = cam.unproject_newton(u, v, iterations=None)
+        assert back_theta == pytest.approx(theta, abs=1e-9)
         if theta > 1e-7:
             # compare azimuths modulo 2*pi: a phi one ulp below +pi can
             # land exactly on the seam and legitimately return as -pi
-            dphi = abs(back.phi - phi)
+            dphi = abs(back_phi - phi)
             assert min(dphi, 2.0 * math.pi - dphi) == pytest.approx(0.0, abs=1e-6)
 
 

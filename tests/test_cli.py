@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from fishrope import formats, patch_angles
 from fishrope.angular import MAX_PATCH_SIZE
 from fishrope.camera import MAX_LUT_RESOLUTION, MAX_NEWTON_ITERATIONS
-from fishrope.cli import main
+from fishrope.cli import _build_parser, main
 from fishrope.experiments import MAX_BENCH_QUERIES, MAX_FEATURE_DIM
 from fishrope.fixtures import wide_camera
 from fishrope.rope import ENCODINGS
@@ -106,7 +106,7 @@ class TestProjectUnproject:
         cam = wide_camera()
         u, v = cam.project(0.9, 1.25)
         code = main(
-            ["unproject", "--calib", calib, "--u", repr(u), "--v", repr(v),
+            ["unproject", "--calib", calib, "--u", repr(float(u)), "--v", repr(float(v)),
              "--iterations", "50"]
         )
         assert code == 0
@@ -119,6 +119,13 @@ class TestProjectUnproject:
 
     def test_pixel_outside_circle_exits_2(self, calib):
         assert main(["unproject", "--calib", calib, "--u", "1024", "--v", "1024"]) == 2
+
+    def test_exponent_form_negative_value(self, calib, capsys):
+        argv = ["project", "--calib", calib, "--theta", "0.5"]
+        assert main(argv + ["--phi=-1e-3"]) == 0
+        expected = capsys.readouterr().out
+        assert main(argv + ["--phi", "-1e-3"]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestBenchAndLift:
@@ -174,6 +181,15 @@ class TestBenchAndLift:
         err = capsys.readouterr().err
         assert err.startswith("i/o error") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_lift_exponent_form_checker_origin(self, calib, tmp_path):
+        args = ["lift", "--calib", calib, "--extent", "16", "16", "--resolution", "1.0",
+                "--patch-size", "64", "--checker-origin"]
+        a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        assert main(args + ["-1e5", "0", "--out", str(a)]) == 0
+        assert main(args + ["-100000", "0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.yaml.csv").read_bytes() == (tmp_path / "b.yaml.csv").read_bytes()
 
     def test_lift_requires_extrinsics(self, tmp_path):
         stripped = tmp_path / "noext.yaml"
@@ -270,6 +286,35 @@ class TestInputContract:
             warnings.simplefilter("error", RuntimeWarning)
             self._exits_2_with_one_line(argv, out, capsys, message)
 
+    @pytest.mark.parametrize("command", ["bench", "lift", "selfcheck"])
+    def test_negative_seed(self, calib, tmp_path, capsys, command):
+        # bench and selfcheck once ended in numpy's traceback, lift in exit 0
+        out = tmp_path / "r.yaml"
+        argv = [command, "--seed", "-1", "--calib", calib, "--out", str(out)]
+        self._exits_2_with_one_line(argv, out, capsys, "seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--patch-size", "abc"], "invalid int value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-int", "no-argv"],
+    )
+    def test_parse_error(self, tmp_path, capsys, argv, message):
+        # argparse used to print a usage block and raise SystemExit
+        self._exits_2_with_one_line(argv, tmp_path / "r.yaml", capsys, message)
+
+    @pytest.mark.parametrize(
+        "token", ["-1", "-0.5", "-.5", "-1e-3", "-1E+300", "-inf", "-Infinity", "-nan", "-1_000"]
+    )
+    def test_every_negative_float_token_is_a_value(self, token):
+        float(token)
+        parser = _build_parser()
+        assert parser._negative_number_matcher.match(token)
+        args = parser.parse_args(["project", "--theta", "0", "--phi", token])
+        assert args.phi == float(token) or math.isnan(args.phi)
+
     def test_scalar_calibration_coeffs(self, calib, tmp_path, capsys):
         doc = yaml.safe_load(pathlib.Path(calib).read_text(encoding="utf-8"))
         doc["coeffs"] = 5
@@ -307,34 +352,38 @@ def _pair(values):
     return st.tuples(values, values).map(list)
 
 
-# A two-value flag cannot use `--flag=value`, and argparse reads "-1e+300"
-# or "-inf" after it as a flag, so its values are decimals, nan, inf or 1e300.
-_EDGE_PAIR = _pair(st.one_of(st.sampled_from(["nan", "inf", "1e300"]), _decimals(-50.0, 50.0)))
+# A two-value flag cannot use `--flag=value`, so its values follow it as
+# separate tokens, negative exponent forms among them.
+_EDGE_PAIR = _pair(
+    st.one_of(
+        st.sampled_from(["nan", "inf", "1e300", "-1e+300", "-inf", "-1e-3"]),
+        _decimals(-50.0, 50.0),
+    )
+)
 _MULTIPLES_OF_4 = st.integers(1, 8).map(lambda n: 4 * n)
 
 
-def _bench(patch, queries, dims, encodings):
+def _bench(patch, queries, dims, encodings, seeds):
     return st.builds(
-        lambda p, n, d, e: ["bench", f"--patch-size={p}", f"--n-queries={n}", f"--dim={d}",
-                            "--encodings=" + ",".join(e)],
-        patch, queries, dims, encodings,
+        lambda p, n, d, e, s: ["bench", f"--patch-size={p}", f"--n-queries={n}", f"--dim={d}",
+                               "--encodings=" + ",".join(e), "--seed", str(s)],
+        patch, queries, dims, encodings, seeds,
     )
 
 
-def _lift(patch, dims, resolution, checker, origin):
+def _lift(patch, dims, resolution, checker, origin, seeds):
     return st.builds(
-        lambda p, d, r, c, o, e: ["lift", f"--patch-size={p}", f"--dim={d}",
-                                  f"--resolution={r!r}", f"--checker={c!r}",
-                                  "--checker-origin", *o, "--extent", *e],
-        patch, dims, resolution, checker, origin, _pair(_decimals(0.0, 40.0)),
+        lambda p, d, r, c, o, e, s: ["lift", f"--patch-size={p}", f"--dim={d}",
+                                     f"--resolution={r!r}", f"--checker={c!r}",
+                                     "--checker-origin", *o, "--extent", *e, "--seed", str(s)],
+        patch, dims, resolution, checker, origin, _pair(_decimals(0.0, 40.0)), seeds,
     )
 
 
-# `--flag=value` keeps argparse from reading "-1e+300" or "-inf" as a flag.
 _FUZZED_ARGV = st.one_of(
-    st.builds(lambda t, p: ["project", f"--theta={t!r}", f"--phi={p!r}"], _FLOATS, _FLOATS),
+    st.builds(lambda t, p: ["project", "--theta", repr(t), "--phi", repr(p)], _FLOATS, _FLOATS),
     st.builds(
-        lambda u, v, n: ["unproject", f"--u={u!r}", f"--v={v!r}", f"--iterations={n}"],
+        lambda u, v, n: ["unproject", "--u", repr(u), "--v", repr(v), "--iterations", str(n)],
         _FLOATS, _FLOATS, _ints(1, 1000),
     ),
     st.builds(lambda n: ["angles", "--format", "bin", f"--patch-size={n}"], _ints(16, 4096)),
@@ -346,12 +395,14 @@ _FUZZED_ARGV = st.one_of(
 # that their many flags do not take draws away from the four above.
 _FUZZED_EXPERIMENT_ARGV = st.one_of(
     _bench(_ints(64, 4096), _ints(1, 64), _ints(1, 64),
-           st.lists(st.sampled_from(ENCODINGS + ("learned", "")), max_size=5)),
+           st.lists(st.sampled_from(ENCODINGS + ("learned", "")), max_size=5), _ints(0, 99)),
     _bench(st.integers(64, 256), st.integers(1, 64), _MULTIPLES_OF_4,
-           st.lists(st.sampled_from(ENCODINGS), min_size=1, max_size=4, unique=True)),
-    _lift(_ints(32, 4096), _ints(1, 64), _at_least(0.5), _at_least(1e-3), _EDGE_PAIR),
+           st.lists(st.sampled_from(ENCODINGS), min_size=1, max_size=4, unique=True),
+           st.integers(0, 99)),
+    _lift(_ints(32, 4096), _ints(1, 64), _at_least(0.5), _at_least(1e-3), _EDGE_PAIR,
+          _ints(0, 99)),
     _lift(st.integers(32, 256), _MULTIPLES_OF_4, st.floats(0.5, 4.0), st.floats(0.5, 20.0),
-          _pair(_decimals(-50.0, 50.0))),
+          _pair(_decimals(-50.0, 50.0)), st.integers(0, 99)),
 )
 
 

@@ -1,8 +1,8 @@
 """The committed reference reports in results/ are what the code produces.
 
-Regenerates the default `bench` and `lift` reports exactly as
-scripts/run_experiments.py writes them and compares them byte for byte
-with the tracked copies, so a change that moves any reported number or
+Regenerates the default `bench`, `lift` and `selfcheck` reports exactly
+as scripts/run_experiments.py writes them and compares them byte for
+byte with the tracked copies, so a change that moves any reported number or
 serialization detail fails here.  The selfcheck's check names and
 tolerances, and the scaled `lift` report's digests, must equal the ones
 the benchmark checks its ops against in perfbench/expected.json.
@@ -35,13 +35,16 @@ def _expected():
     return json.loads((REPO_ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("experiment", ["bench", "lift"])
+@pytest.mark.parametrize("experiment", ["bench", "lift", "selfcheck"])
 def test_default_report_matches_results(run_experiments, tmp_path, experiment):
-    writer = getattr(run_experiments, f"write_{experiment}")
-    writer(tmp_path, fixtures.wide_camera())
-    for suffix in ("yaml", "csv"):
-        name = f"{experiment}.{suffix}"
-        assert (tmp_path / name).read_bytes() == (REPO_ROOT / "results" / name).read_bytes(), name
+    if experiment == "selfcheck":
+        run_experiments.write_selfcheck(tmp_path)
+    else:
+        getattr(run_experiments, f"write_{experiment}")(tmp_path, fixtures.wide_camera())
+    tracked = sorted((REPO_ROOT / "results").glob(f"{experiment}.*"))
+    assert [p.name for p in tracked] == sorted(p.name for p in tmp_path.iterdir())
+    for path in tracked:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_selfcheck_checks_match_benchmark_expectation():
