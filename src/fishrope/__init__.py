@@ -34,7 +34,6 @@ from .experiments import (
     LiftConfig,
     LiftReport,
     RetrievalBenchConfig,
-    UniformPattern,
     bev_roundtrip,
     retrieval_bench,
     selfcheck,
@@ -75,7 +74,6 @@ __all__ = [
     "RotaryConfig",
     "ShapeError",
     "TokenGrid",
-    "UniformPattern",
     "bev_angles",
     "bev_roundtrip",
     "cross_attention",

@@ -172,15 +172,20 @@ class BevGridSpec:
     def from_extent(cls, extent: tuple[float, float], resolution: float) -> "BevGridSpec":
         if not (math.isfinite(resolution) and resolution > 0.0):
             raise ConfigError(f"resolution must be positive and finite, got {resolution}")
-        if not all(math.isfinite(e) for e in extent):
-            raise ConfigError(f"extent must be finite, got {tuple(extent)}")
+        if not all(math.isfinite(e) and e > 0.0 for e in extent):
+            raise ConfigError(f"extent must be positive and finite, got {tuple(extent)}")
         cells = (extent[0] / resolution) * (extent[1] / resolution)
-        if abs(cells) > MAX_BEV_CELLS:
+        if cells > MAX_BEV_CELLS:
             raise ConfigError(
                 f"extent {tuple(extent)} at resolution {resolution} gives {cells:.3g} "
                 f"cells, above the limit of {MAX_BEV_CELLS}"
             )
         dims = (round(extent[0] / resolution), round(extent[1] / resolution))
+        if min(dims) < 1:
+            raise ConfigError(
+                f"extent {tuple(extent)} at resolution {resolution} rounds to {dims} "
+                "cells; each side needs at least one"
+            )
         return cls(dims=dims, extent=extent, resolution=resolution)
 
     def cell_centers(self) -> np.ndarray:

@@ -12,19 +12,21 @@ keys.  Position enters through one of four encodings:
 
 Rotations act per head on query and key projections; logits are
 inner products scaled by 1/sqrt(head_dim).  The products come from BLAS
-matmul over query tiles of about LOGIT_TILE logits (2 MiB of float64,
-sized to a per-core L2 cache) against one C-contiguous copy of the keys;
-logit_matrix and cross_attention scale each tile, and logit_argmax does
-not, because a positive scale cannot reorder a row.  Softmax rows are
-max-subtracted and exclude masked keys entirely (equivalent to -inf
-logits), so weights over valid keys always sum to 1.  cross_attention
-(and so self_attention) and logit_argmax stream over those tiles: each
-tile holds whole query rows, so the exact softmax, the value product or
-the row argmax runs tile by tile, and memory stays bounded by about
-max(LOGIT_TILE, heads * N_k) logits instead of growing with N_q x N_k.
-Only logit_matrix, whose result is the full matrix, and
-self_attention_jacobian, whose result is larger still, hold all the
-logits at once.
+matmul over query tiles against one C-contiguous copy of the keys.
+LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the working set
+of all tiles in flight: each holds LOGIT_TILE // MAX_TILE_WORKERS logits
+of whole query rows, and up to MAX_TILE_WORKERS threads (the package's
+own, apart from any BLAS threads) stream them at once.  Every tile writes
+only its own rows and the key axis is never split, so no result depends
+on the worker count or the host.  logit_matrix and cross_attention scale
+each tile, and logit_argmax does not, because a positive scale cannot
+reorder a row.  Softmax rows are max-subtracted and exclude masked keys
+entirely (equivalent to -inf logits), so weights over valid keys always
+sum to 1.  cross_attention (and so self_attention) and logit_argmax run
+the exact softmax, the value product or the row argmax tile by tile, so
+memory stays bounded by about LOGIT_TILE logits instead of growing with
+N_q x N_k.  Only logit_matrix and self_attention_jacobian, whose results
+are that large, hold all the logits at once.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -32,6 +34,8 @@ shared between calls.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +48,10 @@ from .rope import ENCODINGS, RotaryConfig
 
 _ROTARY = ("axial_rope", "fishrope")
 
-# Logits per query tile (2 MiB of float64, one per-core L2): the working
-# set of every streamed logit consumer, whatever the number of queries.
-# A row is never split, so a tile holds max(LOGIT_TILE, heads * N_k)
-# logits at most.
+# Logits in flight (2 MiB of float64, one per-core L2), split into
+# MAX_TILE_WORKERS tiles of whole query rows; a tile holds at least one row.
 LOGIT_TILE = 1 << 18
+MAX_TILE_WORKERS = 2  # tile-streaming threads; also fixes the tile shape on every host
 
 
 @dataclass(frozen=True)
@@ -241,26 +244,49 @@ def _projected_qk(
     return q, k
 
 
-def _logit_tiles(q: np.ndarray, k: np.ndarray):
-    """Yield (query slice, unscaled logits q @ k^T (heads, rows, N_k)) tile by tile.
+def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
+    """Call fn(rows, tile) on every query tile of the unscaled logits q @ k^T.
 
-    Each tile is a view of one buffer that the next step overwrites.
-    The keys are copied once into a C-contiguous (heads, head_dim, N_k)
-    operand, so BLAS reads them in order on every tile.  Consumers apply
-    config.scale themselves, or not at all where only the order of a row
-    matters.  Every logit consumer goes through here: BLAS rounding can
-    depend on the shape of a product, so sharing the tiling, not just the
-    formula, keeps dense and streamed callers bit-identical.
+    tile holds the (heads, rows, N_k) products in a buffer that the
+    worker's next tile overwrites.  Its shape does not depend on how many
+    workers run, so neither does BLAS rounding, which can depend on the
+    shape of a product; every logit consumer goes through here, so dense
+    and streamed callers stay bit-identical.  Tiles are dealt round-robin
+    to one worker per usable core, at most MAX_TILE_WORKERS, the calling
+    thread being worker 0.  Workers share only the read-only q and keys,
+    and fn must write only its own rows.  A worker's exception is raised
+    here once every worker has joined.
     """
     heads, n_q, _ = q.shape
     n_k = k.shape[1]
     k_t = np.ascontiguousarray(k.swapaxes(1, 2))
-    step = max(1, min(n_q, LOGIT_TILE // max(1, heads * n_k)))
-    buf = np.empty((heads, step, n_k))
-    for start in range(0, n_q, step):
-        stop = min(start + step, n_q)
-        tile = np.matmul(q[:, start:stop], k_t, out=buf[:, : stop - start])
-        yield slice(start, stop), tile
+    step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, heads * n_k)))
+    starts = range(0, n_q, step)
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    n_workers = max(1, min(cores, MAX_TILE_WORKERS, len(starts)))
+    bufs = [np.empty((heads, step, n_k)) for _ in range(n_workers)]
+    errors: list[BaseException] = []
+
+    def work(w: int) -> None:
+        try:
+            for start in starts[w::n_workers]:
+                stop = min(start + step, n_q)
+                rows = slice(start, stop)
+                fn(rows, np.matmul(q[:, rows], k_t, out=bufs[w][:, : stop - start]))
+        except BaseException as exc:  # re-raised by the caller after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def logit_matrix(
@@ -276,8 +302,7 @@ def logit_matrix(
     """
     q, k = _projected_qk(queries, keys, weights, config)
     logits = np.empty((config.heads, q.shape[1], k.shape[1]))
-    for rows, tile in _logit_tiles(q, k):
-        np.multiply(tile, config.scale, out=logits[:, rows])
+    _for_each_tile(q, k, lambda rows, t: np.multiply(t, config.scale, out=logits[:, rows]))
     return logits[0] if config.heads == 1 else logits
 
 
@@ -290,8 +315,8 @@ def logit_argmax(
     """Row argmax of the logits, (N_q,) for one head, (heads, N_q) otherwise.
 
     Ranks the unscaled products q.k, first-occurrence ties included, and
-    streams over query tiles of about LOGIT_TILE logits, so memory stays
-    bounded by one tile whatever N_q is.  It equals
+    streams over query tiles, so memory stays bounded by about LOGIT_TILE
+    logits whatever N_q is.  It equals
     np.argmax(logit_matrix(...), axis=-1) bit for bit when 1/sqrt(head_dim)
     is a power of two (head_dim 4, 16, 64, 256; subnormal logits aside).
     Otherwise it can differ only where a row's top products round to one
@@ -299,8 +324,7 @@ def logit_argmax(
     """
     q, k = _projected_qk(queries, keys, weights, config)
     chosen = np.empty((config.heads, q.shape[1]), dtype=np.intp)
-    for rows, tile in _logit_tiles(q, k):
-        chosen[:, rows] = np.argmax(tile, axis=-1)
+    _for_each_tile(q, k, lambda rows, t: np.argmax(t, axis=-1, out=chosen[:, rows]))
     return chosen[0] if config.heads == 1 else chosen
 
 
@@ -345,7 +369,8 @@ def cross_attention(
     one angular space.  Returns (outputs, flags); a query that is masked
     out, or that faces no valid key, yields a zero row and a False flag.
     Softmax and the value product run per tile of whole query rows, so
-    memory stays bounded by about max(LOGIT_TILE, heads * N_k) logits.
+    memory stays bounded by about LOGIT_TILE logits (at least one row of
+    heads * N_k per worker).
     """
     if (
         queries.camera_token is not None
@@ -359,10 +384,13 @@ def cross_attention(
     q, k = _projected_qk(queries, keys, weights, config)
     v = _project_heads(_embed(keys, config), keys.coords, weights.wv, config, rotate=False)
     out_heads = np.empty((config.heads, queries.n_tokens, config.head_dim))
-    for rows, tile in _logit_tiles(q, k):
+
+    def attend(rows: slice, tile: np.ndarray) -> None:
         tile *= config.scale
         attn = _masked_softmax(tile, keys.mask)
         out_heads[:, rows] = np.einsum("hqk,hkd->hqd", attn, v)
+
+    _for_each_tile(q, k, attend)
     out = np.moveaxis(out_heads, 0, 1).reshape(queries.n_tokens, config.model_dim)
     return np.where(flags[:, None], out, 0.0), flags
 

@@ -263,7 +263,7 @@ class KannalaBrandtCamera:
 
         Returns dtheta([0, d]) / dtheta([0.9*r_max, 0.9*r_max + d]) for
         offset d, a measure of how much more angle a central pixel step
-        subtends than a peripheral one.  Equals 1 for a distortion-free
+        subtends than a peripheral one.  Equals 1 for an equidistant
         (linear) model.
         """
         pixel_offset = float(pixel_offset)

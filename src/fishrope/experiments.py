@@ -428,25 +428,12 @@ class CheckerPattern:
 
 
 def _require_two_labels(pattern, labels: np.ndarray, what: str) -> None:
-    """A checkerboard that gives one label everywhere makes every pick right.
-
-    UniformPattern is exempt: it is the documented single-label case.
-    """
-    if isinstance(pattern, CheckerPattern) and np.all(labels == labels[0]):
+    """A pattern that gives one label everywhere makes every pick right."""
+    if np.all(labels == labels[0]):
         raise ConfigError(
             f"{pattern!r} gives every {what} label {int(labels[0])}, "
             "so any pick would score 1"
         )
-
-
-@dataclass(frozen=True)
-class UniformPattern:
-    """Single-label ground plane (degenerate round-trip calibration case)."""
-
-    label: int = 0
-
-    def labels_at(self, x, y) -> np.ndarray:
-        return np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, self.label)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Real automotive calibration values are proprietary to their datasets, so
 the repository works against synthetic cameras:
 
-  linear     distortion-free r = theta, the degenerate baseline.
+  linear     equidistant fisheye r = 100 theta, the degenerate baseline.
   k2         two-coefficient model with mild distortion.
   wide       four-coefficient model tuned so a fixed pixel step at the
              image center subtends a few times more angle than at the
@@ -37,7 +37,7 @@ SCENE_CHECKER_ORIGIN = (2.0, -4.0)
 
 
 def linear_camera() -> KannalaBrandtCamera:
-    """Distortion-free model r(theta) = k1 * theta."""
+    """Equidistant fisheye r(theta) = k1 * theta, not a pinhole (r = f tan theta)."""
     return KannalaBrandtCamera(
         coeffs=(100.0, 0.0),
         principal_point=(100.0, 100.0),

@@ -19,9 +19,8 @@ depend only on coordinate differences:
 which `relative_logit` evaluates directly.  Angles are consumed as raw
 radians (theta in [0, theta_max], phi in [-pi, pi)); an optional
 angle_scale multiplies both before rotation.  Azimuth differences are
-NOT wrapped by default, so a pair straddling the phi = +/-pi seam is
-treated as far apart by every non-integer frequency; RotaryConfig.wrap_phi
-switches relative computations to the wrapped difference.
+NOT wrapped, so a pair straddling the phi = +/-pi seam is treated as
+far apart by every non-integer frequency.
 """
 
 from __future__ import annotations
@@ -81,16 +80,12 @@ class RotaryConfig:
     base: frequency base shared by both subspace schedules.
     angle_scale: multiplies both angles before rotation (default 1,
         i.e. raw radians).
-    wrap_phi: wrap azimuth differences into [-pi, pi) in relative-form
-        computations.  Off by default; wrapping breaks exact agreement
-        with the absolute form at the seam.
     """
 
     dim: int
     theta_dims: int | None = None
     base: float = DEFAULT_BASE
     angle_scale: float = 1.0
-    wrap_phi: bool = False
 
     def __post_init__(self) -> None:
         if self.theta_dims is None:
@@ -164,20 +159,6 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
     return out
 
 
-def _wrap_angle(a: np.ndarray) -> np.ndarray:
-    """IEEE remainder of a by 2*pi, with +pi folded to -pi; exact.
-
-    fmod is exact, and the single +/-2*pi correction of a value within
-    (pi, 2*pi) in magnitude is exact by Sterbenz's lemma, so this equals
-    math.remainder(a, 2*pi) elementwise.
-    """
-    two_pi = 2.0 * math.pi
-    r = np.fmod(a, two_pi)
-    r = np.where(r > math.pi, r - two_pi, r)
-    r = np.where(r < -math.pi, r + two_pi, r)
-    return np.where(r == math.pi, -math.pi, r)
-
-
 def relative_logit(q, k, delta, config: RotaryConfig):
     """Attention logit from coordinate differences alone.
 
@@ -185,8 +166,7 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     coord_q, which equals the inner product of the absolutely rotated q
     and k.  q and k have shape (..., dim); dtheta and dphi are scalars or
     arrays, and all four broadcast over the leading batch shape.  Returns
-    an array of that shape (0-d when it is empty).  With config.wrap_phi,
-    dphi is first wrapped into [-pi, pi).
+    an array of that shape (0-d when it is empty).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -195,8 +175,6 @@ def relative_logit(q, k, delta, config: RotaryConfig):
             f"q and k must have shape (..., {config.dim}), got {q.shape} and {k.shape}"
         )
     dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in delta)
-    if config.wrap_phi:
-        dphi = _wrap_angle(dphi)
     batch = np.broadcast_shapes(q.shape[:-1], k.shape[:-1], dtheta.shape, dphi.shape)
     positions = np.stack(
         [np.broadcast_to(dtheta, batch), np.broadcast_to(dphi, batch)], axis=-1

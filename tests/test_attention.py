@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -280,9 +282,9 @@ class TestLogitArgmax:
     @pytest.mark.parametrize("n_queries", [3, 4, 8, 9, 13])
     @pytest.mark.parametrize("encoding", ["none", "sinusoidal", "fishrope"])
     def test_matches_dense_argmax_across_tiles(self, monkeypatch, n_queries, encoding):
-        # 40 logits per tile is 4 query rows against 10 keys: n_queries
-        # covers below one tile, exact multiples, and ragged last tiles
-        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        # 80 logits make two 40-logit tiles of 4 query rows against 10 keys:
+        # n_queries covers below one tile, exact multiples, and ragged last tiles
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
         rng = np.random.default_rng(21)
         q = angular_tokens(rng, n_queries, 8)
         k = angular_tokens(rng, self.N_KEYS, 8)
@@ -297,7 +299,7 @@ class TestLogitArgmax:
         assert np.array_equal(chosen, np.argmax(logit_matrix(q, k, weights, config), axis=-1))
 
     def test_all_tied_rows_pick_first_key(self, monkeypatch):
-        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
         probe = probe_feature(8)
         rng = np.random.default_rng(23)
         q = angular_tokens(rng, 9, 8)
@@ -315,7 +317,7 @@ class TestLogitArgmax:
         # every query's products with keys 2 and 6 are adjacent floats; at
         # head_dim 8 both round to one scaled logit, so the dense argmax keeps
         # key 2, while 1/sqrt(4) and 1/sqrt(16) scale exactly
-        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
         low = 1.625
         features = np.ones((self.N_KEYS, head_dim))
         features[2], features[6] = low, np.nextafter(low, np.inf)
@@ -341,7 +343,7 @@ class TestLogitArgmax:
     @pytest.mark.parametrize("n_queries", [2, 6, 7])
     def test_multi_head(self, monkeypatch, n_queries):
         # two heads x 2 rows x 10 keys per tile
-        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
         rng = np.random.default_rng(24)
         q = angular_tokens(rng, n_queries, 16)
         k = angular_tokens(rng, self.N_KEYS, 16)
@@ -395,9 +397,9 @@ class TestCrossAttention:
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("encoding", ["none", "sinusoidal", "axial_rope", "fishrope"])
     def test_streamed_equals_dense_oracle(self, monkeypatch, encoding, heads, n_queries):
-        # 40 logits per tile against 10 keys: 4 query rows per tile for one
-        # head, 2 for two, so 9 queries end on a ragged tile
-        monkeypatch.setattr(attention, "LOGIT_TILE", 40)
+        # 40-logit tiles (of 80 in flight) against 10 keys: 4 query rows per
+        # tile for one head, 2 for two, so 9 queries end on a ragged tile
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
         rng = np.random.default_rng(30)
         dim = 8 * heads
         qmask = np.ones(n_queries, bool)
@@ -553,6 +555,91 @@ class TestCrossAttention:
                     q_proj[qi], k_proj[ki], delta, rcfg
                 )
                 assert abs(expected - logits[qi, ki]) < 1e-10
+
+
+class TestTilePool:
+    """Tiles streamed by 1 or by several threads give the same bits."""
+
+    N_QUERIES, N_KEYS = 13, 10
+
+    @staticmethod
+    def _cores(monkeypatch, n):
+        affinity = set(range(n))
+        monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+    def _outputs(self, heads):
+        rng = np.random.default_rng(40)
+        qmask = np.ones(self.N_QUERIES, bool)
+        qmask[4] = False
+        kmask = np.ones(self.N_KEYS, bool)
+        kmask[[1, 8]] = False
+        queries = angular_tokens(rng, self.N_QUERIES, 8 * heads, mask=qmask)
+        keys = angular_tokens(rng, self.N_KEYS, 8 * heads, mask=kmask)
+        weights = ProjectionWeights.random(8 * heads, seed=41)
+        config = fishrope_config(8, heads=heads)
+        out, flags = cross_attention(queries, keys, weights, config)
+        return (
+            logit_argmax(queries, keys, weights, config),
+            logit_matrix(queries, keys, weights, config),
+            out,
+            flags,
+        )
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("max_workers", [2, 4])
+    def test_worker_count_changes_no_bit(self, monkeypatch, heads, max_workers):
+        # 3 rows of 10 keys per tile, whatever the worker count: 13 queries
+        # make 5 tiles, the last one ragged; 4 workers outnumber 2 cores,
+        # and a short switch interval interleaves them as often as it can
+        monkeypatch.setattr(attention, "MAX_TILE_WORKERS", max_workers)
+        monkeypatch.setattr(attention, "LOGIT_TILE", 30 * heads * max_workers)
+        self._cores(monkeypatch, 1)
+        serial = self._outputs(heads)
+        self._cores(monkeypatch, max_workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = self._outputs(heads)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, pooled):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("cores, threads", [(1, 1), (2, 2), (8, 2)])
+    def test_each_row_once_on_capped_threads(self, monkeypatch, cores, threads):
+        monkeypatch.setattr(attention, "LOGIT_TILE", 60)
+        self._cores(monkeypatch, cores)
+        rng = np.random.default_rng(42)
+        q, k = rng.standard_normal((1, 13, 4)), rng.standard_normal((1, 10, 4))
+        seen, idents = np.zeros(13, int), set()
+
+        def record(rows, tile):
+            # 30 logits per tile on any worker count: 3 rows, then 1 ragged
+            assert tile.shape == (1, min(3, 13 - rows.start), 10)
+            assert rows.stop == rows.start + tile.shape[1]
+            seen[rows] += 1
+            idents.add(threading.get_ident())
+
+        attention._for_each_tile(q, k, record)
+        np.testing.assert_array_equal(seen, 1)
+        assert len(idents) == threads
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # rows 3..5 are the second tile, which worker 1 streams
+        monkeypatch.setattr(attention, "LOGIT_TILE", 60)
+        self._cores(monkeypatch, 2)
+        rng = np.random.default_rng(43)
+        q, k = rng.standard_normal((1, 13, 4)), rng.standard_normal((1, 10, 4))
+        before = threading.active_count()
+
+        def fail_on_second_tile(rows, tile):
+            if rows.start == 3:
+                assert threading.current_thread() is not threading.main_thread()
+                raise ValueError("tile 1 failed")
+
+        with pytest.raises(ValueError, match="tile 1 failed"):
+            attention._for_each_tile(q, k, fail_on_second_tile)
+        assert threading.active_count() == before
 
 
 class TestJacobian:

@@ -252,6 +252,22 @@ class TestInputContract:
         argv = ["lift", "--calib", calib, "--out", str(out), "--dim", dim]
         self._exits_2_with_one_line(argv, out, capsys, "feature_dim")
 
+    @pytest.mark.parametrize(
+        "extent, message",
+        [
+            (["-5", "5"], "extent must be positive and finite, got (-5.0, 5.0)"),
+            (["0", "5"], "extent must be positive and finite, got (0.0, 5.0)"),
+            (["-1e5", "5"], "extent must be positive and finite, got (-100000.0, 5.0)"),
+            (["0.1", "5"], "extent (0.1, 5.0) at resolution 0.5 rounds to (0, 10) cells"),
+        ],
+        ids=["negative", "zero", "negative-exponent", "rounds-to-zero"],
+    )
+    def test_lift_degenerate_extent(self, calib, tmp_path, capsys, extent, message):
+        # each once exited with "grid dims must be positive", naming a derived field
+        out = tmp_path / "r.yaml"
+        argv = ["lift", "--calib", calib, "--out", str(out), "--extent"] + extent
+        self._exits_2_with_one_line(argv, out, capsys, message)
+
     def test_lift_oversized_grid(self, calib, tmp_path, capsys):
         out = tmp_path / "r.yaml"
         argv = ["lift", "--calib", calib, "--out", str(out), "--resolution", "1e-9"]

@@ -11,7 +11,6 @@ from fishrope import (
     LiftConfig,
     RetrievalBenchConfig,
     RotaryConfig,
-    UniformPattern,
     bev_roundtrip,
     relative_logit,
     retrieval_bench,
@@ -204,15 +203,6 @@ class TestSelection:
 
 
 class TestBevRoundtrip:
-    def test_uniform_pattern_is_perfect(self):
-        report = bev_roundtrip(
-            wide_camera(),
-            scene_extrinsics(),
-            UniformPattern(label=3),
-            LiftConfig(encodings=("fishrope",)),
-        )
-        assert report.score("fishrope").overall_accuracy == 1.0
-
     def test_fixture_scene_frozen_scores(self):
         report = bev_roundtrip(
             wide_camera(), scene_extrinsics(), scene_pattern(), LiftConfig()
@@ -254,7 +244,7 @@ class TestBevRoundtrip:
         # camera looking straight up sees no ground
         ext = Extrinsics.look_at((0.0, 0.0, 2.0), (0.0, 0.0, 10.0), up=(0.0, 1.0, 0.0))
         with pytest.raises(EmptyOverlapError):
-            bev_roundtrip(wide_camera(), ext, UniformPattern(), LiftConfig())
+            bev_roundtrip(wide_camera(), ext, scene_pattern(), LiftConfig())
 
     def test_report_determinism(self):
         cfg = LiftConfig(extent=(16.0, 16.0), resolution=1.0, patch_size=64)

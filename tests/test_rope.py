@@ -16,7 +16,7 @@ from fishrope import (
     make_schedule,
     relative_logit,
 )
-from fishrope.rope import _wrap_angle, apply_rotary_batch, sinusoidal_pe_batch
+from fishrope.rope import apply_rotary_batch, sinusoidal_pe_batch
 
 from .oracles import dense_rotation
 
@@ -268,15 +268,6 @@ class TestRelativeLogit:
         )
         assert absolute == pytest.approx(relative, abs=1e-12)
 
-    def test_wrap_phi_folds_delta(self):
-        config = RotaryConfig(dim=8, wrap_phi=True)
-        rng = np.random.default_rng(8)
-        q, k = rng.standard_normal(8), rng.standard_normal(8)
-        near_two_pi = 2.0 * math.pi - 0.1
-        wrapped = relative_logit(q, k, (0.3, near_two_pi), config)
-        direct = relative_logit(q, k, (0.3, -0.1), config)
-        assert wrapped == pytest.approx(direct, abs=1e-12)
-
     def test_without_wrap_seam_deltas_differ(self):
         config = RotaryConfig(dim=8)
         rng = np.random.default_rng(9)
@@ -309,12 +300,6 @@ class TestRelativeLogit:
         np.testing.assert_allclose(via, _rotate(x, (beta, 0.0), config), atol=1e-12)
 
 
-def _wrapped(dphi: float) -> float:
-    """Reference seam wrap: IEEE remainder by 2*pi, +pi folded to -pi."""
-    r = math.remainder(dphi, 2.0 * math.pi)
-    return -math.pi if r == math.pi else r
-
-
 class TestRelativeLogitBatch:
     DIM, THETA_DIMS, BASE = 12, 4, 300.0
 
@@ -328,11 +313,8 @@ class TestRelativeLogitBatch:
         dphi[:6] = [math.pi, -math.pi, 2 * math.pi, 3 * math.pi, -3 * math.pi, 0.0]
         return q, k, dtheta, dphi
 
-    @pytest.mark.parametrize("wrap_phi", [False, True])
-    def test_batch_equals_scalar_rows_and_dense_oracle(self, wrap_phi):
-        config = RotaryConfig(
-            dim=self.DIM, theta_dims=self.THETA_DIMS, base=self.BASE, wrap_phi=wrap_phi
-        )
+    def test_batch_equals_scalar_rows_and_dense_oracle(self):
+        config = RotaryConfig(dim=self.DIM, theta_dims=self.THETA_DIMS, base=self.BASE)
         q, k, dtheta, dphi = self._draws(12)
         batch = relative_logit(q, k, (dtheta, dphi), config)
         assert batch.shape == (len(q),)
@@ -340,16 +322,8 @@ class TestRelativeLogitBatch:
             scalar = relative_logit(q[i], k[i], (dtheta[i], dphi[i]), config)
             assert isinstance(scalar, float)
             assert batch[i] == pytest.approx(scalar, abs=1e-15)
-            angle = _wrapped(dphi[i]) if wrap_phi else dphi[i]
-            mat = dense_rotation(self.DIM, self.THETA_DIMS, self.BASE, dtheta[i], angle)
+            mat = dense_rotation(self.DIM, self.THETA_DIMS, self.BASE, dtheta[i], dphi[i])
             assert batch[i] == pytest.approx(float(q[i] @ mat @ k[i]), abs=1e-12)
-
-    def test_wrap_matches_ieee_remainder_elementwise(self):
-        rng = np.random.default_rng(13)
-        dphi = np.concatenate(
-            [rng.uniform(-50.0, 50.0, 500), np.arange(-8, 9) * math.pi]
-        )
-        np.testing.assert_array_equal(_wrap_angle(dphi), [_wrapped(d) for d in dphi])
 
     def test_broadcasts_over_batch_shape(self):
         config = RotaryConfig(dim=8)
