@@ -21,9 +21,9 @@ import numpy as np
 from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _normalize_phi, _readonly
 from .errors import ConfigError
 
-# Most BEV cells a grid may hold (a 4096 x 4096 grid).  The lift's grids
-# are ~10^4 cells; the cap turns a mistyped resolution into a config error
-# before any per-cell array is allocated.
+# Most cells a BEV or patch grid may hold (a 4096 x 4096 grid).  The lift's
+# grids are ~10^4 cells; the cap turns a mistyped resolution or image size
+# into a config error before any per-cell array is allocated.
 MAX_BEV_CELLS = 4096 * 4096
 # Largest patch side, in pixels.  A patch wider than the image is clipped
 # to it, so a larger size changes nothing; the cap keeps a mistyped size
@@ -111,6 +111,11 @@ def patch_angles(
     w, h = camera.image_size
     cols = -(-w // patch_size)
     rows = -(-h // patch_size)
+    if rows * cols > MAX_BEV_CELLS:
+        raise ConfigError(
+            f"image size {camera.image_size} at patch size {patch_size} gives {rows}x{cols} "
+            f"patches, above the limit of {MAX_BEV_CELLS}"
+        )
     col_start = np.arange(cols) * patch_size
     row_start = np.arange(rows) * patch_size
     cu = (col_start + np.minimum(col_start + patch_size, w)) / 2.0

@@ -7,12 +7,14 @@ keys.  Position enters through one of four encodings:
 
     none        no positional signal
     sinusoidal  additive two-axis sin/cos added to features before projection
-    axial_rope  rotary over pixel coordinates normalized to [0, 1]
+    axial_rope  rotary over the coordinates given; the experiments feed
+                it pixels / (W, H)
     fishrope    rotary over lens angular coordinates (theta, phi)
 
-Rotations act per head on query and key projections; logits are
-inner products scaled by 1/sqrt(head_dim).  The products come from BLAS
-matmul over query tiles against one C-contiguous copy of the keys.
+The two rotary encodings are one kernel fed different coords.  Rotations
+act per head on query and key projections; logits are inner products
+scaled by 1/sqrt(head_dim).  The products come from BLAS matmul over
+query tiles against one C-contiguous copy of the keys.
 LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the working set
 of all tiles in flight: each holds LOGIT_TILE // MAX_TILE_WORKERS logits
 of whole query rows, and up to MAX_TILE_WORKERS threads (the package's
@@ -58,7 +60,7 @@ MAX_TILE_WORKERS = 2  # tile-streaming threads; also fixes the tile shape on eve
 class TokenGrid:
     """Feature vectors bound to positions.
 
-    coords holds (theta, phi) angular pairs, or (u, v) pixel pairs for
+    coords holds (theta, phi) angular pairs, or pixels / (W, H) for the
     Cartesian encodings; mask flags usable tokens.  Masked-in tokens
     must carry finite coords.  camera_token identifies the camera the
     coords were derived from; cross-attention refuses to mix grids from
@@ -151,15 +153,13 @@ class ProjectionWeights:
 class AttentionConfig:
     """Head layout and encoding choice; logits are scaled by 1/sqrt(head_dim).
 
-    head_dim must equal rotary.dim for the rotary encodings; image_size
-    is required by axial_rope for pixel normalization.
+    head_dim must equal rotary.dim for the rotary encodings.
     """
 
     heads: int = 1
     head_dim: int = 8
     encoding: str = "none"
     rotary: RotaryConfig | None = None
-    image_size: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.encoding not in ENCODINGS:
@@ -175,8 +175,6 @@ class AttentionConfig:
                 raise ConfigError(
                     f"rotary dim {self.rotary.dim} must equal head_dim {self.head_dim}"
                 )
-        if self.encoding == "axial_rope" and self.image_size is None:
-            raise ConfigError("axial_rope requires image_size for pixel normalization")
         if self.encoding == "sinusoidal" and self.model_dim % 4 != 0:
             raise ConfigError("sinusoidal encoding requires model_dim divisible by 4")
 
@@ -187,14 +185,6 @@ class AttentionConfig:
     @property
     def scale(self) -> float:
         return 1.0 / np.sqrt(self.head_dim)
-
-
-def _rotary_positions(coords: np.ndarray, config: AttentionConfig) -> np.ndarray:
-    """Rotation inputs per token: raw angles, or pixels normalized to [0, 1]."""
-    if config.encoding == "axial_rope":
-        w, h = config.image_size
-        return coords / np.array([float(w), float(h)])
-    return coords
 
 
 def _embed(grid: TokenGrid, config: AttentionConfig) -> np.ndarray:
@@ -219,10 +209,9 @@ def _project_heads(
     proj = x @ weight.T
     heads = proj.reshape(n, config.heads, config.head_dim)
     if rotate and config.encoding in _ROTARY:
-        positions = _rotary_positions(coords, config)
         flat = heads.reshape(n * config.heads, config.head_dim)
         rotated = rope.apply_rotary_batch(
-            flat, np.repeat(positions, config.heads, axis=0), config.rotary
+            flat, np.repeat(coords, config.heads, axis=0), config.rotary
         )
         heads = rotated.reshape(n, config.heads, config.head_dim)
     return np.moveaxis(heads, 1, 0)
@@ -412,7 +401,7 @@ def self_attention_jacobian(
     valid = np.flatnonzero(tokens.mask)
     x = _embed(tokens, config)[valid]
     if config.encoding in _ROTARY:
-        positions = np.repeat(_rotary_positions(tokens.coords[valid], config), d, axis=0)
+        positions = np.repeat(tokens.coords[valid], d, axis=0)
         eye = np.tile(np.eye(d), (len(valid), 1))
         # Row c of each (d, d) block is A_i e_c, so the blocks are A_i transposed.
         rot = rope.apply_rotary_batch(eye, positions, config.rotary)

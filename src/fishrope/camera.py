@@ -90,7 +90,7 @@ class KannalaBrandtCamera:
     coeffs: (k1, ..., kK) applied to odd powers of theta; k1 > 0.
     principal_point: (cx, cy) in pixels, inside the image bounds.
     theta_max: maximum incidence angle in radians, in (0, pi].
-    image_size: (width, height) in pixels.
+    image_size: (width, height) in pixels, whole numbers (1024.0 loads as 1024).
 
     Construction verifies that r(theta) is strictly increasing on
     [0, theta_max] by sampling its derivative; it fails otherwise.
@@ -109,7 +109,13 @@ class KannalaBrandtCamera:
             self, "principal_point", tuple(float(c) for c in self.principal_point)
         )
         object.__setattr__(self, "theta_max", float(self.theta_max))
-        object.__setattr__(self, "image_size", tuple(int(s) for s in self.image_size))
+        try:
+            size = tuple(int(s) for s in self.image_size)
+        except (TypeError, ValueError, OverflowError):  # nan, inf, None, "abc"
+            size = None
+        if size is None or size != tuple(self.image_size):
+            raise ConfigError(f"image size must be whole numbers, got {self.image_size}")
+        object.__setattr__(self, "image_size", size)
 
         if len(coeffs) < 1:
             raise ConfigError("need at least one radial coefficient")
@@ -324,7 +330,8 @@ class InverseLut:
 class Extrinsics:
     """Rigid world -> camera transform: p_cam = rotation @ p_world + translation.
 
-    rotation must be orthonormal with determinant +1 within 1e-9.
+    Both must be finite; rotation must be orthonormal with determinant +1
+    within 1e-9.
     """
 
     rotation: np.ndarray
@@ -342,6 +349,8 @@ class Extrinsics:
                 f"extrinsics need a 3x3 rotation and 3-vector translation, "
                 f"got {rot.shape} and {t.shape}"
             )
+        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(t))):
+            raise ConfigError("extrinsics rotation and translation must be finite")
         if np.max(np.abs(rot.T @ rot - np.eye(3))) > self._ORTHO_TOL:
             raise ConfigError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > self._ORTHO_TOL:

@@ -55,6 +55,11 @@ ROPE_CHECK_BLOCK = 50
 MAX_FEATURE_DIM = 1024
 MAX_BENCH_QUERIES = 2**16
 
+# Fixed scoring constants; every report records them in its `config` block.
+PERIPHERY_BAND = (0.7, 0.98)  # bench periphery query radii, as fractions of r_max
+WRAP_MARGIN = 0.2  # |phi| distance from the +/-pi seam of the bench's seam queries
+PERIPHERAL_FRACTION = 0.3  # outer share of visible cells that lift scores as peripheral
+
 
 def probe_feature(dim: int) -> np.ndarray:
     """Unit vector in every rotation plane: (1, 0, 1, 0, ...)."""
@@ -73,19 +78,11 @@ def ray_directions(coords: np.ndarray) -> np.ndarray:
     )
 
 
-def _attention_config(
-    encoding: str, feature_dim: int, base: float, image_size
-) -> AttentionConfig:
+def _attention_config(encoding: str, feature_dim: int) -> AttentionConfig:
     rotary = None
     if encoding in ("axial_rope", "fishrope"):
-        rotary = RotaryConfig(dim=feature_dim, base=base)
-    return AttentionConfig(
-        heads=1,
-        head_dim=feature_dim,
-        encoding=encoding,
-        rotary=rotary,
-        image_size=tuple(image_size) if encoding == "axial_rope" else None,
-    )
+        rotary = RotaryConfig(dim=feature_dim)
+    return AttentionConfig(heads=1, head_dim=feature_dim, encoding=encoding, rotary=rotary)
 
 
 def _probe_tokens(
@@ -97,17 +94,15 @@ def _probe_tokens(
 ) -> TokenGrid:
     """Probe-feature tokens at the coordinates `encoding` reads.
 
-    fishrope reads angles, the other encodings pixels.  The sinusoidal
-    baseline is fed pixels normalized to [0, 1] so its encoding varies
-    smoothly over the image, mirroring the axial rotary normalization.
+    The one place that picks each encoding's coords: fishrope reads
+    (theta, phi), every other encoding pixels / (W, H), which vary
+    smoothly over [0, 1] of the image (`none` never reads them).
     """
     if encoding == "fishrope":
         coords = angles
-    elif encoding == "sinusoidal":
+    else:
         w, h = camera.image_size
         coords = pixels / np.array([float(w), float(h)])
-    else:
-        coords = pixels
     n = len(coords)
     return TokenGrid(
         features=np.tile(probe_feature(feature_dim), (n, 1)),
@@ -172,9 +167,9 @@ class _ScoredReport:
 class RetrievalBenchConfig:
     """Angular-retrieval benchmark settings.
 
-    periphery_band bounds (as fractions of r_max) the radius range of the
-    periphery-weighted query set; wrap_margin is the |phi| distance from
-    the +/-pi seam within which queries are reported separately.
+    Periphery queries are drawn at radii in PERIPHERY_BAND (fractions of
+    r_max); uniform queries within WRAP_MARGIN of the +/-pi seam are
+    reported separately.
     """
 
     camera: KannalaBrandtCamera
@@ -183,9 +178,6 @@ class RetrievalBenchConfig:
     seed: int = 0
     encodings: tuple[str, ...] = ENCODINGS
     feature_dim: int = 16
-    base: float = 10000.0
-    periphery_band: tuple[float, float] = (0.7, 0.98)
-    wrap_margin: float = 0.2
 
     def __post_init__(self) -> None:
         if self.n_queries < 1:
@@ -196,9 +188,6 @@ class RetrievalBenchConfig:
             )
         _check_encodings(self.encodings, self.feature_dim)
         _check_seed(self.seed)
-        lo, hi = self.periphery_band
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ConfigError(f"bad periphery band {self.periphery_band}")
 
 
 @dataclass(frozen=True)
@@ -306,21 +295,21 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
 
     uniform_r = camera.r_max * np.sqrt(rng.uniform(0.0, 1.0, config.n_queries))
     uniform_coords, uniform_px = draw(uniform_r)
-    lo, hi = config.periphery_band
+    lo, hi = PERIPHERY_BAND
     peri_r = camera.r_max * rng.uniform(lo, hi, config.n_queries)
     peri_coords, peri_px = draw(peri_r)
 
     key_dirs = ray_directions(key_coords)
     truth_uniform = np.argmax(ray_directions(uniform_coords) @ key_dirs.T, axis=1)
     truth_peri = np.argmax(ray_directions(peri_coords) @ key_dirs.T, axis=1)
-    wrap_mask = np.abs(np.abs(uniform_coords[:, 1]) - math.pi) < config.wrap_margin
+    wrap_mask = np.abs(np.abs(uniform_coords[:, 1]) - math.pi) < WRAP_MARGIN
 
     weights = ProjectionWeights.identity(config.feature_dim)
 
     scores = []
     detail: dict[str, dict] = {}
     for idx, encoding in enumerate(config.encodings):
-        att = _attention_config(encoding, config.feature_dim, config.base, camera.image_size)
+        att = _attention_config(encoding, config.feature_dim)
         keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
         enc_rng = np.random.default_rng([config.seed, 1000 + idx])
         perm = enc_rng.permutation(n_keys)
@@ -365,9 +354,9 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
             "patch_size": config.patch_size,
             "n_queries": config.n_queries,
             "feature_dim": config.feature_dim,
-            "base": config.base,
-            "periphery_band": list(config.periphery_band),
-            "wrap_margin": config.wrap_margin,
+            "base": rope.DEFAULT_BASE,
+            "periphery_band": list(PERIPHERY_BAND),
+            "wrap_margin": WRAP_MARGIN,
             "encodings": list(config.encodings),
         },
         camera_fingerprint=camera.fingerprint,
@@ -444,18 +433,12 @@ class LiftConfig:
     resolution: float = 0.5
     patch_size: int = 16
     feature_dim: int = 16
-    base: float = 10000.0
     encodings: tuple[str, ...] = ("fishrope", "axial_rope")
-    peripheral_fraction: float = 0.3
     seed: int = 0
 
     def __post_init__(self) -> None:
         _check_encodings(self.encodings, self.feature_dim)
         _check_seed(self.seed)
-        if not (0.0 < self.peripheral_fraction < 1.0):
-            raise ConfigError(
-                f"peripheral fraction must be in (0, 1), got {self.peripheral_fraction}"
-            )
 
 
 @dataclass(frozen=True)
@@ -530,7 +513,7 @@ def bev_roundtrip(
     Renders ground labels into image patches by ray casting, lifts them
     back per visible BEV cell via argmax cross-attention logits under
     each encoding, and scores label agreement.  Peripheral cells are the
-    outer `peripheral_fraction` of visible cells ranked by projected
+    outer PERIPHERAL_FRACTION of visible cells ranked by projected
     image radius.
     """
     lut = camera.build_lut()
@@ -557,7 +540,7 @@ def bev_roundtrip(
 
     cx, cy = camera.principal_point
     radius = np.hypot(cell_px[:, 0] - cx, cell_px[:, 1] - cy)
-    q_peri = np.quantile(radius, 1.0 - config.peripheral_fraction)
+    q_peri = np.quantile(radius, 1.0 - PERIPHERAL_FRACTION)
     q_inner = np.quantile(radius, 0.4)
     peripheral = radius >= q_peri
     bands = (
@@ -569,7 +552,7 @@ def bev_roundtrip(
     weights = ProjectionWeights.identity(config.feature_dim)
     scores = []
     for encoding in config.encodings:
-        att = _attention_config(encoding, config.feature_dim, config.base, camera.image_size)
+        att = _attention_config(encoding, config.feature_dim)
         keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
         queries = _probe_tokens(encoding, cell_coords, cell_px, camera, config.feature_dim)
         t0 = time.perf_counter()
@@ -600,9 +583,9 @@ def bev_roundtrip(
             "resolution": config.resolution,
             "patch_size": config.patch_size,
             "feature_dim": config.feature_dim,
-            "base": config.base,
+            "base": rope.DEFAULT_BASE,
             "encodings": list(config.encodings),
-            "peripheral_fraction": config.peripheral_fraction,
+            "peripheral_fraction": PERIPHERAL_FRACTION,
             "seed": config.seed,
             "pattern": repr(pattern),
         },
@@ -982,7 +965,7 @@ def check_softmax_rows(seed: int = 0) -> list[CheckResult]:
         mask=mask,
     )
     weights = ProjectionWeights.random(dim, seed=3)
-    config = _attention_config("fishrope", dim, 10000.0, (100, 100))
+    config = _attention_config("fishrope", dim)
     logits = attention.logit_matrix(tokens, tokens, weights, config)
     attn = attention._masked_softmax(logits[None], mask)[0]
     row_err = float(np.max(np.abs(np.sum(attn, axis=-1) - 1.0)))
@@ -1005,7 +988,7 @@ def check_shift_invariance(seed: int = 0) -> list[CheckResult]:
     weights = ProjectionWeights.random(dim, seed=4)
     out = []
     for encoding, shift in (("fishrope", (0.37, -0.81)), ("axial_rope", (13.0, -7.0))):
-        config = _attention_config(encoding, dim, 10000.0, (640, 480))
+        config = _attention_config(encoding, dim)
         coords = (
             _sample_coords(rng, n, 1.5)
             if encoding == "fishrope"
@@ -1013,13 +996,16 @@ def check_shift_invariance(seed: int = 0) -> list[CheckResult]:
         )
         features = rng.standard_normal((n, dim))
         mask = np.ones(n, dtype=bool)
+        shifted_coords = coords + np.asarray(shift)
+        if encoding == "axial_rope":  # pixels of a 640 x 480 image, as _probe_tokens feeds them
+            size = np.array([640.0, 480.0])
+            coords, shifted_coords = coords / size, shifted_coords / size
         base = attention.logit_matrix(
             TokenGrid(features=features, coords=coords, mask=mask),
             TokenGrid(features=features, coords=coords, mask=mask),
             weights,
             config,
         )
-        shifted_coords = coords + np.asarray(shift)
         shifted = attention.logit_matrix(
             TokenGrid(features=features, coords=shifted_coords, mask=mask),
             TokenGrid(features=features, coords=shifted_coords, mask=mask),
@@ -1048,7 +1034,7 @@ def check_stability(seed: int = 0) -> list[CheckResult]:
         mask=np.ones(n, dtype=bool),
     )
     weights = ProjectionWeights.random(dim, seed=5)
-    config = _attention_config("fishrope", dim, 10000.0, (100, 100))
+    config = _attention_config("fishrope", dim)
     out = attention.self_attention(tokens, weights, config)
     finite = bool(np.all(np.isfinite(out)))
     return [
@@ -1101,7 +1087,7 @@ def check_gradient(seed: int = 0) -> list[CheckResult]:
         mask=np.ones(n, dtype=bool),
     )
     weights = ProjectionWeights.random(dim, seed=6)
-    config = _attention_config("fishrope", dim, 10000.0, (100, 100))
+    config = _attention_config("fishrope", dim)
     analytic = attention.self_attention_jacobian(tokens, weights, config)
     numeric = fd_self_attention_jacobian(tokens, weights, config)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -1155,7 +1141,7 @@ def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
     query_coords = detail["query_coords"]["uniform"]
     key_coords = detail["key_coords"]
     probe = probe_feature(config.feature_dim)
-    rcfg = RotaryConfig(dim=config.feature_dim, base=config.base)
+    rcfg = RotaryConfig(dim=config.feature_dim)
     tau = 1.0 / math.sqrt(config.feature_dim)
     delta = key_coords[None, :, :] - query_coords[::4, None, :]
     expected = tau * rope.relative_logit(probe, probe, (delta[..., 0], delta[..., 1]), rcfg)

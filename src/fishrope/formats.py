@@ -72,6 +72,16 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _require_numbers(what: str, value: Any, length: int | None) -> None:
+    """ConfigError unless value is a list of numbers, of `length` if given."""
+    if not (isinstance(value, list) and all(map(_is_number, value))) or (
+        length is not None and len(value) != length
+    ):
+        raise ConfigError(
+            f"{what} must be a list of {length or 'one or more'} numbers, got {value!r}"
+        )
+
+
 def calibration_from_dict(doc: Any) -> tuple[KannalaBrandtCamera, Extrinsics | None]:
     if not isinstance(doc, dict):
         raise ConfigError("calibration document must be a mapping")
@@ -82,14 +92,7 @@ def calibration_from_dict(doc: Any) -> tuple[KannalaBrandtCamera, Extrinsics | N
         if field not in doc:
             raise ConfigError(f"calibration missing required field {field!r}")
     for field, length in (("coeffs", None), ("principal_point", 2), ("image_size", 2)):
-        value = doc[field]
-        if not (isinstance(value, list) and all(map(_is_number, value))) or (
-            length is not None and len(value) != length
-        ):
-            raise ConfigError(
-                f"calibration field {field!r} must be a list of "
-                f"{length or 'one or more'} numbers, got {value!r}"
-            )
+        _require_numbers(f"calibration field {field!r}", doc[field], length)
     if not _is_number(doc["theta_max"]):
         raise ConfigError(
             f"calibration field 'theta_max' must be a number, got {doc['theta_max']!r}"
@@ -100,20 +103,17 @@ def calibration_from_dict(doc: Any) -> tuple[KannalaBrandtCamera, Extrinsics | N
         theta_max=doc["theta_max"],
         image_size=tuple(doc["image_size"]),
     )
-    extrinsics = None
-    if "extrinsics" in doc and doc["extrinsics"] is not None:
-        ext = doc["extrinsics"]
-        for field in ("rotation", "translation"):
-            if field not in ext:
-                raise ConfigError(f"extrinsics missing required field {field!r}")
-        rotation = np.asarray(ext["rotation"], dtype=np.float64)
-        if rotation.size != 9:
-            raise ConfigError("extrinsics rotation must hold 9 floats (row-major)")
-        extrinsics = Extrinsics(
-            rotation=rotation.reshape(3, 3),
-            translation=np.asarray(ext["translation"], dtype=np.float64),
-        )
-    return camera, extrinsics
+    ext = doc.get("extrinsics")
+    if ext is None:
+        return camera, None
+    if not isinstance(ext, dict):
+        raise ConfigError(f"calibration field 'extrinsics' must be a mapping, got {ext!r}")
+    for field, length in (("rotation", 9), ("translation", 3)):
+        if field not in ext:
+            raise ConfigError(f"extrinsics missing required field {field!r}")
+        _require_numbers(f"extrinsics field {field!r}", ext[field], length)
+    rotation = np.asarray(ext["rotation"], dtype=np.float64).reshape(3, 3)
+    return camera, Extrinsics(rotation=rotation, translation=ext["translation"])
 
 
 def save_calibration(

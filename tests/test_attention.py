@@ -88,10 +88,6 @@ class TestAttentionConfig:
         with pytest.raises(ConfigError):
             AttentionConfig(head_dim=8, encoding="fishrope", rotary=RotaryConfig(dim=4))
 
-    def test_axial_requires_image_size(self):
-        with pytest.raises(ConfigError):
-            AttentionConfig(head_dim=8, encoding="axial_rope", rotary=RotaryConfig(dim=8))
-
     def test_default_temperature(self):
         config = AttentionConfig(head_dim=16)
         assert config.scale == pytest.approx(0.25)
@@ -414,7 +410,6 @@ class TestCrossAttention:
             head_dim=8,
             encoding=encoding,
             rotary=RotaryConfig(dim=8) if encoding in ("axial_rope", "fishrope") else None,
-            image_size=(640, 480) if encoding == "axial_rope" else None,
         )
         out, flags = cross_attention(queries, keys, weights, config)
         logits = logit_matrix(queries, keys, weights, config).reshape(heads, n_queries, 10)
@@ -654,8 +649,8 @@ class TestJacobian:
     def test_analytic_matches_finite_differences(self, encoding, n, masked):
         rng = np.random.default_rng(13)
         dim = 8
-        if encoding == "axial_rope":
-            coords = rng.uniform(0, 500, (n, 2))
+        if encoding == "axial_rope":  # pixels of a 640 x 480 image, normalized
+            coords = rng.uniform(0, 500, (n, 2)) / (640, 480)
         else:
             coords = np.stack(
                 [rng.uniform(0, 1.5, n), rng.uniform(-math.pi, math.pi, n)], axis=-1
@@ -666,12 +661,7 @@ class TestJacobian:
         tokens = TokenGrid(features=rng.standard_normal((n, dim)), coords=coords, mask=mask)
         weights = ProjectionWeights.random(dim, seed=14)
         rotary = RotaryConfig(dim=dim) if encoding in ("axial_rope", "fishrope") else None
-        config = AttentionConfig(
-            head_dim=dim,
-            encoding=encoding,
-            rotary=rotary,
-            image_size=(640, 480) if encoding == "axial_rope" else None,
-        )
+        config = AttentionConfig(head_dim=dim, encoding=encoding, rotary=rotary)
         analytic = self_attention_jacobian(tokens, weights, config)
         numeric = fd_self_attention_jacobian(tokens, weights, config, step=1e-5)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)

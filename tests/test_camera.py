@@ -51,6 +51,19 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             toy_camera(coeffs=(1.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "size", [(200.7, 200), (200, math.nan), (math.inf, 200), (200, "200"), (200, None)]
+    )
+    def test_rejects_image_size_that_is_not_whole(self, size):
+        # 200.7 used to be truncated to 200 without a word
+        with pytest.raises(ConfigError, match="image size must be whole numbers"):
+            toy_camera(size=size)
+
+    def test_integral_float_image_size_loads(self):
+        camera = toy_camera(size=(200.0, np.float64(200.0)))
+        assert camera.image_size == (200, 200)
+        assert all(type(s) is int for s in camera.image_size)
+
     def test_fixture_cameras_construct(self):
         cams = fixture_cameras()
         assert set(cams) == {"linear", "k2", "wide"}
@@ -269,6 +282,17 @@ class TestExtrinsics:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ConfigError):
             Extrinsics(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["rotation", "translation"])
+    def test_rejects_non_finite(self, bad, where):
+        # NaN fails every comparison, so the orthonormality test let it through
+        rotation, translation = np.eye(3), np.zeros(3)
+        (rotation if where == "rotation" else translation).flat[0] = bad
+        with pytest.raises(ConfigError, match="must be finite"):
+            Extrinsics(rotation=rotation, translation=translation)
+        with pytest.raises(ConfigError, match="must be finite"):
+            Extrinsics(rotation=np.full((3, 3), bad), translation=translation)
 
     def test_rejects_reflection(self):
         flip = np.diag([1.0, 1.0, -1.0])

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fishrope import formats, patch_angles
-from fishrope.angular import MAX_PATCH_SIZE
+from fishrope.angular import MAX_BEV_CELLS, MAX_PATCH_SIZE
 from fishrope.camera import MAX_LUT_RESOLUTION, MAX_NEWTON_ITERATIONS
 from fishrope.cli import _build_parser, main
 from fishrope.experiments import MAX_BENCH_QUERIES, MAX_FEATURE_DIM
@@ -24,6 +24,18 @@ from fishrope.rope import ENCODINGS
 @pytest.fixture
 def calib(calibration_path):
     return str(calibration_path)
+
+
+def _edited_calibration(calib, tmp_path, path, value) -> str:
+    """A copy of the calibration at calib with the entry at key path set to value."""
+    doc = yaml.safe_load(pathlib.Path(calib).read_text(encoding="utf-8"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    edited = tmp_path / "edited.yaml"
+    edited.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return str(edited)
 
 
 class TestAngles:
@@ -332,13 +344,40 @@ class TestInputContract:
         assert args.phi == float(token) or math.isnan(args.phi)
 
     def test_scalar_calibration_coeffs(self, calib, tmp_path, capsys):
-        doc = yaml.safe_load(pathlib.Path(calib).read_text(encoding="utf-8"))
-        doc["coeffs"] = 5
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump(doc))
+        bad = _edited_calibration(calib, tmp_path, ("coeffs",), 5)
         out = tmp_path / "angles.csv"
-        argv = ["angles", "--calib", str(bad), "--out", str(out)]
+        argv = ["angles", "--calib", bad, "--out", str(out)]
         self._exits_2_with_one_line(argv, out, capsys, "must be a list")
+
+    @pytest.mark.parametrize(
+        "path, value, commands, message",
+        [
+            (("extrinsics", "rotation", 4), math.nan, ["lift"], "must be finite"),
+            (("extrinsics", "translation", 2), math.inf, ["lift"], "must be finite"),
+            (("extrinsics", "rotation"), "abc", ["lift"], "'rotation' must be a list of 9"),
+            (("extrinsics", "rotation"), {"a": 1}, ["lift"], "'rotation' must be a list of 9"),
+            (("extrinsics",), 5, ["lift"], "'extrinsics' must be a mapping, got 5"),
+            (("image_size", 0), 1024.7, ["angles", "lift"], "image size must be whole numbers"),
+            (("image_size", 0), 1e12, ["angles", "bench", "lift"], f"limit of {MAX_BEV_CELLS}"),
+            (("image_size", 1), 1e300, ["angles", "bench", "lift"], f"limit of {MAX_BEV_CELLS}"),
+        ],
+        ids=[
+            "rotation-nan", "translation-inf", "rotation-str", "rotation-mapping",
+            "extrinsics-scalar", "fractional-size", "huge-size", "huger-size",
+        ],
+    )
+    def test_bad_calibration_entry(self, calib, tmp_path, capsys, path, value, commands,
+                                   message):
+        # each once ended in a traceback, in a numpy warning and exit 1, or, for
+        # the fractional size, in exit 0 on a silently truncated image; the huge
+        # sizes are refused before any patch array is built
+        bad = _edited_calibration(calib, tmp_path, path, value)
+        out = tmp_path / "r.out"
+        for command in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                argv = [command, "--calib", bad, "--out", str(out)]
+                self._exits_2_with_one_line(argv, out, capsys, message)
 
 
 def _ints(low, high):
@@ -454,6 +493,28 @@ def test_fuzzed_flags_keep_the_exit_contract(calib, tmp_path, argv):
 @given(argv=_FUZZED_EXPERIMENT_ARGV)
 def test_fuzzed_experiment_flags_keep_the_exit_contract(calib, tmp_path, argv):
     _keeps_the_exit_contract(calib, tmp_path, argv)
+
+
+# Key paths into the fixture calibration: every field, at the top level or
+# inside `extrinsics`, and single entries of its list fields.
+_CALIBRATION_PATHS = [
+    ("model",), ("coeffs",), ("principal_point",), ("theta_max",), ("image_size",),
+    ("extrinsics",), ("extrinsics", "rotation"), ("extrinsics", "translation"),
+    ("coeffs", 1), ("principal_point", 0), ("image_size", 0), ("image_size", 1),
+    ("extrinsics", "rotation", 4), ("extrinsics", "translation", 2),
+]
+# No size here allocates: a huge image is refused before its patch grid is built.
+_CALIBRATION_VALUES = [math.nan, math.inf, -1, 0, 1024.7, 1e12, "abc", None, [], {}, 5]
+
+
+@_fuzz_settings(60)
+@given(
+    path=st.sampled_from(_CALIBRATION_PATHS), value=st.sampled_from(_CALIBRATION_VALUES)
+)
+def test_fuzzed_calibration_keeps_the_exit_contract(calib, tmp_path, path, value):
+    bad = _edited_calibration(calib, tmp_path, path, value)
+    for argv in (["angles", "--patch-size=64"], ["lift", "--patch-size=64", "--resolution=2"]):
+        _keeps_the_exit_contract(bad, tmp_path, argv)
 
 
 class TestSelfcheckCommand:

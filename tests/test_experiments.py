@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +252,20 @@ class TestBevRoundtrip:
         a = bev_roundtrip(wide_camera(), scene_extrinsics(), scene_pattern(), cfg)
         b = bev_roundtrip(wide_camera(), scene_extrinsics(), scene_pattern(), cfg)
         assert dump_report_yaml(a.as_dict()) == dump_report_yaml(b.as_dict())
+
+
+def test_report_config_names_every_setting():
+    # a setting missing from `config` would make two different runs read alike
+    bench = retrieval_bench(
+        RetrievalBenchConfig(camera=wide_camera(), n_queries=8, patch_size=256)
+    )
+    lift = bev_roundtrip(
+        wide_camera(), scene_extrinsics(), scene_pattern(),
+        LiftConfig(extent=(16.0, 16.0), resolution=1.0, patch_size=64),
+    )
+    for config, report in ((RetrievalBenchConfig, bench), (LiftConfig, lift)):
+        names = {f.name for f in dataclasses.fields(config)} - {"camera"}
+        assert names <= set(report.as_dict()["config"]), config
 
 
 class TestSelfCheck:

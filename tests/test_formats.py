@@ -11,6 +11,9 @@ from fishrope.fixtures import scene_extrinsics, wide_camera
 from fishrope import formats
 
 
+_EYE = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
 class TestCalibration:
     def test_roundtrip_preserves_camera_and_extrinsics(self, tmp_path):
         cam = wide_camera()
@@ -70,6 +73,17 @@ class TestCalibration:
             ("image_size", [1024, None]),
             ("theta_max", "wide"),
             ("theta_max", [1.5]),
+            # the next three once ended in numpy's ValueError or TypeError traceback
+            ("extrinsics", {"rotation": "abc", "translation": [0.0, 0.0, 0.0]}),
+            ("extrinsics", {"rotation": {"a": 1}, "translation": [0.0, 0.0, 0.0]}),
+            ("extrinsics", 5),
+            ("extrinsics", []),
+            ("extrinsics", {"rotation": _EYE[:8], "translation": [0.0, 0.0, 0.0]}),
+            ("extrinsics", {"rotation": _EYE, "translation": [0.0, 0.0]}),
+            ("extrinsics", {"rotation": _EYE, "translation": None}),
+            ("extrinsics", {"rotation": _EYE}),
+            ("extrinsics", {"rotation": [math.nan] + _EYE[1:], "translation": [0.0] * 3}),
+            ("extrinsics", {"rotation": _EYE, "translation": [0.0, math.inf, 0.0]}),
         ],
     )
     def test_rejects_malformed_field_entries(self, field, value):

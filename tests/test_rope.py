@@ -16,6 +16,8 @@ from fishrope import (
     make_schedule,
     relative_logit,
 )
+from fishrope.experiments import _probe_tokens
+from fishrope.fixtures import k2_camera
 from fishrope.rope import apply_rotary_batch, sinusoidal_pe_batch
 
 from .oracles import dense_rotation
@@ -160,11 +162,9 @@ class TestApplyFishrope:
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
 
-def _logits(encoding, features, coords, image_size=None):
+def _logits(encoding, features, coords):
     """Single-head logit_matrix of tokens over themselves, identity weights."""
-    config = AttentionConfig(
-        head_dim=8, encoding=encoding, rotary=RotaryConfig(dim=8), image_size=image_size
-    )
+    config = AttentionConfig(head_dim=8, encoding=encoding, rotary=RotaryConfig(dim=8))
     tokens = TokenGrid(features=features, coords=coords, mask=np.ones(len(coords), bool))
     return logit_matrix(tokens, tokens, ProjectionWeights.identity(8), config)
 
@@ -175,18 +175,28 @@ class TestAxialRope:
     def test_zero_pixel_is_identity(self):
         x = np.random.default_rng(3).standard_normal((4, 8))
         np.testing.assert_array_equal(
-            _logits("axial_rope", x, np.zeros((4, 2)), (640, 480)),
+            _logits("axial_rope", x, np.zeros((4, 2))),
             _logits("none", x, np.zeros((4, 2))),
         )
+
+    def test_probe_tokens_normalize_pixels(self):
+        # the experiments feed every encoding but fishrope pixels / (W, H)
+        rng = np.random.default_rng(4)
+        camera = k2_camera()  # 640 x 480, so a swapped W and H shows
+        angles = rng.uniform(0.0, 1.0, (12, 2))
+        pixels = rng.uniform(0.0, 1.0, (12, 2)) * (640.0, 480.0)
+        for encoding in ("none", "sinusoidal", "axial_rope"):
+            tokens = _probe_tokens(encoding, angles, pixels, camera, 8)
+            np.testing.assert_array_equal(tokens.coords, pixels / np.array([640.0, 480.0]))
+        tokens = _probe_tokens("fishrope", angles, pixels, camera, 8)
+        np.testing.assert_array_equal(tokens.coords, angles)
 
     def test_definitional_substitution(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((12, 8))
-        pixels = rng.uniform(0.0, 640.0, (12, 2))
-        size = np.array([640.0, 480.0])
+        coords = rng.uniform(0.0, 1.0, (12, 2))
         np.testing.assert_array_equal(
-            _logits("axial_rope", x, pixels, (640, 480)),
-            _logits("fishrope", x, pixels / size),
+            _logits("axial_rope", x, coords), _logits("fishrope", x, coords)
         )
 
     def test_dense_matrix_oracle(self):
@@ -195,7 +205,7 @@ class TestAxialRope:
         mats = [dense_rotation(8, 4, 10000.0, u / 640.0, v / 480.0) for u, v in pixels]
         rotated = np.stack([m @ row for m, row in zip(mats, x)])
         np.testing.assert_allclose(
-            _logits("axial_rope", x, pixels, (640, 480)),
+            _logits("axial_rope", x, pixels / (640.0, 480.0)),
             rotated @ rotated.T / math.sqrt(8),
             atol=1e-14,
         )
