@@ -11,24 +11,28 @@ keys.  Position enters through one of four encodings:
                 it pixels / (W, H)
     fishrope    rotary over lens angular coordinates (theta, phi)
 
-The two rotary encodings are one kernel fed different coords.  Rotations
-act per head on query and key projections; logits are inner products
-scaled by 1/sqrt(head_dim).  The products come from BLAS matmul over
-query tiles against one C-contiguous copy of the keys.
-LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the working set
-of all tiles in flight: each holds LOGIT_TILE // MAX_TILE_WORKERS logits
-of whole query rows, and up to MAX_TILE_WORKERS threads (the package's
-own, apart from any BLAS threads) stream them at once.  Every tile writes
-only its own rows and the key axis is never split, so no result depends
-on the worker count or the host.  logit_matrix and cross_attention scale
-each tile, and logit_argmax does not, because a positive scale cannot
-reorder a row.  Softmax rows are max-subtracted and exclude masked keys
-entirely (equivalent to -inf logits), so weights over valid keys always
-sum to 1.  cross_attention (and so self_attention) and logit_argmax run
-the exact softmax, the value product or the row argmax tile by tile, so
-memory stays bounded by about LOGIT_TILE logits instead of growing with
-N_q x N_k.  Only logit_matrix and self_attention_jacobian, whose results
-are that large, hold all the logits at once.
+The two rotary encodings are one kernel fed different coords, through
+RotaryConfig(dim=head_dim).  The kernels are single-head: features,
+projections and rotations all have head_dim entries, and logits are
+inner products scaled by 1/sqrt(head_dim).  Every kernel over a query
+and a key grid refuses grids from different cameras.  The products come
+from BLAS matmul over query tiles against one C-contiguous copy of the
+keys.  LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the
+working set of all tiles in flight: each holds
+LOGIT_TILE // MAX_TILE_WORKERS logits of whole query rows, and up to
+MAX_TILE_WORKERS threads (the package's own, apart from any BLAS
+threads) stream them at once.  Every tile writes only its own rows and
+the key axis is never split, so no result depends on the worker count
+or the host.
+logit_matrix and cross_attention scale each tile, and logit_argmax does
+not, because a positive scale cannot reorder a row.  Softmax rows are
+max-subtracted and exclude masked keys entirely (equivalent to -inf
+logits), so weights over valid keys always sum to 1.  cross_attention
+(and so self_attention) and logit_argmax run the exact softmax, the
+value product or the row argmax tile by tile, so memory stays bounded by
+about LOGIT_TILE logits instead of growing with N_q x N_k.  Only
+logit_matrix and self_attention_jacobian, whose results are that large,
+hold all the logits at once.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -39,6 +43,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +68,7 @@ class TokenGrid:
     coords holds (theta, phi) angular pairs, or pixels / (W, H) for the
     Cartesian encodings; mask flags usable tokens.  Masked-in tokens
     must carry finite coords.  camera_token identifies the camera the
-    coords were derived from; cross-attention refuses to mix grids from
+    coords were derived from; the kernels refuse to mix grids from
     different cameras.
     """
 
@@ -118,7 +123,7 @@ def tokens_from_bev(grid: BevGrid, features: np.ndarray) -> TokenGrid:
 
 @dataclass(frozen=True)
 class ProjectionWeights:
-    """Query/key/value projection matrices, each (model_dim, model_dim)."""
+    """Query/key/value projections of the one head, each (head_dim, head_dim)."""
 
     wq: np.ndarray
     wk: np.ndarray
@@ -151,36 +156,31 @@ class ProjectionWeights:
 
 @dataclass(frozen=True)
 class AttentionConfig:
-    """Head layout and encoding choice; logits are scaled by 1/sqrt(head_dim).
+    """One attention head of head_dim and its position encoding.
 
-    head_dim must equal rotary.dim for the rotary encodings.
+    Features, projections and rotations all have head_dim entries; logits
+    are scaled by 1/sqrt(head_dim).  The rotary encodings rotate through
+    `rotary`, RotaryConfig(dim=head_dim).
     """
 
-    heads: int = 1
     head_dim: int = 8
     encoding: str = "none"
-    rotary: RotaryConfig | None = None
 
     def __post_init__(self) -> None:
         if self.encoding not in ENCODINGS:
             raise ConfigError(
                 f"unknown encoding {self.encoding!r}; expected one of {ENCODINGS}"
             )
-        if self.heads < 1 or self.head_dim < 1:
-            raise ConfigError("heads and head_dim must be positive")
+        if self.head_dim < 1:
+            raise ConfigError("head_dim must be positive")
         if self.encoding in _ROTARY:
-            if self.rotary is None:
-                raise ConfigError(f"{self.encoding} requires a RotaryConfig")
-            if self.rotary.dim != self.head_dim:
-                raise ConfigError(
-                    f"rotary dim {self.rotary.dim} must equal head_dim {self.head_dim}"
-                )
-        if self.encoding == "sinusoidal" and self.model_dim % 4 != 0:
-            raise ConfigError("sinusoidal encoding requires model_dim divisible by 4")
+            _ = self.rotary  # refuses an odd head_dim here rather than at first use
+        if self.encoding == "sinusoidal" and self.head_dim % 4 != 0:
+            raise ConfigError("sinusoidal encoding requires head_dim divisible by 4")
 
-    @property
-    def model_dim(self) -> int:
-        return self.heads * self.head_dim
+    @cached_property
+    def rotary(self) -> RotaryConfig:
+        return RotaryConfig(dim=self.head_dim)
 
     @property
     def scale(self) -> float:
@@ -190,31 +190,14 @@ class AttentionConfig:
 def _embed(grid: TokenGrid, config: AttentionConfig) -> np.ndarray:
     """Token features with additive PE applied where the encoding calls for it."""
     x = grid.features
-    if x.shape[1] != config.model_dim:
+    if x.shape[1] != config.head_dim:
         raise ShapeError(
-            f"feature dim {x.shape[1]} does not match model dim {config.model_dim}"
+            f"feature dim {x.shape[1]} does not match head_dim {config.head_dim}"
         )
     if config.encoding == "sinusoidal":
-        pe = rope.sinusoidal_pe_batch(grid.coords, config.model_dim)
+        pe = rope.sinusoidal_pe_batch(grid.coords, config.head_dim)
         x = x + np.where(grid.mask[:, None], pe, 0.0)
     return x
-
-
-def _project_heads(
-    x: np.ndarray, coords: np.ndarray, weight: np.ndarray, config: AttentionConfig,
-    rotate: bool,
-) -> np.ndarray:
-    """Project and (for q/k under rotary encodings) rotate; returns (heads, N, head_dim)."""
-    n = x.shape[0]
-    proj = x @ weight.T
-    heads = proj.reshape(n, config.heads, config.head_dim)
-    if rotate and config.encoding in _ROTARY:
-        flat = heads.reshape(n * config.heads, config.head_dim)
-        rotated = rope.apply_rotary_batch(
-            flat, np.repeat(coords, config.heads, axis=0), config.rotary
-        )
-        heads = rotated.reshape(n, config.heads, config.head_dim)
-    return np.moveaxis(heads, 1, 0)
 
 
 def _projected_qk(
@@ -223,21 +206,34 @@ def _projected_qk(
     weights: ProjectionWeights,
     config: AttentionConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encoded, projected and rotated (q, k), each (heads, N, head_dim)."""
-    if weights.dim != config.model_dim:
+    """Encoded, projected and rotated (q, k), each (N, head_dim).
+
+    Every kernel over two grids starts here, so each refuses grids from
+    different cameras, whose coordinates share no angular space.
+    """
+    if (
+        queries.camera_token is not None
+        and keys.camera_token is not None
+        and queries.camera_token != keys.camera_token
+    ):
+        raise ConfigError("query and key grids come from different cameras")
+    if weights.dim != config.head_dim:
         raise ShapeError(
-            f"weights dim {weights.dim} does not match model dim {config.model_dim}"
+            f"weights dim {weights.dim} does not match head_dim {config.head_dim}"
         )
-    q = _project_heads(_embed(queries, config), queries.coords, weights.wq, config, True)
-    k = _project_heads(_embed(keys, config), keys.coords, weights.wk, config, True)
+    q = _embed(queries, config) @ weights.wq.T
+    k = _embed(keys, config) @ weights.wk.T
+    if config.encoding in _ROTARY:
+        q = rope.apply_rotary_batch(q, queries.coords, config.rotary)
+        k = rope.apply_rotary_batch(k, keys.coords, config.rotary)
     return q, k
 
 
 def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
     """Call fn(rows, tile) on every query tile of the unscaled logits q @ k^T.
 
-    tile holds the (heads, rows, N_k) products in a buffer that the
-    worker's next tile overwrites.  Its shape does not depend on how many
+    tile holds the (rows, N_k) products in a buffer that the worker's
+    next tile overwrites.  Its shape does not depend on how many
     workers run, so neither does BLAS rounding, which can depend on the
     shape of a product; every logit consumer goes through here, so dense
     and streamed callers stay bit-identical.  Tiles are dealt round-robin
@@ -246,17 +242,16 @@ def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
     and fn must write only its own rows.  A worker's exception is raised
     here once every worker has joined.
     """
-    heads, n_q, _ = q.shape
-    n_k = k.shape[1]
-    k_t = np.ascontiguousarray(k.swapaxes(1, 2))
-    step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, heads * n_k)))
+    n_q, n_k = len(q), len(k)
+    k_t = np.ascontiguousarray(k.T)
+    step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
     starts = range(0, n_q, step)
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
     n_workers = max(1, min(cores, MAX_TILE_WORKERS, len(starts)))
-    bufs = [np.empty((heads, step, n_k)) for _ in range(n_workers)]
+    bufs = [np.empty((step, n_k)) for _ in range(n_workers)]
     errors: list[BaseException] = []
 
     def work(w: int) -> None:
@@ -264,7 +259,7 @@ def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
             for start in starts[w::n_workers]:
                 stop = min(start + step, n_q)
                 rows = slice(start, stop)
-                fn(rows, np.matmul(q[:, rows], k_t, out=bufs[w][:, : stop - start]))
+                fn(rows, np.matmul(q[rows], k_t, out=bufs[w][: stop - start]))
         except BaseException as exc:  # re-raised by the caller after join
             errors.append(exc)
 
@@ -284,15 +279,15 @@ def logit_matrix(
     weights: ProjectionWeights,
     config: AttentionConfig,
 ) -> np.ndarray:
-    """Raw pre-softmax logits, (N_q, N_k) for one head, (heads, N_q, N_k) otherwise.
+    """Raw pre-softmax logits, (N_q, N_k).
 
     No masking is applied here; this is the test surface for the
     relative-position properties.
     """
     q, k = _projected_qk(queries, keys, weights, config)
-    logits = np.empty((config.heads, q.shape[1], k.shape[1]))
-    _for_each_tile(q, k, lambda rows, t: np.multiply(t, config.scale, out=logits[:, rows]))
-    return logits[0] if config.heads == 1 else logits
+    logits = np.empty((len(q), len(k)))
+    _for_each_tile(q, k, lambda rows, t: np.multiply(t, config.scale, out=logits[rows]))
+    return logits
 
 
 def logit_argmax(
@@ -301,7 +296,7 @@ def logit_argmax(
     weights: ProjectionWeights,
     config: AttentionConfig,
 ) -> np.ndarray:
-    """Row argmax of the logits, (N_q,) for one head, (heads, N_q) otherwise.
+    """Row argmax of the logits, (N_q,).
 
     Ranks the unscaled products q.k, first-occurrence ties included, and
     streams over query tiles, so memory stays bounded by about LOGIT_TILE
@@ -312,22 +307,22 @@ def logit_argmax(
     scaled logit, and there it picks the larger product.
     """
     q, k = _projected_qk(queries, keys, weights, config)
-    chosen = np.empty((config.heads, q.shape[1]), dtype=np.intp)
-    _for_each_tile(q, k, lambda rows, t: np.argmax(t, axis=-1, out=chosen[:, rows]))
-    return chosen[0] if config.heads == 1 else chosen
+    chosen = np.empty(len(q), dtype=np.intp)
+    _for_each_tile(q, k, lambda rows, t: np.argmax(t, axis=-1, out=chosen[rows]))
+    return chosen
 
 
 def _masked_softmax(logits: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
     """Row softmax over valid keys only; max-subtracted for stability.
 
-    logits has shape (heads, N_q, N_k) and is left untouched.  Rows are
+    logits has shape (N_q, N_k) and is left untouched.  Rows are
     assumed to have at least one valid key; masked keys get exactly zero
     weight.  After the masked copy every step works in place.
     """
-    expd = np.where(key_mask[None, None, :], logits, -np.inf)
+    expd = np.where(key_mask, logits, -np.inf)
     expd -= np.max(expd, axis=-1, keepdims=True)
     np.exp(expd, out=expd)
-    expd[..., ~key_mask] = 0.0
+    expd[:, ~key_mask] = 0.0
     expd /= np.sum(expd, axis=-1, keepdims=True)
     return expd
 
@@ -359,28 +354,21 @@ def cross_attention(
     out, or that faces no valid key, yields a zero row and a False flag.
     Softmax and the value product run per tile of whole query rows, so
     memory stays bounded by about LOGIT_TILE logits (at least one row of
-    heads * N_k per worker).
+    N_k per worker).
     """
-    if (
-        queries.camera_token is not None
-        and keys.camera_token is not None
-        and queries.camera_token != keys.camera_token
-    ):
-        raise ConfigError("query and key grids come from different cameras")
+    q, k = _projected_qk(queries, keys, weights, config)
     flags = queries.mask & bool(np.any(keys.mask))
     if not np.any(flags):
-        return np.zeros((queries.n_tokens, config.model_dim)), flags
-    q, k = _projected_qk(queries, keys, weights, config)
-    v = _project_heads(_embed(keys, config), keys.coords, weights.wv, config, rotate=False)
-    out_heads = np.empty((config.heads, queries.n_tokens, config.head_dim))
+        return np.zeros((queries.n_tokens, config.head_dim)), flags
+    v = _embed(keys, config) @ weights.wv.T
+    out = np.empty((queries.n_tokens, config.head_dim))
 
     def attend(rows: slice, tile: np.ndarray) -> None:
         tile *= config.scale
         attn = _masked_softmax(tile, keys.mask)
-        out_heads[:, rows] = np.einsum("hqk,hkd->hqd", attn, v)
+        out[rows] = np.einsum("qk,kd->qd", attn, v)
 
     _for_each_tile(q, k, attend)
-    out = np.moveaxis(out_heads, 0, 1).reshape(queries.n_tokens, config.model_dim)
     return np.where(flags[:, None], out, 0.0), flags
 
 
@@ -389,15 +377,13 @@ def self_attention_jacobian(
 ) -> np.ndarray:
     """Analytic Jacobian of self_attention outputs w.r.t. input features.
 
-    Chain rule through the (linear) position rotation and the softmax;
-    single head only.  Returns shape (N*D, N*D) with the (i, m) block
+    Chain rule through the (linear) position rotation and the softmax.
+    Returns shape (N*D, N*D) with the (i, m) block
     holding d out_i / d x_m.
     """
-    if config.heads != 1:
-        raise ConfigError("analytic jacobian is implemented for heads=1")
     if not np.any(tokens.mask):
         raise EmptyAttentionError("self-attention over a fully masked token grid")
-    n, d = tokens.n_tokens, config.model_dim
+    n, d = tokens.n_tokens, config.head_dim
     valid = np.flatnonzero(tokens.mask)
     x = _embed(tokens, config)[valid]
     if config.encoding in _ROTARY:
@@ -414,7 +400,7 @@ def self_attention_jacobian(
     k = np.einsum("nij,nj->ni", bk, x)
     v = x @ weights.wv.T
     tau = config.scale
-    attn = _masked_softmax(tau * (q @ k.T)[None], np.ones(len(valid), bool))[0]
+    attn = _masked_softmax(tau * (q @ k.T), np.ones(len(valid), bool))
     out = attn @ v
 
     # d logit_ij / d x_m = [m == i] gq[i, j] + [m == j] gk[i, j], and

@@ -19,7 +19,7 @@ import sys
 from . import experiments, formats
 from .angular import patch_angles
 from .camera import DEFAULT_LUT_RESOLUTION, DEFAULT_NEWTON_ITERATIONS
-from .errors import ConfigError, DomainError, FishropeError
+from .errors import ConfigError, DomainError, EmptyOverlapError, FishropeError
 from .experiments import CheckerPattern, LiftConfig, RetrievalBenchConfig
 from .fixtures import SCENE_CHECKER_ORIGIN, SCENE_CHECKER_SQUARE
 from .rope import ENCODINGS
@@ -123,6 +123,8 @@ def _cmd_angles(args) -> int:
     camera, _ = _require_calibration(args)
     out = _require_out(args)
     grid = patch_angles(camera, args.patch_size)
+    if grid.n_valid == 0:
+        raise EmptyOverlapError("no patch centers fall inside the image circle")
     if args.format == "bin":
         formats.write_anglemap_bin(out, grid)
     else:

@@ -78,13 +78,6 @@ def ray_directions(coords: np.ndarray) -> np.ndarray:
     )
 
 
-def _attention_config(encoding: str, feature_dim: int) -> AttentionConfig:
-    rotary = None
-    if encoding in ("axial_rope", "fishrope"):
-        rotary = RotaryConfig(dim=feature_dim)
-    return AttentionConfig(heads=1, head_dim=feature_dim, encoding=encoding, rotary=rotary)
-
-
 def _probe_tokens(
     encoding: str,
     angles: np.ndarray,
@@ -96,7 +89,9 @@ def _probe_tokens(
 
     The one place that picks each encoding's coords: fishrope reads
     (theta, phi), every other encoding pixels / (W, H), which vary
-    smoothly over [0, 1] of the image (`none` never reads them).
+    smoothly over [0, 1] of the image (`none` never reads them).  The
+    rotary kernel rotates by exactly these coords, so a scale on the
+    angles belongs here too.
     """
     if encoding == "fishrope":
         coords = angles
@@ -309,7 +304,7 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
     scores = []
     detail: dict[str, dict] = {}
     for idx, encoding in enumerate(config.encodings):
-        att = _attention_config(encoding, config.feature_dim)
+        att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
         keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
         enc_rng = np.random.default_rng([config.seed, 1000 + idx])
         perm = enc_rng.permutation(n_keys)
@@ -552,7 +547,7 @@ def bev_roundtrip(
     weights = ProjectionWeights.identity(config.feature_dim)
     scores = []
     for encoding in config.encodings:
-        att = _attention_config(encoding, config.feature_dim)
+        att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
         keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
         queries = _probe_tokens(encoding, cell_coords, cell_px, camera, config.feature_dim)
         t0 = time.perf_counter()
@@ -965,9 +960,9 @@ def check_softmax_rows(seed: int = 0) -> list[CheckResult]:
         mask=mask,
     )
     weights = ProjectionWeights.random(dim, seed=3)
-    config = _attention_config("fishrope", dim)
+    config = AttentionConfig(head_dim=dim, encoding="fishrope")
     logits = attention.logit_matrix(tokens, tokens, weights, config)
-    attn = attention._masked_softmax(logits[None], mask)[0]
+    attn = attention._masked_softmax(logits, mask)
     row_err = float(np.max(np.abs(np.sum(attn, axis=-1) - 1.0)))
     masked_weight = float(np.max(attn[:, ~mask])) if np.any(~mask) else 0.0
     return [
@@ -988,7 +983,7 @@ def check_shift_invariance(seed: int = 0) -> list[CheckResult]:
     weights = ProjectionWeights.random(dim, seed=4)
     out = []
     for encoding, shift in (("fishrope", (0.37, -0.81)), ("axial_rope", (13.0, -7.0))):
-        config = _attention_config(encoding, dim)
+        config = AttentionConfig(head_dim=dim, encoding=encoding)
         coords = (
             _sample_coords(rng, n, 1.5)
             if encoding == "fishrope"
@@ -1034,7 +1029,7 @@ def check_stability(seed: int = 0) -> list[CheckResult]:
         mask=np.ones(n, dtype=bool),
     )
     weights = ProjectionWeights.random(dim, seed=5)
-    config = _attention_config("fishrope", dim)
+    config = AttentionConfig(head_dim=dim, encoding="fishrope")
     out = attention.self_attention(tokens, weights, config)
     finite = bool(np.all(np.isfinite(out)))
     return [
@@ -1055,7 +1050,7 @@ def fd_self_attention_jacobian(
     step: float = 1e-5,
 ) -> np.ndarray:
     """Central finite-difference Jacobian of self_attention w.r.t. features."""
-    n, d = tokens.n_tokens, config.model_dim
+    n, d = tokens.n_tokens, config.head_dim
     jac = np.zeros((n * d, n * d))
     base = np.array(tokens.features)
     for col in range(n * d):
@@ -1087,7 +1082,7 @@ def check_gradient(seed: int = 0) -> list[CheckResult]:
         mask=np.ones(n, dtype=bool),
     )
     weights = ProjectionWeights.random(dim, seed=6)
-    config = _attention_config("fishrope", dim)
+    config = AttentionConfig(head_dim=dim, encoding="fishrope")
     analytic = attention.self_attention_jacobian(tokens, weights, config)
     numeric = fd_self_attention_jacobian(tokens, weights, config)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)

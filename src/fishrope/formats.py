@@ -63,13 +63,20 @@ def load_calibration(path) -> tuple[KannalaBrandtCamera, Extrinsics | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of over 4300 digits
             raise ConfigError(f"calibration file is not valid YAML: {exc}") from exc
     return calibration_from_dict(doc)
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A YAML int or float that a float64 holds; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float64's range
+        return False
+    return True
 
 
 def _require_numbers(what: str, value: Any, length: int | None) -> None:

@@ -17,15 +17,14 @@ depend only on coordinate differences:
     <rot(q, m), rot(k, n)> = <q, rot(k, n - m)>
 
 which `relative_logit` evaluates directly.  Angles are consumed as raw
-radians (theta in [0, theta_max], phi in [-pi, pi)); an optional
-angle_scale multiplies both before rotation.  Azimuth differences are
+radians (theta in [0, theta_max], phi in [-pi, pi)); a caller that wants
+another scale multiplies the coordinates.  Azimuth differences are
 NOT wrapped, so a pair straddling the phi = +/-pi seam is treated as
 far apart by every non-integer frequency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,14 +77,11 @@ class RotaryConfig:
         0 <= theta_dims <= dim); defaults to an equal dim/2 split.
         theta_dims = dim gives the theta-only variant.
     base: frequency base shared by both subspace schedules.
-    angle_scale: multiplies both angles before rotation (default 1,
-        i.e. raw radians).
     """
 
     dim: int
     theta_dims: int | None = None
     base: float = DEFAULT_BASE
-    angle_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.theta_dims is None:
@@ -100,8 +96,6 @@ class RotaryConfig:
             raise ConfigError("phi subspace dimension must be even")
         if not self.base > 1.0:
             raise ConfigError(f"frequency base must exceed 1, got {self.base}")
-        if not (self.angle_scale > 0.0 and math.isfinite(self.angle_scale)):
-            raise ConfigError(f"angle scale must be positive, got {self.angle_scale}")
 
     @property
     def phi_dims(self) -> int:
@@ -154,7 +148,7 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
         (slice(td, None), config.phi_schedule, positions[:, 1]),
     ):
         if sched is not None:
-            ang = config.angle_scale * angle[:, None] * sched.freqs[None, :]
+            ang = angle[:, None] * sched.freqs[None, :]
             out[:, cols] = _rotate_planes(x[:, cols], ang)
     return out
 

@@ -146,9 +146,7 @@ def test_criterion_5_angular_offset_invariance():
     weights = ProjectionWeights.random(dim, seed=42)
     shift = np.array([0.37, -0.81])
 
-    fish = AttentionConfig(
-        head_dim=dim, encoding="fishrope", rotary=RotaryConfig(dim=dim)
-    )
+    fish = AttentionConfig(head_dim=dim, encoding="fishrope")
     base = logit_matrix(
         TokenGrid(features=features, coords=coords, mask=mask),
         TokenGrid(features=features, coords=coords, mask=mask),
@@ -200,9 +198,7 @@ def test_criterion_6_gradient_check():
             mask=np.ones(n, bool),
         )
         weights = ProjectionWeights.random(dim, seed=seed + 100)
-        config = AttentionConfig(
-            head_dim=dim, encoding="fishrope", rotary=RotaryConfig(dim=dim)
-        )
+        config = AttentionConfig(head_dim=dim, encoding="fishrope")
         analytic = self_attention_jacobian(tokens, weights, config)
 
         # independent central finite differences, step 1e-5
@@ -316,9 +312,7 @@ def test_criterion_10_brute_force_oracle():
     keys = tokens_from_patches(patch, rng.standard_normal((64, dim)))
     queries = tokens_from_bev(bev, rng.standard_normal((100, dim)))
     weights = ProjectionWeights.random(dim, seed=78)
-    config = AttentionConfig(
-        head_dim=dim, encoding="fishrope", rotary=RotaryConfig(dim=dim)
-    )
+    config = AttentionConfig(head_dim=dim, encoding="fishrope")
     logits = logit_matrix(queries, keys, weights, config)
     q_proj = queries.features @ weights.wq.T
     k_proj = keys.features @ weights.wk.T

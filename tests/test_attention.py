@@ -41,10 +41,8 @@ def angular_tokens(rng, n, dim, mask=None):
     )
 
 
-def fishrope_config(dim, heads=1):
-    return AttentionConfig(
-        heads=heads, head_dim=dim, encoding="fishrope", rotary=RotaryConfig(dim=dim)
-    )
+def fishrope_config(dim):
+    return AttentionConfig(head_dim=dim, encoding="fishrope")
 
 
 class TestTokenGrid:
@@ -84,9 +82,11 @@ class TestAttentionConfig:
         with pytest.raises(ConfigError):
             AttentionConfig(encoding="learned")
 
-    def test_rotary_dim_must_match_head_dim(self):
-        with pytest.raises(ConfigError):
-            AttentionConfig(head_dim=8, encoding="fishrope", rotary=RotaryConfig(dim=4))
+    @pytest.mark.parametrize("encoding", ["axial_rope", "fishrope"])
+    def test_rotary_config_follows_head_dim(self, encoding):
+        assert AttentionConfig(head_dim=12, encoding=encoding).rotary == RotaryConfig(dim=12)
+        with pytest.raises(ConfigError, match="even"):
+            AttentionConfig(head_dim=7, encoding=encoding)
 
     def test_default_temperature(self):
         config = AttentionConfig(head_dim=16)
@@ -109,7 +109,7 @@ class TestSelfAttention:
         from fishrope.attention import _masked_softmax
 
         logits = logit_matrix(tokens, tokens, weights, config)
-        attn = _masked_softmax(logits[None], tokens.mask)[0]
+        attn = _masked_softmax(logits, tokens.mask)
         np.testing.assert_allclose(attn, 0.5, atol=1e-15)
         out = self_attention(tokens, weights, config)
         # uniform 0.5/0.5 over two identical values reproduces the value itself
@@ -182,41 +182,6 @@ class TestSelfAttention:
         out = self_attention(tokens, ProjectionWeights.random(8, seed=4), fishrope_config(8))
         assert np.all(np.isfinite(out))
 
-    def test_multi_head_is_per_head_reshape(self):
-        # two heads over dim 8 behave as independent 4-dim heads
-        rng = np.random.default_rng(4)
-        n, hd = 5, 4
-        x = rng.standard_normal((n, 2 * hd))
-        coords = np.stack([rng.uniform(0, 1.5, n), rng.uniform(-3, 3, n)], axis=-1)
-        blocks = [rng.standard_normal((hd, hd)) for _ in range(6)]
-        zero = np.zeros((hd, hd))
-        def two_head(b1, b2):
-            return np.block([[b1, zero], [zero, b2]])
-        weights2 = ProjectionWeights(
-            wq=two_head(blocks[0], blocks[1]),
-            wk=two_head(blocks[2], blocks[3]),
-            wv=two_head(blocks[4], blocks[5]),
-        )
-        config2 = AttentionConfig(
-            heads=2, head_dim=hd, encoding="fishrope", rotary=RotaryConfig(dim=hd)
-        )
-        out2 = self_attention(
-            TokenGrid(features=x, coords=coords, mask=np.ones(n, bool)), weights2, config2
-        )
-        for h in (0, 1):
-            sub = TokenGrid(
-                features=x[:, h * hd : (h + 1) * hd], coords=coords, mask=np.ones(n, bool)
-            )
-            w = ProjectionWeights(
-                wq=blocks[0 + h], wk=blocks[2 + h], wv=blocks[4 + h]
-            )
-            config1 = AttentionConfig(
-                heads=1, head_dim=hd, encoding="fishrope", rotary=RotaryConfig(dim=hd)
-            )
-            out1 = self_attention(sub, w, config1)
-            np.testing.assert_allclose(out2[:, h * hd : (h + 1) * hd], out1, atol=1e-12)
-
-
 class TestLogitMatrix:
     def test_encoding_none_plain_scaled_dot_products(self):
         rng = np.random.default_rng(5)
@@ -252,7 +217,7 @@ class TestLogitMatrix:
         )
         mask = np.ones(n, bool)
         weights = ProjectionWeights.random(dim, seed=42)
-        config = AttentionConfig(heads=1, head_dim=dim, encoding="sinusoidal")
+        config = AttentionConfig(head_dim=dim, encoding="sinusoidal")
         shift = np.array([0.37, -0.81])
         base = logit_matrix(
             TokenGrid(features=features, coords=coords, mask=mask),
@@ -336,19 +301,6 @@ class TestLogitArgmax:
         else:
             assert np.array_equal(chosen, np.argmax(logits, axis=-1))
 
-    @pytest.mark.parametrize("n_queries", [2, 6, 7])
-    def test_multi_head(self, monkeypatch, n_queries):
-        # two heads x 2 rows x 10 keys per tile
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
-        rng = np.random.default_rng(24)
-        q = angular_tokens(rng, n_queries, 16)
-        k = angular_tokens(rng, self.N_KEYS, 16)
-        weights = ProjectionWeights.random(16, seed=25)
-        config = fishrope_config(8, heads=2)
-        chosen = logit_argmax(q, k, weights, config)
-        assert chosen.shape == (2, n_queries)
-        assert np.array_equal(chosen, np.argmax(logit_matrix(q, k, weights, config), axis=-1))
-
     def test_peak_memory_bounded_by_tiles(self):
         n, dim = 4096, 16
         rng = np.random.default_rng(26)
@@ -390,14 +342,14 @@ class TestCrossAttention:
         return queries, keys
 
     @pytest.mark.parametrize("n_queries", [3, 9])
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("split", [1, 2])
     @pytest.mark.parametrize("encoding", ["none", "sinusoidal", "axial_rope", "fishrope"])
-    def test_streamed_equals_dense_oracle(self, monkeypatch, encoding, heads, n_queries):
-        # 40-logit tiles (of 80 in flight) against 10 keys: 4 query rows per
-        # tile for one head, 2 for two, so 9 queries end on a ragged tile
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
+    def test_streamed_equals_dense_oracle(self, monkeypatch, encoding, split, n_queries):
+        # 80 // split logits in flight make tiles of 4 query rows against 10
+        # keys, or of 2 rows when split is 2, so 9 queries end on a ragged tile
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80 // split)
         rng = np.random.default_rng(30)
-        dim = 8 * heads
+        dim = 8
         qmask = np.ones(n_queries, bool)
         qmask[1] = False
         kmask = np.ones(10, bool)
@@ -405,28 +357,18 @@ class TestCrossAttention:
         queries = angular_tokens(rng, n_queries, dim, mask=qmask)
         keys = angular_tokens(rng, 10, dim, mask=kmask)
         weights = ProjectionWeights.random(dim, seed=31)
-        config = AttentionConfig(
-            heads=heads,
-            head_dim=8,
-            encoding=encoding,
-            rotary=RotaryConfig(dim=8) if encoding in ("axial_rope", "fishrope") else None,
-        )
+        config = AttentionConfig(head_dim=dim, encoding=encoding)
         out, flags = cross_attention(queries, keys, weights, config)
-        logits = logit_matrix(queries, keys, weights, config).reshape(heads, n_queries, 10)
-        values = attention._project_heads(
-            attention._embed(keys, config), keys.coords, weights.wv, config, rotate=False
-        )
-        expected = dense_cross_attention(logits, kmask, values, flags)
+        logits = logit_matrix(queries, keys, weights, config)
+        values = attention._embed(keys, config) @ weights.wv.T
+        # the oracle takes a leading heads axis; the kernels have one head
+        expected = dense_cross_attention(logits[None], kmask, values[None], flags)
         np.testing.assert_array_equal(flags, qmask)
         np.testing.assert_array_equal(out, expected)
         self_out = self_attention(queries, weights, config)
         logits = logit_matrix(queries, queries, weights, config)
-        values = attention._project_heads(
-            attention._embed(queries, config), queries.coords, weights.wv, config, rotate=False
-        )
-        expected = dense_cross_attention(
-            logits.reshape(heads, n_queries, n_queries), qmask, values, qmask
-        )
+        values = attention._embed(queries, config) @ weights.wv.T
+        expected = dense_cross_attention(logits[None], qmask, values[None], qmask)
         np.testing.assert_array_equal(self_out, expected)
 
     def test_peak_memory_bounded_by_tiles(self):
@@ -446,19 +388,22 @@ class TestCrossAttention:
         assert out.shape == (n, dim)
         assert peak < 16 * 2**20
 
-    def test_camera_mismatch_rejected(self):
+    @pytest.mark.parametrize("kernel", [cross_attention, logit_matrix, logit_argmax])
+    def test_camera_mismatch_rejected(self, kernel):
+        # each kernel refuses, even when no key is valid and nothing is scored
         rng = np.random.default_rng(7)
         queries, keys = self._grids(rng)
         queries = TokenGrid(
             features=queries.features, coords=queries.coords, mask=queries.mask,
             camera_token="cam-a",
         )
-        keys = TokenGrid(
-            features=keys.features, coords=keys.coords, mask=keys.mask,
-            camera_token="cam-b",
-        )
-        with pytest.raises(ConfigError):
-            cross_attention(queries, keys, ProjectionWeights.identity(8), fishrope_config(8))
+        for key_mask in (keys.mask, np.zeros(5, bool)):
+            other = TokenGrid(
+                features=keys.features, coords=keys.coords, mask=key_mask,
+                camera_token="cam-b",
+            )
+            with pytest.raises(ConfigError, match="different cameras"):
+                kernel(queries, other, ProjectionWeights.identity(8), fishrope_config(8))
 
     def test_all_keys_masked_yields_zero_and_flag(self):
         rng = np.random.default_rng(8)
@@ -494,7 +439,7 @@ class TestCrossAttention:
         from fishrope.attention import _masked_softmax
 
         logits = logit_matrix(queries, keys, weights, config)
-        attn = _masked_softmax(logits[None], kmask)[0]
+        attn = _masked_softmax(logits, kmask)
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_array_equal(attn[:, ~kmask], 0.0)
 
@@ -562,16 +507,16 @@ class TestTilePool:
         affinity = set(range(n))
         monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: affinity, raising=False)
 
-    def _outputs(self, heads):
+    def _outputs(self, width):
         rng = np.random.default_rng(40)
         qmask = np.ones(self.N_QUERIES, bool)
         qmask[4] = False
         kmask = np.ones(self.N_KEYS, bool)
         kmask[[1, 8]] = False
-        queries = angular_tokens(rng, self.N_QUERIES, 8 * heads, mask=qmask)
-        keys = angular_tokens(rng, self.N_KEYS, 8 * heads, mask=kmask)
-        weights = ProjectionWeights.random(8 * heads, seed=41)
-        config = fishrope_config(8, heads=heads)
+        queries = angular_tokens(rng, self.N_QUERIES, 8 * width, mask=qmask)
+        keys = angular_tokens(rng, self.N_KEYS, 8 * width, mask=kmask)
+        weights = ProjectionWeights.random(8 * width, seed=41)
+        config = fishrope_config(8 * width)
         out, flags = cross_attention(queries, keys, weights, config)
         return (
             logit_argmax(queries, keys, weights, config),
@@ -580,21 +525,22 @@ class TestTilePool:
             flags,
         )
 
-    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("max_workers", [2, 4])
-    def test_worker_count_changes_no_bit(self, monkeypatch, heads, max_workers):
-        # 3 rows of 10 keys per tile, whatever the worker count: 13 queries
-        # make 5 tiles, the last one ragged; 4 workers outnumber 2 cores,
-        # and a short switch interval interleaves them as often as it can
+    def test_worker_count_changes_no_bit(self, monkeypatch, width, max_workers):
+        # 3 rows of 10 keys per tile, whatever the worker count or the head
+        # width (8 or 16): 13 queries make 5 tiles, the last one ragged;
+        # 4 workers outnumber 2 cores, and a short switch interval
+        # interleaves them as often as it can
         monkeypatch.setattr(attention, "MAX_TILE_WORKERS", max_workers)
-        monkeypatch.setattr(attention, "LOGIT_TILE", 30 * heads * max_workers)
+        monkeypatch.setattr(attention, "LOGIT_TILE", 30 * max_workers)
         self._cores(monkeypatch, 1)
-        serial = self._outputs(heads)
+        serial = self._outputs(width)
         self._cores(monkeypatch, max_workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = self._outputs(heads)
+            pooled = self._outputs(width)
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, pooled):
@@ -605,13 +551,13 @@ class TestTilePool:
         monkeypatch.setattr(attention, "LOGIT_TILE", 60)
         self._cores(monkeypatch, cores)
         rng = np.random.default_rng(42)
-        q, k = rng.standard_normal((1, 13, 4)), rng.standard_normal((1, 10, 4))
+        q, k = rng.standard_normal((13, 4)), rng.standard_normal((10, 4))
         seen, idents = np.zeros(13, int), set()
 
         def record(rows, tile):
             # 30 logits per tile on any worker count: 3 rows, then 1 ragged
-            assert tile.shape == (1, min(3, 13 - rows.start), 10)
-            assert rows.stop == rows.start + tile.shape[1]
+            assert tile.shape == (min(3, 13 - rows.start), 10)
+            assert rows.stop == rows.start + tile.shape[0]
             seen[rows] += 1
             idents.add(threading.get_ident())
 
@@ -624,7 +570,7 @@ class TestTilePool:
         monkeypatch.setattr(attention, "LOGIT_TILE", 60)
         self._cores(monkeypatch, 2)
         rng = np.random.default_rng(43)
-        q, k = rng.standard_normal((1, 13, 4)), rng.standard_normal((1, 10, 4))
+        q, k = rng.standard_normal((13, 4)), rng.standard_normal((10, 4))
         before = threading.active_count()
 
         def fail_on_second_tile(rows, tile):
@@ -660,8 +606,7 @@ class TestJacobian:
         coords[~mask] = np.nan
         tokens = TokenGrid(features=rng.standard_normal((n, dim)), coords=coords, mask=mask)
         weights = ProjectionWeights.random(dim, seed=14)
-        rotary = RotaryConfig(dim=dim) if encoding in ("axial_rope", "fishrope") else None
-        config = AttentionConfig(head_dim=dim, encoding=encoding, rotary=rotary)
+        config = AttentionConfig(head_dim=dim, encoding=encoding)
         analytic = self_attention_jacobian(tokens, weights, config)
         numeric = fd_self_attention_jacobian(tokens, weights, config, step=1e-5)
         scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -680,12 +625,3 @@ class TestJacobian:
         # masked token contributes nothing in either direction
         np.testing.assert_array_equal(analytic[16:24], 0.0)
         np.testing.assert_array_equal(analytic[:, 16:24], 0.0)
-
-    def test_multi_head_not_supported(self):
-        rng = np.random.default_rng(15)
-        tokens = angular_tokens(rng, 3, 8)
-        config = AttentionConfig(
-            heads=2, head_dim=4, encoding="fishrope", rotary=RotaryConfig(dim=4)
-        )
-        with pytest.raises(ConfigError):
-            self_attention_jacobian(tokens, ProjectionWeights.identity(8), config)

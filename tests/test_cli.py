@@ -360,17 +360,22 @@ class TestInputContract:
             (("image_size", 0), 1024.7, ["angles", "lift"], "image size must be whole numbers"),
             (("image_size", 0), 1e12, ["angles", "bench", "lift"], f"limit of {MAX_BEV_CELLS}"),
             (("image_size", 1), 1e300, ["angles", "bench", "lift"], f"limit of {MAX_BEV_CELLS}"),
+            (("coeffs", 1), 10**400, ["angles"], "'coeffs' must be a list of one or more"),
+            (("theta_max",), 10**400, ["angles"], "'theta_max' must be a number"),
+            (("extrinsics", "translation", 0), 10**400, ["lift"], "'translation' must be a list"),
         ],
         ids=[
             "rotation-nan", "translation-inf", "rotation-str", "rotation-mapping",
             "extrinsics-scalar", "fractional-size", "huge-size", "huger-size",
+            "coeffs-huge-int", "theta-max-huge-int", "translation-huge-int",
         ],
     )
     def test_bad_calibration_entry(self, calib, tmp_path, capsys, path, value, commands,
                                    message):
         # each once ended in a traceback, in a numpy warning and exit 1, or, for
         # the fractional size, in exit 0 on a silently truncated image; the huge
-        # sizes are refused before any patch array is built
+        # sizes are refused before any patch array is built, and an int too
+        # large for a float64 (10**400) before it reaches float()
         bad = _edited_calibration(calib, tmp_path, path, value)
         out = tmp_path / "r.out"
         for command in commands:
@@ -378,6 +383,16 @@ class TestInputContract:
                 warnings.simplefilter("error", RuntimeWarning)
                 argv = [command, "--calib", bad, "--out", str(out)]
                 self._exits_2_with_one_line(argv, out, capsys, message)
+
+    def test_angles_without_a_valid_patch(self, calib, tmp_path, capsys):
+        # a run-time failure, as bench and lift report it, found before any
+        # map is written
+        bad = _edited_calibration(calib, tmp_path, ("theta_max",), 1.0e-300)
+        out = tmp_path / "angles.csv"
+        assert main(["angles", "--calib", bad, "--out", str(out), "--patch-size", "64"]) == 1
+        err = capsys.readouterr().err
+        assert err == "failure: no patch centers fall inside the image circle\n"
+        assert not out.exists()
 
 
 def _ints(low, high):
@@ -504,7 +519,9 @@ _CALIBRATION_PATHS = [
     ("extrinsics", "rotation", 4), ("extrinsics", "translation", 2),
 ]
 # No size here allocates: a huge image is refused before its patch grid is built.
-_CALIBRATION_VALUES = [math.nan, math.inf, -1, 0, 1024.7, 1e12, "abc", None, [], {}, 5]
+_CALIBRATION_VALUES = [
+    math.nan, math.inf, -1, 0, 1024.7, 1e12, 10**400, "abc", None, [], {}, 5
+]
 
 
 @_fuzz_settings(60)

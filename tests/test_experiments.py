@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fishrope import (
+    AttentionConfig,
     CheckerPattern,
     ConfigError,
     EmptyOverlapError,
@@ -266,6 +267,28 @@ def test_report_config_names_every_setting():
     for config, report in ((RetrievalBenchConfig, bench), (LiftConfig, lift)):
         names = {f.name for f in dataclasses.fields(config)} - {"camera"}
         assert names <= set(report.as_dict()["config"]), config
+
+
+def test_settable_fields_are_pinned():
+    # a ratchet on knobs: a new field fails here, so adding one is a test
+    # change to accept on purpose; a fixed value belongs in a constant
+    settable = {
+        config.__name__: tuple(f.name for f in dataclasses.fields(config) if f.init)
+        for config in (
+            AttentionConfig, RotaryConfig, RetrievalBenchConfig, LiftConfig, CheckerPattern
+        )
+    }
+    assert settable == {
+        "AttentionConfig": ("head_dim", "encoding"),
+        "RotaryConfig": ("dim", "theta_dims", "base"),
+        "RetrievalBenchConfig": (
+            "camera", "patch_size", "n_queries", "seed", "encodings", "feature_dim"
+        ),
+        "LiftConfig": (
+            "extent", "resolution", "patch_size", "feature_dim", "encodings", "seed"
+        ),
+        "CheckerPattern": ("square", "origin"),
+    }
 
 
 class TestSelfCheck:

@@ -96,6 +96,14 @@ class TestCalibration:
         with pytest.raises(ConfigError):
             formats.load_calibration(path)
 
+    def test_rejects_an_integer_too_long_to_parse(self, tmp_path):
+        # Python refuses to parse an int of over 4300 digits, and the YAML
+        # loader raises that ValueError, not a YAMLError
+        path = tmp_path / "long.yaml"
+        path.write_text("theta_max: " + "1" * 5000 + "\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            formats.load_calibration(path)
+
     def test_repo_fixture_matches_builtin(self, calibration_path):
         cam, ext = formats.load_calibration(calibration_path)
         assert cam == wide_camera()

@@ -113,11 +113,12 @@ class TestApplyFishrope:
     def test_matches_dense_matrix_oracle_random(self):
         rng = np.random.default_rng(2)
         for dim, td, base, scale in [(8, 4, 10000.0, 1.0), (12, 8, 50.0, 2.5), (6, 0, 7.0, 1.0)]:
-            config = RotaryConfig(dim=dim, theta_dims=td, base=base, angle_scale=scale)
+            # a caller scales the angles by scaling the coordinates it rotates by
+            config = RotaryConfig(dim=dim, theta_dims=td, base=base)
             mat = dense_rotation(dim, td, base, 0.9, -2.1, angle_scale=scale)
             x = rng.standard_normal(dim)
             np.testing.assert_allclose(
-                _rotate(x, (0.9, -2.1), config), mat @ x, atol=1e-13
+                _rotate(x, (scale * 0.9, scale * -2.1), config), mat @ x, atol=1e-13
             )
 
     def test_product_rotation_matrix_agrees_with_oracle(self):
@@ -144,8 +145,6 @@ class TestApplyFishrope:
             RotaryConfig(dim=8, theta_dims=10)
         with pytest.raises(ConfigError):
             RotaryConfig(dim=8, base=0.5)
-        with pytest.raises(ConfigError):
-            RotaryConfig(dim=8, angle_scale=0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -164,7 +163,7 @@ class TestApplyFishrope:
 
 def _logits(encoding, features, coords):
     """Single-head logit_matrix of tokens over themselves, identity weights."""
-    config = AttentionConfig(head_dim=8, encoding=encoding, rotary=RotaryConfig(dim=8))
+    config = AttentionConfig(head_dim=8, encoding=encoding)
     tokens = TokenGrid(features=features, coords=coords, mask=np.ones(len(coords), bool))
     return logit_matrix(tokens, tokens, ProjectionWeights.identity(8), config)
 
