@@ -40,7 +40,6 @@ shared between calls.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,7 +48,7 @@ import numpy as np
 
 from . import rope
 from .angular import BevGrid, PatchGrid
-from .camera import _readonly
+from .camera import _readonly, _usable_cores
 from .errors import ConfigError, EmptyAttentionError, ShapeError
 from .rope import ENCODINGS, RotaryConfig
 
@@ -246,11 +245,7 @@ def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
     k_t = np.ascontiguousarray(k.T)
     step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
     starts = range(0, n_q, step)
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    n_workers = max(1, min(cores, MAX_TILE_WORKERS, len(starts)))
+    n_workers = max(1, min(_usable_cores(), MAX_TILE_WORKERS, len(starts)))
     bufs = [np.empty((step, n_k)) for _ in range(n_workers)]
     errors: list[BaseException] = []
 

@@ -26,6 +26,7 @@ it rather than extrapolating the polynomial outside its fitted range.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,6 +82,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity set, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

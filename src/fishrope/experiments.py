@@ -54,6 +54,10 @@ ROPE_CHECK_BLOCK = 50
 # a huge allocation or a run that does not end.
 MAX_FEATURE_DIM = 1024
 MAX_BENCH_QUERIES = 2**16
+# The bench holds dense n_queries x n_keys float64 logits for both query sets
+# plus their temporaries; at a product just under this its peak RSS was
+# 616 MiB (Linux x86-64, one BLAS thread).
+MAX_BENCH_LOGITS = 2**24
 
 # Fixed scoring constants; every report records them in its `config` block.
 PERIPHERY_BAND = (0.7, 0.98)  # bench periphery query radii, as fractions of r_max
@@ -274,6 +278,11 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
     if n_keys == 0:
         raise EmptyOverlapError("no patch centers fall inside the image circle")
     _require_two_keys(n_keys, config.patch_size, "retrieval")
+    if config.n_queries * n_keys > MAX_BENCH_LOGITS:
+        raise ConfigError(
+            f"n_queries {config.n_queries} x {n_keys} keys (patch size {config.patch_size}) "
+            f"is above the limit of {MAX_BENCH_LOGITS} logits"
+        )
 
     offset = 0.05 * camera.r_max
     extent_ratio = camera.angular_extent_ratio(offset)
@@ -341,7 +350,8 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
                 runtime_s=runtime,
             )
         )
-        detail[encoding] = per_set
+        if return_detail:
+            detail[encoding] = per_set
 
     report = BenchReport(
         config_summary={

@@ -14,8 +14,14 @@ Formats (bit-exact layouts documented in the README):
                 configs and seeds serialize byte-identically; CSV tables
                 alongside for plotting.
 
-Every CSV goes through `_write_csv`: floats as repr (exact float64
-round-trips), CSV_BLOCK_ROWS rows at a time.  Readers raise FormatError
+Every CSV goes through `_write_csv`: every value as str (for floats that
+is repr, so float64 round-trips exactly), CSV_BLOCK_ROWS rows at a time.
+A table of two or more blocks is formatted in two processes where the
+platform forks, a second core is usable and no other Python thread runs:
+a forked child writes the second half to a temporary file that the
+parent appends, with the same bytes as one process writes.
+
+Readers raise FormatError
 on an unknown magic, tag or version; a non-finite header value, or a
 count (rows, cols, patch_size, resolution) that is not a non-negative
 whole number; a body of the wrong length or of partial float64s; a
@@ -30,14 +36,17 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+import tempfile
+import threading
 from typing import Any
 
 import numpy as np
 import yaml
 
 from .angular import PatchGrid
-from .camera import Extrinsics, InverseLut, KannalaBrandtCamera
-from .errors import ConfigError, FormatError
+from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _usable_cores
+from .errors import ConfigError, FishropeError, FormatError
 
 ANGLE_MAP_MAGIC = 982451653.0
 LUT_MAGIC = 514229.0
@@ -148,18 +157,55 @@ def save_calibration(
 def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> None:
     """Write the preamble lines, the header row, then one row per column entry.
 
-    Columns are equal-length 1-D arrays.  Floats are written with repr and
-    other values with str, CSV_BLOCK_ROWS rows at a time.
+    Columns are equal-length 1-D arrays, and every value is written with
+    str (for a float that is repr), CSV_BLOCK_ROWS rows at a time.  A
+    table of at least two blocks is split at a block boundary when the
+    process may fork, has a second usable core and runs no other Python
+    thread: a forked child formats the second half into an unnamed
+    temporary file while this process formats the first half, then this
+    process appends the child's bytes.  Either way the bytes are the same.
     """
     n_rows = len(columns[0]) if columns else 0
+    row = ",".join(["%s"] * len(columns)) + "\n"
+
+    def write_rows(write, start: int, stop: int) -> None:
+        for lo in range(start, stop, CSV_BLOCK_ROWS):
+            block = [column[lo : min(lo + CSV_BLOCK_ROWS, stop)].tolist() for column in columns]
+            write("".join([row % values for values in zip(*block)]))
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in [*preamble, ",".join(header)]))
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = [
-                [repr(float(x)) if isinstance(x, float) else str(x) for x in values.tolist()]
-                for values in (column[start : start + CSV_BLOCK_ROWS] for column in columns)
-            ]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*block)))
+        if not (
+            n_rows >= 2 * CSV_BLOCK_ROWS
+            and hasattr(os, "fork")
+            and _usable_cores() >= 2
+            and threading.active_count() == 1  # no lock held by a thread the child lacks
+        ):
+            write_rows(fh.write, 0, n_rows)
+            return
+        half = CSV_BLOCK_ROWS * round(n_rows / (2 * CSV_BLOCK_ROWS))
+        with tempfile.TemporaryFile() as tail:
+            pid = os.fork()
+            if pid == 0:  # the child leaves only through os._exit
+                status = 1
+                try:
+                    write_rows(lambda text: tail.write(text.encode("utf-8")), half, n_rows)
+                    tail.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            try:
+                write_rows(fh.write, 0, half)
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0:
+                raise FishropeError(
+                    f"the process writing rows {half}..{n_rows} of {path} failed "
+                    f"(exit code {code})"
+                )
+            tail.seek(0)  # the child moved the shared offset to its end
+            fh.flush()
+            shutil.copyfileobj(tail, fh.buffer)
 
 
 def _header_value(name: str, value) -> int | float:

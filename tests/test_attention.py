@@ -504,8 +504,7 @@ class TestTilePool:
 
     @staticmethod
     def _cores(monkeypatch, n):
-        affinity = set(range(n))
-        monkeypatch.setattr(attention.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(attention, "_usable_cores", lambda: n)
 
     def _outputs(self, width):
         rng = np.random.default_rng(40)

@@ -16,7 +16,7 @@ from fishrope import formats, patch_angles
 from fishrope.angular import MAX_BEV_CELLS, MAX_PATCH_SIZE
 from fishrope.camera import MAX_LUT_RESOLUTION, MAX_NEWTON_ITERATIONS
 from fishrope.cli import _build_parser, main
-from fishrope.experiments import MAX_BENCH_QUERIES, MAX_FEATURE_DIM
+from fishrope.experiments import MAX_BENCH_LOGITS, MAX_BENCH_QUERIES, MAX_FEATURE_DIM
 from fishrope.fixtures import wide_camera
 from fishrope.rope import ENCODINGS
 
@@ -257,6 +257,37 @@ class TestInputContract:
         out = tmp_path / "r.out"
         argv = argv + [str(limit + 1), "--calib", calib, "--out", str(out)]
         self._exits_2_with_one_line(argv, out, capsys, f"above the limit of {limit}")
+
+    @pytest.mark.parametrize(
+        "extra, pairs",
+        [
+            (["--patch-size", "1"], "n_queries 512 x 805368 keys"),
+            (["--patch-size", "2", "--n-queries", "4096"], "n_queries 4096 x 201348 keys"),
+        ],
+        ids=["patch-size-1", "patch-size-2-queries-4096"],
+    )
+    def test_bench_logits_above_ceiling(self, calib, tmp_path, extra, pairs):
+        # Each flag passes its own ceiling, but the dense logits would take 3 to
+        # 6 GiB.  The run gets a 1.5 GB address-space limit, so a build without
+        # the product ceiling fails its allocation instead of filling the host.
+        out = tmp_path / "r.yaml"
+        run = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))\n"
+            "from fishrope.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["bench", "--calib", calib, "--out", str(out)] + extra
+        result = subprocess.run(
+            [sys.executable, "-c", run, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 2, result.stderr
+        err = result.stderr
+        assert err.startswith("error: ") and pairs in err
+        assert f"above the limit of {MAX_BENCH_LOGITS} logits" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("dim", ["6", "0"])
     def test_lift_feature_dim(self, calib, tmp_path, capsys, dim):

@@ -1,12 +1,16 @@
 import math
+import os
+import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fishrope import ConfigError, FormatError, patch_angles
+from fishrope import ConfigError, FishropeError, FormatError, patch_angles
+from fishrope.cli import main
 from fishrope.fixtures import scene_extrinsics, wide_camera
 from fishrope import formats
 
@@ -220,6 +224,131 @@ class TestReportsAndTables:
         assert whole[2].decode().splitlines()[2] == "b,0.30000000000000004,2"
 
 
+def _cores(monkeypatch, n):
+    """Make the CSV writer see n usable cores."""
+    monkeypatch.setattr(formats, "_usable_cores", lambda: n)
+
+
+def _count_forks(monkeypatch) -> list:
+    """Record each os.fork call made in this process; the fork still happens."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The body rows as the per-value writer formatted them: repr for floats."""
+    rows = zip(*[column.tolist() for column in columns])
+    lines = [",".join(header)] + [
+        ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
+        for row in rows
+    ]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+class TestSplitWriter:
+    """Tables of two or more blocks are formatted by two processes, same bytes."""
+
+    _FLOATS = [
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.0, -2.5e-300,
+    ]
+    _INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 7]
+
+    def _columns(self, n_rows):
+        # np.resize repeats each list of values over n_rows
+        floats = np.resize(np.array(self._FLOATS), n_rows)
+        report = np.array(["fishrope", np.float64(0.1) * 3, 3, True, math.nan, -0.0, "a b"],
+                          dtype=object)
+        return [
+            np.resize(np.array(self._INTS, dtype=np.int64), n_rows),
+            floats,
+            floats[::-1].copy(),
+            (np.arange(n_rows) % 2).astype(np.uint8),
+            np.resize(report, n_rows),
+        ]
+
+    @pytest.mark.parametrize("n_rows", [4, 5, 7, 9, 16])
+    def test_split_and_in_process_bytes_identical(self, tmp_path, monkeypatch, n_rows):
+        # 2-row blocks: 4 rows make the smallest split table, 7 rows an odd block count
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        header = ["i", "x", "y", "flag", "report"]
+        columns = self._columns(n_rows)
+        forks = _count_forks(monkeypatch)
+        written = {}
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            path = tmp_path / f"{cores}.csv"
+            formats._write_csv(path, ["# preamble"], header, columns)
+            written[cores] = path.read_bytes()
+        assert len(forks) == 1  # only the 2-core write split
+        assert written[1] == written[2]
+        assert written[2] == b"# preamble\n" + _reference_csv(header, columns)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_under_two_blocks_stays_in_process(self, tmp_path, monkeypatch, n_rows):
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        _cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        columns = [np.arange(n_rows), np.full(n_rows, 0.5)]
+        formats._write_csv(tmp_path / "t.csv", [], ["i", "x"], columns)
+        assert forks == []
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "x"], columns)
+
+    def test_failed_child_raises(self, tmp_path, monkeypatch):
+        # a value that cannot be formatted sits in the child's half only
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("unprintable")
+
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        _cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        column = np.array([1, 2, 3, Unprintable()], dtype=object)
+        with pytest.raises(FishropeError, match=r"rows 2\.\.4 .* failed"):
+            formats._write_csv(tmp_path / "t.csv", [], ["x"], [column])
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_child_exits_1_with_one_line(self, calibration_path, tmp_path, monkeypatch,
+                                               capsys):
+        # the child cannot write its temporary file, as on a full disk
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        _cores(monkeypatch, 2)
+        read_only = types.SimpleNamespace(TemporaryFile=lambda: open(os.devnull, "rb"))
+        monkeypatch.setattr(formats, "tempfile", read_only)
+        out = tmp_path / "lut.csv"
+        argv = ["lut", "--calib", str(calibration_path), "--resolution", "16", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure: ") and "failed" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        _cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        columns = [np.arange(9), np.linspace(0.0, 1.0, 9)]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            formats._write_csv(tmp_path / "t.csv", [], ["i", "x"], columns)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert forks == []
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "x"], columns)
+
+
 class TestCsvWriterMemory:
     """The CSV writer holds one block of rows, never the whole file's text."""
 
@@ -231,9 +360,11 @@ class TestCsvWriterMemory:
         ],
         ids=["anglemap", "lut"],
     )
-    def test_peak_memory_bounded_by_blocks(self, tmp_path, write, make):
+    def test_peak_memory_bounded_by_blocks(self, tmp_path, monkeypatch, write, make):
         artifact = make()
         path = tmp_path / "out.csv"
+        _cores(monkeypatch, 2)  # split in two processes; this one formats half
+        forks = _count_forks(monkeypatch)
         tracemalloc.start()
         try:
             write(path, artifact)
@@ -242,6 +373,7 @@ class TestCsvWriterMemory:
             tracemalloc.stop()
         # Blocked: under 4 MiB.  Formatting every row at once peaks near
         # 25 MiB, and building the text in one buffer near 9 MiB.
+        assert len(forks) == 1
         assert path.stat().st_size > 2**21
         assert peak < 6 * 2**20
 
