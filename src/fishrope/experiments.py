@@ -28,6 +28,7 @@ of the serialized form for that reason and reported separately.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -48,6 +49,9 @@ REPORT_FORMAT_VERSION = 1
 # and goes through the batched kernel at once; bounding it keeps peak memory
 # flat in the draw count.
 ROPE_CHECK_BLOCK = 50
+# Most rows the norm and self-logit checks gather across blocks into one
+# kernel call; at dim 32 that is 64 KiB of features.
+ROPE_CHECK_ROWS = 256
 
 # Ceilings on the experiment sizes a user can ask for, well above the
 # defaults (16 and 512), so a mistyped value is a config error rather than
@@ -849,14 +853,29 @@ def _blocks(n: int):
 
 
 def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
+    """Rotation keeps every row's norm.
+
+    Each block draws its dim, rows and coordinates in turn.  The blocks of
+    each dim go through the kernel together, in one call once that dim
+    holds ROPE_CHECK_ROWS rows' worth of blocks, and at the end.
+    """
     rng = np.random.default_rng([seed, 4])
     worst = 0.0
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def rotate(dim: int) -> float:
+        x, coords = (np.concatenate(part) for part in zip(*pending.pop(dim)))
+        y = rope.apply_rotary_batch(x, coords, RotaryConfig(dim=dim))
+        return float(np.max(np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))))
+
     for rows in _blocks(n):
-        config = RotaryConfig(dim=int(rng.choice([4, 8, 16, 32])))
-        x = rng.standard_normal((rows, config.dim))
-        y = rope.apply_rotary_batch(x, _sample_coords(rng, rows, 2.0), config)
-        gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
-        worst = max(worst, float(np.max(gap)))
+        dim = int(rng.choice([4, 8, 16, 32]))
+        x = rng.standard_normal((rows, dim))
+        if len(pending.get(dim, ())) == ROPE_CHECK_ROWS // ROPE_CHECK_BLOCK:
+            worst = max(worst, rotate(dim))
+        pending.setdefault(dim, []).append((x, _sample_coords(rng, rows, 2.0)))
+    for dim in list(pending):
+        worst = max(worst, rotate(dim))
     return [
         CheckResult(
             name="rope.norm_preservation",
@@ -939,15 +958,30 @@ def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult
 
 
 def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
-    """With q = k and nonzero pairs, the logit peaks at zero separation."""
+    """With q = k and nonzero pairs, the logit peaks at zero separation.
+
+    Each of the 200 draws is one q and 51 separations, the first zero.
+    The draws that fit ROPE_CHECK_ROWS rows are rotated in one kernel
+    call, and each logit <q, rot(q, delta)> is summed over dims left to
+    right: the order `relative_logit` sums in for one shared k, so the
+    margin is the same bit for bit as one `relative_logit` call per draw.
+    """
     rng = np.random.default_rng([seed, 7])
     config = RotaryConfig(dim=16)
     margin = np.inf
-    for _ in range(200):
-        q = rng.standard_normal(16)
-        deltas = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (50, 2))])
-        logits = rope.relative_logit(q, q, (deltas[:, 0], deltas[:, 1]), config)
-        margin = min(margin, float(np.min(logits[0] - logits[1:])))
+    per_call = ROPE_CHECK_ROWS // 51
+    for start in range(0, 200, per_call):
+        draws = min(per_call, 200 - start)
+        q = np.empty((draws, 16))
+        deltas = np.zeros((draws, 51, 2))
+        for i in range(draws):
+            q[i] = rng.standard_normal(16)
+            deltas[i, 1:] = rng.uniform(-3.0, 3.0, (50, 2))
+        q = np.repeat(q, 51, axis=0)
+        products = rope.apply_rotary_batch(q, deltas.reshape(-1, 2), config)
+        products *= q
+        logits = functools.reduce(np.add, products.T).reshape(draws, 51)
+        margin = min(margin, float(np.min(logits[:, :1] - logits[:, 1:])))
     return [
         CheckResult(
             name="rope.self_logit_max",

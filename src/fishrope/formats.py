@@ -21,6 +21,12 @@ platform forks, a second core is usable and no other Python thread runs:
 a forked child writes the second half to a temporary file that the
 parent appends, with the same bytes as one process writes.
 
+Every writer goes through `_replacing`: it writes a new sibling of its
+path and renames it over the path only once the write has finished, so
+a failed write leaves what was there before.  YAML uses libyaml's safe
+dumper and loader where PyYAML has them, which give the pure-Python
+classes' bytes and trees.
+
 Readers raise FormatError
 on an unknown magic, tag or version; a non-finite header value, or a
 count (rows, cols, patch_size, resolution) that is not a non-negative
@@ -34,6 +40,7 @@ not finite and positive).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shutil
@@ -63,6 +70,39 @@ _LUT_CSV_TAG = "# fishrope-lut-csv"
 _ANGLE_BIN_FIELDS = ("rows", "cols", "patch_size", "theta_max", "reserved", "reserved")
 _COUNT_FIELDS = frozenset({"rows", "cols", "patch_size", "resolution"})
 
+# libyaml's emitter and parser where PyYAML was built with them; the
+# pure-Python classes give the same bytes and trees, more slowly.
+_YamlDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str):
+    """Yield a file open on a new sibling of path; replace path with it on success.
+
+    The sibling is created next to the file path names (through any
+    symlink), so `os.replace` swaps it in atomically; on any failure it
+    is removed and the file is left as it was.  A path that exists and is
+    not a regular file, such as /dev/null or a pipe, is written in place.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies
+    try:
+        with open(fd, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
 
 # -- calibration ------------------------------------------------------------
 
@@ -71,7 +111,7 @@ def load_calibration(path) -> tuple[KannalaBrandtCamera, Extrinsics | None]:
     """Parse a calibration file into a camera and optional extrinsics."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YamlLoader)
         except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of over 4300 digits
             raise ConfigError(f"calibration file is not valid YAML: {exc}") from exc
     return calibration_from_dict(doc)
@@ -147,8 +187,8 @@ def save_calibration(
             "rotation": [float(x) for x in extrinsics.rotation.reshape(-1)],
             "translation": [float(x) for x in extrinsics.translation],
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True)
+    with _replacing(path, "w") as fh:
+        yaml.dump(doc, fh, Dumper=_YamlDumper, sort_keys=True)
 
 
 # -- CSV writer and binary header reader --------------------------------------
@@ -173,7 +213,7 @@ def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> N
             block = [column[lo : min(lo + CSV_BLOCK_ROWS, stop)].tolist() for column in columns]
             write("".join([row % values for values in zip(*block)]))
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w") as fh:
         fh.write("".join(line + "\n" for line in [*preamble, ",".join(header)]))
         if not (
             n_rows >= 2 * CSV_BLOCK_ROWS
@@ -315,7 +355,7 @@ def write_anglemap_bin(path, grid: PatchGrid) -> None:
     body = np.concatenate(
         [grid.coords, grid.valid_mask[..., None].astype(np.float64)], axis=-1
     ).astype("<f8")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(body.tobytes())
 
@@ -336,7 +376,7 @@ def write_lut_bin(path, lut: InverseLut) -> None:
     header = np.array(
         [LUT_MAGIC, FORMAT_VERSION, lut.resolution, lut.r_max, lut.theta_max], dtype="<f8"
     )
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(lut.entries.astype("<f8").tobytes())
 
@@ -366,11 +406,11 @@ def write_lut_csv(path, lut: InverseLut) -> None:
 
 def dump_report_yaml(report: dict[str, Any]) -> str:
     """Deterministic YAML for report dicts: sorted keys, plain floats."""
-    return yaml.safe_dump(_plain(report), sort_keys=True)
+    return yaml.dump(_plain(report), Dumper=_YamlDumper, sort_keys=True)
 
 
 def write_report_yaml(path, report: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, "w") as fh:
         fh.write(dump_report_yaml(report))
 
 

@@ -11,6 +11,14 @@ so freqs[0] = 1 and frequencies decay geometrically.  Each subspace gets
 its own schedule over its own dimension count, which keeps freqs[0] = 1
 under any split.
 
+`apply_rotary_batch` rotates all dim/2 planes in one pass.  A
+RotaryConfig caches the frequency of every plane (`plane_freqs`, the
+theta planes first) and the position column each plane reads
+(`plane_axis`), so the angles are positions[:, plane_axis] * plane_freqs
+and one pass rotates every pair, ROTARY_TILE angles at a time.  The
+products are the ones a per-subspace loop would form, so the result is
+the same bit for bit.
+
 Because every rotation is orthogonal, inner products of rotated vectors
 depend only on coordinate differences:
 
@@ -37,6 +45,10 @@ ENCODINGS = ("none", "sinusoidal", "axial_rope", "fishrope")
 
 DEFAULT_BASE = 10000.0
 
+# Plane angles (rows x dim/2) that `apply_rotary_batch` works on at a time:
+# its two temporaries stay at 64 KiB each however many rows it rotates.
+ROTARY_TILE = 2**13
+
 
 @dataclass(frozen=True)
 class FrequencySchedule:
@@ -58,14 +70,19 @@ class FrequencySchedule:
             raise ConfigError("schedule frequencies must be strictly decreasing")
 
 
+def _geometric_freqs(subspace_dims: int, base: float) -> np.ndarray:
+    """base ** (-2 i / subspace_dims) for the subspace's subspace_dims/2 planes."""
+    i = np.arange(subspace_dims // 2, dtype=np.float64)
+    return base ** (-2.0 * i / subspace_dims)
+
+
 def make_schedule(subspace_dims: int, base: float = DEFAULT_BASE) -> FrequencySchedule:
     """Geometric frequency schedule for a rotary subspace of even dimension."""
     if subspace_dims < 2 or subspace_dims % 2 != 0:
         raise ConfigError(f"subspace dims must be even and >= 2, got {subspace_dims}")
     if not base > 1.0:
         raise ConfigError(f"frequency base must exceed 1, got {base}")
-    i = np.arange(subspace_dims // 2, dtype=np.float64)
-    return FrequencySchedule(freqs=base ** (-2.0 * i / subspace_dims))
+    return FrequencySchedule(freqs=_geometric_freqs(subspace_dims, base))
 
 
 @dataclass(frozen=True)
@@ -102,24 +119,37 @@ class RotaryConfig:
         return self.dim - self.theta_dims
 
     @cached_property
-    def theta_schedule(self) -> FrequencySchedule | None:
-        return make_schedule(self.theta_dims, self.base) if self.theta_dims else None
+    def plane_freqs(self) -> np.ndarray:
+        """Frequency of each of the dim/2 planes: the theta schedule, then the phi one."""
+        freqs = np.concatenate(
+            [_geometric_freqs(dims, self.base) for dims in (self.theta_dims, self.phi_dims)]
+        )
+        freqs.setflags(write=False)
+        return freqs
 
     @cached_property
-    def phi_schedule(self) -> FrequencySchedule | None:
-        return make_schedule(self.phi_dims, self.base) if self.phi_dims else None
+    def plane_axis(self) -> np.ndarray:
+        """Position column (0 theta, 1 phi) that rotates each plane."""
+        axis = np.repeat(np.array([0, 1]), [self.theta_dims // 2, self.phi_dims // 2])
+        axis.setflags(write=False)
+        return axis
 
 
-def _rotate_planes(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate consecutive pairs of x (..., 2P) by per-plane angles (..., P)."""
+def _rotate_planes(x: np.ndarray, angles: np.ndarray, out: np.ndarray) -> None:
+    """Write x (N, 2P) with consecutive pairs rotated by angles (N, P) to out.
+
+    angles is overwritten; the cosines are the one other array held.
+    """
+    even = x[:, 0::2]
+    odd = x[:, 1::2]
     c = np.cos(angles)
-    s = np.sin(angles)
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
+    s = np.sin(angles, out=angles)
+    out_even = out[:, 0::2]
+    out_odd = out[:, 1::2]
+    np.multiply(even, c, out=out_even)
+    np.multiply(odd, c, out=out_odd)
+    np.subtract(out_even, np.multiply(odd, s, out=c), out=out_even)
+    np.add(np.multiply(even, s, out=s), out_odd, out=out_odd)
 
 
 def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
@@ -128,8 +158,10 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
     positions carry (theta, phi) pairs, or normalized pixel pairs for
     the Cartesian baseline; rows rotate independently.  The first
     config.theta_dims entries rotate through the theta schedule, the
-    rest through the phi schedule.  `relative_logit` and the attention
-    kernels all go through here; a single vector is a one-row array.
+    rest through the phi schedule, in one pass over all dim/2 planes
+    of ROTARY_TILE // (dim/2) rows at a time.  `relative_logit` and the
+    attention kernels all go through here; a single vector is a one-row
+    array.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -139,17 +171,13 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
         raise ShapeError(
             f"positions must have shape ({x.shape[0]}, 2), got {positions.shape}"
         )
-    # The two subspaces tile all dim columns (a missing schedule means an
-    # empty subspace), so every column of out is written.
     out = np.empty_like(x)
-    td = config.theta_dims
-    for cols, sched, angle in (
-        (slice(0, td), config.theta_schedule, positions[:, 0]),
-        (slice(td, None), config.phi_schedule, positions[:, 1]),
-    ):
-        if sched is not None:
-            ang = angle[:, None] * sched.freqs[None, :]
-            out[:, cols] = _rotate_planes(x[:, cols], ang)
+    step = max(1, ROTARY_TILE // (config.dim // 2))
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        angles = positions[rows, config.plane_axis]
+        angles *= config.plane_freqs
+        _rotate_planes(x[rows], angles, out[rows])
     return out
 
 
@@ -170,9 +198,9 @@ def relative_logit(q, k, delta, config: RotaryConfig):
         )
     dtheta, dphi = (np.asarray(d, dtype=np.float64) for d in delta)
     batch = np.broadcast_shapes(q.shape[:-1], k.shape[:-1], dtheta.shape, dphi.shape)
-    positions = np.stack(
-        [np.broadcast_to(dtheta, batch), np.broadcast_to(dphi, batch)], axis=-1
-    )
+    positions = np.empty(batch + (2,))
+    positions[..., 0] = dtheta
+    positions[..., 1] = dphi
     rotated = apply_rotary_batch(
         np.broadcast_to(k, batch + (config.dim,)).reshape(-1, config.dim),
         positions.reshape(-1, 2),

@@ -90,3 +90,27 @@ def dense_cross_attention(logits: np.ndarray, key_mask: np.ndarray, values: np.n
     heads, n_q, head_dim = out_heads.shape
     out = np.moveaxis(out_heads, 0, 1).reshape(n_q, heads * head_dim)
     return np.where(query_flags[:, None], out, 0.0)
+
+
+def two_pass_rotary(x: np.ndarray, positions: np.ndarray, dim: int, theta_dims: int,
+                    base: float) -> np.ndarray:
+    """Rotate rows of x (N, dim) one subspace at a time, theta then phi.
+
+    Each non-empty subspace builds its own (N, planes) angle array from
+    its own geometric schedule and rotates its columns' consecutive pairs.
+    """
+    out = np.empty_like(x)
+    for cols, size, angle in ((slice(0, theta_dims), theta_dims, positions[:, 0]),
+                              (slice(theta_dims, dim), dim - theta_dims, positions[:, 1])):
+        if size == 0:
+            continue
+        freqs = base ** (-2.0 * np.arange(size // 2, dtype=np.float64) / size)
+        ang = angle[:, None] * freqs[None, :]
+        c, s = np.cos(ang), np.sin(ang)
+        sub = x[:, cols]
+        even, odd = sub[:, 0::2], sub[:, 1::2]
+        rotated = np.empty_like(sub)
+        rotated[:, 0::2] = even * c - odd * s
+        rotated[:, 1::2] = even * s + odd * c
+        out[:, cols] = rotated
+    return out

@@ -33,6 +33,7 @@ from fishrope.fixtures import (
     wide_camera,
 )
 from fishrope.formats import dump_report_yaml
+from fishrope.rope import apply_rotary_batch
 
 from .oracles import argmax_with_random_ties_loop, ranks_of_loop
 
@@ -322,6 +323,31 @@ class TestSelfCheck:
         assert results[0].passed
         assert rows == [block, block, 7]
         assert results[0].note == f"{n_draws} random draws"
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_gathered_rotary_checks_equal_their_per_block_loops(self, seed):
+        # at seeds 2 and 3 a pairwise sum over dims moves the self-logit margin
+        block = experiments.ROPE_CHECK_BLOCK
+        rng = np.random.default_rng([seed, 4])
+        worst = 0.0
+        for _ in range(2000 // block):
+            config = RotaryConfig(dim=int(rng.choice([4, 8, 16, 32])))
+            x = rng.standard_normal((block, config.dim))
+            theta = rng.uniform(0.0, 2.0, block)
+            phi = rng.uniform(-math.pi, math.pi, block)
+            y = apply_rotary_batch(x, np.stack([theta, phi], axis=-1), config)
+            gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
+            worst = max(worst, float(np.max(gap)))
+        assert experiments.check_norm_preservation(seed)[0].measured == worst
+
+        rng = np.random.default_rng([seed, 7])
+        margin = math.inf
+        for _ in range(200):
+            q = rng.standard_normal(16)
+            deltas = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (50, 2))])
+            logits = relative_logit(q, q, (deltas[:, 0], deltas[:, 1]), RotaryConfig(dim=16))
+            margin = min(margin, float(np.min(logits[0] - logits[1:])))
+        assert experiments.check_self_logit_max(seed)[0].measured == -margin
 
     @pytest.mark.parametrize("seed", range(16))
     def test_rotary_checks_pass_for_benchmark_seeds(self, seed):

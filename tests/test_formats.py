@@ -1,19 +1,26 @@
+import errno
 import math
 import os
+import pathlib
+import stat
 import threading
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishrope import ConfigError, FishropeError, FormatError, patch_angles
 from fishrope.cli import main
+from fishrope.experiments import CheckResult, SelfCheckReport
 from fishrope.fixtures import scene_extrinsics, wide_camera
 from fishrope import formats
 
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 _EYE = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -330,6 +337,7 @@ class TestSplitWriter:
         assert err.count("\n") == 1 and "Traceback" not in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == []  # neither lut.csv nor its temporary sibling
 
     def test_no_fork_while_another_thread_runs(self, tmp_path, monkeypatch):
         monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
@@ -347,6 +355,130 @@ class TestSplitWriter:
         assert not other.is_alive()
         assert forks == []
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "x"], columns)
+
+
+class _FullDisk:
+    """A file whose n-th write raises ENOSPC, as when the disk fills part way."""
+
+    def __init__(self, fh, fail_at):
+        self._fh, self._left = fh, fail_at
+
+    def write(self, data):
+        self._left -= 1
+        if self._left == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestReplacingOut:
+    """Every --out writer replaces the file whole or leaves it as it was."""
+
+    @pytest.mark.parametrize(
+        "argv, fail_at",
+        [
+            (["lut", "--resolution", "16"], 3),  # header, one block of rows, then the disk is full
+            (["lut", "--resolution", "16", "--format", "bin"], 2),  # after the header
+            (["angles", "--patch-size", "64", "--format", "bin"], 2),
+            (["selfcheck"], 1),
+        ],
+    )
+    def test_failed_write_leaves_earlier_out_untouched(self, calibration_path, tmp_path,
+                                                       monkeypatch, capsys, argv, fail_at):
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        _cores(monkeypatch, 1)  # the in-process path
+        monkeypatch.setattr(
+            formats, "open", lambda *a, **k: _FullDisk(open(*a, **k), fail_at), raising=False
+        )
+        out = tmp_path / "out"
+        out.write_bytes(b"an earlier run\n")
+        assert main(argv + ["--calib", str(calibration_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert out.read_bytes() == b"an earlier run\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_success_replaces_out_and_leaves_no_sibling(self, calibration_path, tmp_path):
+        out = tmp_path / "lut.bin"
+        out.write_bytes(b"an earlier run\n")
+        assert main(["lut", "--calib", str(calibration_path), "--format", "bin",
+                     "--resolution", "16", "--out", str(out)]) == 0
+        assert formats.read_lut_bin(out).resolution == 16
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlinked_out_replaces_its_target(self, calibration_path, tmp_path):
+        target, link = tmp_path / "lut.bin", tmp_path / "link.bin"
+        target.write_bytes(b"an earlier run\n")
+        link.symlink_to(target)
+        assert main(["lut", "--calib", str(calibration_path), "--format", "bin",
+                     "--resolution", "16", "--out", str(link)]) == 0
+        assert link.is_symlink() and formats.read_lut_bin(target).resolution == 16
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_out_that_is_not_a_regular_file_is_written_in_place(self, calibration_path,
+                                                                tmp_path):
+        pipe, plain = tmp_path / "pipe", tmp_path / "lut.bin"
+        os.mkfifo(pipe)
+        keeper = os.open(pipe, os.O_RDWR | os.O_NONBLOCK)  # a reader, so writing never blocks
+        try:
+            for out in (pipe, plain):
+                assert main(["lut", "--calib", str(calibration_path), "--format", "bin",
+                             "--resolution", "16", "--out", str(out)]) == 0
+            assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+            assert os.read(keeper, 1 << 16) == plain.read_bytes()
+        finally:
+            os.close(keeper)
+        assert sorted(tmp_path.iterdir()) == [plain, pipe]
+
+    def test_out_in_a_missing_directory_exits_3(self, calibration_path, tmp_path, capsys):
+        out = tmp_path / "absent" / "lut.csv"
+        assert main(["lut", "--calib", str(calibration_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestLibyamlParity:
+    """libyaml's dumper and loader give the pure-Python classes' bytes and trees."""
+
+    @staticmethod
+    def _both_dumps(tree):
+        return [yaml.dump(tree, Dumper=d, sort_keys=True)
+                for d in (yaml.CSafeDumper, yaml.SafeDumper)]
+
+    @pytest.mark.parametrize("name", ["bench.yaml", "lift.yaml", "selfcheck.yaml"])
+    def test_default_reports_dump_to_equal_bytes(self, name):
+        text = (REPO_ROOT / "results" / name).read_text(encoding="utf-8")
+        c_dump, py_dump = self._both_dumps(yaml.load(text, Loader=yaml.SafeLoader))
+        assert c_dump == py_dump == text
+
+    def test_report_with_a_failure_note_dumps_to_equal_bytes(self):
+        failed = CheckResult(
+            name="rope.relative_identity",
+            passed=False,
+            measured=math.inf,
+            tolerance=1e-12,
+            note="failure: the process writing rows 4096..65536 of out/angles.csv failed "
+            "(exit code 1); 'quoted', #hash, [brackets] and a long line to wrap",
+        )
+        report = SelfCheckReport(results=(failed,)).as_dict()
+        c_dump, py_dump = self._both_dumps(formats._plain(report))
+        assert c_dump == py_dump == formats.dump_report_yaml(report)
+        assert yaml.load(c_dump, Loader=yaml.CSafeLoader)["checks"][0]["note"] == failed.note
+
+    def test_loaders_parse_the_calibration_to_equal_dicts(self, calibration_path):
+        text = calibration_path.read_text(encoding="utf-8")
+        c_tree = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert c_tree == yaml.load(text, Loader=yaml.SafeLoader)
+        assert c_tree["model"] == "kannala_brandt"
 
 
 class TestCsvWriterMemory:

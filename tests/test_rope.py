@@ -18,9 +18,9 @@ from fishrope import (
 )
 from fishrope.experiments import _probe_tokens
 from fishrope.fixtures import k2_camera
-from fishrope.rope import apply_rotary_batch, sinusoidal_pe_batch
+from fishrope.rope import DEFAULT_BASE, ROTARY_TILE, apply_rotary_batch, sinusoidal_pe_batch
 
-from .oracles import dense_rotation
+from .oracles import dense_rotation, two_pass_rotary
 
 
 def _rotate(x, coord, config):
@@ -129,6 +129,30 @@ class TestApplyFishrope:
         np.testing.assert_allclose(
             rows.T, dense_rotation(10, 6, 300.0, 0.4, -1.0), atol=1e-15
         )
+
+    @pytest.mark.parametrize("base", [2.0, 7.3, 100.0, 10000.0])
+    def test_one_pass_equals_two_pass_bit_for_bit(self, base):
+        # every dim 2..64 and every even theta split, 0 and dim included
+        rng = np.random.default_rng(3)
+        for dim in range(2, 65, 2):
+            for theta_dims in range(0, dim + 1, 2):
+                x = rng.standard_normal((9, dim))
+                positions = rng.uniform(-7.0, 7.0, (9, 2))
+                got = apply_rotary_batch(x, positions, RotaryConfig(dim, theta_dims, base))
+                want = two_pass_rotary(x, positions, dim, theta_dims, base)
+                assert got.tobytes() == want.tobytes(), (dim, theta_dims)
+
+    def test_tiles_equal_two_pass_bit_for_bit(self):
+        # rows spanning several ROTARY_TILE tiles, of distinct rows and of one shared row
+        rng = np.random.default_rng(4)
+        for dim, theta_dims in [(2, 2), (16, 6), (64, 64)]:
+            rows = 3 * ROTARY_TILE // (dim // 2) + 5
+            positions = rng.uniform(-7.0, 7.0, (rows, 2))
+            shared = np.broadcast_to(rng.standard_normal(dim), (rows, dim))
+            for x in (rng.standard_normal((rows, dim)), shared):
+                got = apply_rotary_batch(x, positions, RotaryConfig(dim, theta_dims))
+                want = two_pass_rotary(x, positions, dim, theta_dims, DEFAULT_BASE)
+                assert got.tobytes() == want.tobytes(), (dim, theta_dims)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
