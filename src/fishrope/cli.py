@@ -13,16 +13,15 @@ the subcommand.  Exit codes form a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
-from . import experiments, formats
-from .angular import patch_angles
+# angular, experiments and fixtures load lazily (see fishrope/__init__.py):
+# only the commands that use them touch them, so the others never run them.
+from . import angular, experiments, fixtures, formats
 from .camera import DEFAULT_LUT_RESOLUTION, DEFAULT_NEWTON_ITERATIONS
 from .errors import ConfigError, DomainError, EmptyOverlapError, FishropeError
-from .experiments import CheckerPattern, LiftConfig, RetrievalBenchConfig
-from .fixtures import SCENE_CHECKER_ORIGIN, SCENE_CHECKER_SQUARE
-from .rope import ENCODINGS
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -76,32 +75,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", parents=[common], help="run every invariant check")
 
+    # bench and lift flags default to None: an unset flag takes the
+    # RetrievalBenchConfig, LiftConfig or fixture scene value when the
+    # command builds its config, so building the parser loads no experiment.
     p = sub.add_parser("bench", parents=[common], help="run the retrieval benchmark")
-    p.add_argument("--patch-size", type=int, default=RetrievalBenchConfig.patch_size)
-    p.add_argument("--n-queries", type=int, default=RetrievalBenchConfig.n_queries)
-    p.add_argument("--dim", type=int, default=RetrievalBenchConfig.feature_dim)
+    p.add_argument("--patch-size", type=int)
+    p.add_argument("--n-queries", type=int)
+    p.add_argument("--dim", type=int)
     p.add_argument(
         "--encodings",
-        default=",".join(RetrievalBenchConfig.encodings),
-        help="comma-separated subset of " + ",".join(ENCODINGS),
+        type=_parse_encodings,
+        # rope.ENCODINGS, written out so that the parser does not load rope;
+        # tests/test_cli.py pins the two equal.
+        help="comma-separated subset of none,sinusoidal,axial_rope,fishrope",
     )
 
     p = sub.add_parser("lift", parents=[common], help="run the BEV round-trip")
-    p.add_argument("--patch-size", type=int, default=LiftConfig.patch_size)
-    p.add_argument("--dim", type=int, default=LiftConfig.feature_dim)
-    p.add_argument("--extent", type=float, nargs=2, default=LiftConfig.extent)
-    p.add_argument("--resolution", type=float, default=LiftConfig.resolution)
+    p.add_argument("--patch-size", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--extent", type=float, nargs=2)
+    p.add_argument("--resolution", type=float)
+    p.add_argument("--checker", type=float, help="checker square size, m")
     p.add_argument(
-        "--checker", type=float, default=SCENE_CHECKER_SQUARE, help="checker square size, m"
-    )
-    p.add_argument(
-        "--checker-origin",
-        type=float,
-        nargs=2,
-        default=SCENE_CHECKER_ORIGIN,
-        help="checker square corner anchor, m",
+        "--checker-origin", type=float, nargs=2, help="checker square corner anchor, m"
     )
     return parser
+
+
+def _given(**fields) -> dict:
+    """The fields whose flags were set, two-value flags as tuples.
+
+    An unset flag is left out, so the field keeps its default.
+    """
+    return {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in fields.items()
+        if value is not None
+    }
 
 
 def _require_calibration(args, need_extrinsics: bool = False):
@@ -122,7 +132,7 @@ def _require_out(args) -> str:
 def _cmd_angles(args) -> int:
     camera, _ = _require_calibration(args)
     out = _require_out(args)
-    grid = patch_angles(camera, args.patch_size)
+    grid = angular.patch_angles(camera, args.patch_size)
     if grid.n_valid == 0:
         raise EmptyOverlapError("no patch centers fall inside the image circle")
     if args.format == "bin":
@@ -186,13 +196,15 @@ def _parse_encodings(raw: str) -> tuple[str, ...]:
 def _cmd_bench(args) -> int:
     camera, _ = _require_calibration(args)
     out = _require_out(args)
-    config = RetrievalBenchConfig(
+    config = experiments.RetrievalBenchConfig(
         camera=camera,
-        patch_size=args.patch_size,
-        n_queries=args.n_queries,
         seed=args.seed,
-        encodings=_parse_encodings(args.encodings),
-        feature_dim=args.dim,
+        **_given(
+            patch_size=args.patch_size,
+            n_queries=args.n_queries,
+            encodings=args.encodings,
+            feature_dim=args.dim,
+        ),
     )
     report = experiments.retrieval_bench(config)
     formats.write_report_yaml(out, report.as_dict())
@@ -213,19 +225,19 @@ def _cmd_bench(args) -> int:
 def _cmd_lift(args) -> int:
     camera, extrinsics = _require_calibration(args, need_extrinsics=True)
     out = _require_out(args)
-    config = LiftConfig(
-        extent=tuple(args.extent),
-        resolution=args.resolution,
-        patch_size=args.patch_size,
-        feature_dim=args.dim,
+    config = experiments.LiftConfig(
         seed=args.seed,
+        **_given(
+            extent=args.extent,
+            resolution=args.resolution,
+            patch_size=args.patch_size,
+            feature_dim=args.dim,
+        ),
     )
-    report = experiments.bev_roundtrip(
-        camera,
-        extrinsics,
-        CheckerPattern(square=args.checker, origin=tuple(args.checker_origin)),
-        config,
+    pattern = dataclasses.replace(
+        fixtures.scene_pattern(), **_given(square=args.checker, origin=args.checker_origin)
     )
+    report = experiments.bev_roundtrip(camera, extrinsics, pattern, config)
     formats.write_report_yaml(out, report.as_dict())
     header, rows = report.csv_rows()
     formats.write_csv_table(out + ".csv", header, rows)

@@ -28,7 +28,6 @@ of the serialized form for that reason and reported separately.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -961,10 +960,9 @@ def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
     """With q = k and nonzero pairs, the logit peaks at zero separation.
 
     Each of the 200 draws is one q and 51 separations, the first zero.
-    The draws that fit ROPE_CHECK_ROWS rows are rotated in one kernel
-    call, and each logit <q, rot(q, delta)> is summed over dims left to
-    right: the order `relative_logit` sums in for one shared k, so the
-    margin is the same bit for bit as one `relative_logit` call per draw.
+    The draws that fit ROPE_CHECK_ROWS rows go through one
+    `relative_logit` call, whose left-to-right sum over dims makes the
+    margin the same bit for bit as one call per draw.
     """
     rng = np.random.default_rng([seed, 7])
     config = RotaryConfig(dim=16)
@@ -977,10 +975,8 @@ def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
         for i in range(draws):
             q[i] = rng.standard_normal(16)
             deltas[i, 1:] = rng.uniform(-3.0, 3.0, (50, 2))
-        q = np.repeat(q, 51, axis=0)
-        products = rope.apply_rotary_batch(q, deltas.reshape(-1, 2), config)
-        products *= q
-        logits = functools.reduce(np.add, products.T).reshape(draws, 51)
+        q = q[:, None]
+        logits = rope.relative_logit(q, q, (deltas[..., 0], deltas[..., 1]), config)
         margin = min(margin, float(np.min(logits[:, :1] - logits[:, 1:])))
     return [
         CheckResult(

@@ -46,14 +46,16 @@ import os
 import shutil
 import tempfile
 import threading
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import yaml
 
-from .angular import PatchGrid
 from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _usable_cores
 from .errors import ConfigError, FishropeError, FormatError
+
+if TYPE_CHECKING:
+    from .angular import PatchGrid
 
 ANGLE_MAP_MAGIC = 982451653.0
 LUT_MAGIC = 514229.0

@@ -50,39 +50,10 @@ DEFAULT_BASE = 10000.0
 ROTARY_TILE = 2**13
 
 
-@dataclass(frozen=True)
-class FrequencySchedule:
-    """Per-plane rotation frequencies: positive, strictly decreasing, freqs[0] = 1."""
-
-    freqs: np.ndarray
-
-    def __post_init__(self) -> None:
-        freqs = np.array(self.freqs, dtype=np.float64)
-        freqs.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        if freqs.ndim != 1 or len(freqs) < 1:
-            raise ConfigError("schedule must be a non-empty 1-D array")
-        if freqs[0] != 1.0:
-            raise ConfigError(f"schedule must start at 1, got {freqs[0]}")
-        if np.any(freqs <= 0.0):
-            raise ConfigError("schedule frequencies must be positive")
-        if np.any(np.diff(freqs) >= 0.0):
-            raise ConfigError("schedule frequencies must be strictly decreasing")
-
-
 def _geometric_freqs(subspace_dims: int, base: float) -> np.ndarray:
     """base ** (-2 i / subspace_dims) for the subspace's subspace_dims/2 planes."""
     i = np.arange(subspace_dims // 2, dtype=np.float64)
     return base ** (-2.0 * i / subspace_dims)
-
-
-def make_schedule(subspace_dims: int, base: float = DEFAULT_BASE) -> FrequencySchedule:
-    """Geometric frequency schedule for a rotary subspace of even dimension."""
-    if subspace_dims < 2 or subspace_dims % 2 != 0:
-        raise ConfigError(f"subspace dims must be even and >= 2, got {subspace_dims}")
-    if not base > 1.0:
-        raise ConfigError(f"frequency base must exceed 1, got {base}")
-    return FrequencySchedule(freqs=_geometric_freqs(subspace_dims, base))
 
 
 @dataclass(frozen=True)
@@ -188,7 +159,9 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     coord_q, which equals the inner product of the absolutely rotated q
     and k.  q and k have shape (..., dim); dtheta and dphi are scalars or
     arrays, and all four broadcast over the leading batch shape.  Returns
-    an array of that shape (0-d when it is empty).
+    an array of that shape, or a float when the batch shape is empty.
+    Each logit adds its dim products left to right, so its bits do not
+    depend on the shapes of the call.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -206,7 +179,13 @@ def relative_logit(q, k, delta, config: RotaryConfig):
         positions.reshape(-1, 2),
         config,
     )
-    return np.sum(q * rotated.reshape(batch + (config.dim,)), axis=-1)
+    products = q * rotated.reshape(batch + (config.dim,))
+    # np.sum's order would follow the memory layout of `rotated`, so a
+    # shared k and a batched one would round apart.
+    acc = products[..., 0].copy()
+    for i in range(1, config.dim):
+        acc += products[..., i]
+    return acc[()]
 
 
 def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -222,8 +201,10 @@ def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.n
         raise ShapeError(f"positions must have shape (N, 2), got {positions.shape}")
     if dim < 4 or dim % 4 != 0:
         raise ConfigError(f"sinusoidal dim must be divisible by 4, got {dim}")
+    if not base > 1.0:
+        raise ConfigError(f"frequency base must exceed 1, got {base}")
     half = dim // 2
-    freqs = make_schedule(half, base).freqs
+    freqs = _geometric_freqs(half, base)
     out = np.empty((positions.shape[0], dim), dtype=np.float64)
     for offset, pos in ((0, positions[:, 0]), (half, positions[:, 1])):
         ang = pos[:, None] * freqs[None, :]

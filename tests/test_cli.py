@@ -210,6 +210,63 @@ class TestBenchAndLift:
         assert code == 2
 
 
+# `--help` of the two experiment commands, at 80 columns.  Their flags'
+# defaults come from the configs when the command runs, not from the parser.
+_BENCH_HELP = """\
+usage: fishrope bench [-h] [--calib CALIB] [--out OUT] [--format {csv,bin}]
+                      [--seed SEED] [--patch-size PATCH_SIZE]
+                      [--n-queries N_QUERIES] [--dim DIM]
+                      [--encodings ENCODINGS]
+
+options:
+  -h, --help            show this help message and exit
+  --calib CALIB         calibration file (YAML)
+  --out OUT             output path
+  --format {csv,bin}    artifact format
+  --seed SEED           RNG seed
+  --patch-size PATCH_SIZE
+  --n-queries N_QUERIES
+  --dim DIM
+  --encodings ENCODINGS
+                        comma-separated subset of
+                        none,sinusoidal,axial_rope,fishrope
+"""
+_LIFT_HELP = """\
+usage: fishrope lift [-h] [--calib CALIB] [--out OUT] [--format {csv,bin}]
+                     [--seed SEED] [--patch-size PATCH_SIZE] [--dim DIM]
+                     [--extent EXTENT EXTENT] [--resolution RESOLUTION]
+                     [--checker CHECKER]
+                     [--checker-origin CHECKER_ORIGIN CHECKER_ORIGIN]
+
+options:
+  -h, --help            show this help message and exit
+  --calib CALIB         calibration file (YAML)
+  --out OUT             output path
+  --format {csv,bin}    artifact format
+  --seed SEED           RNG seed
+  --patch-size PATCH_SIZE
+  --dim DIM
+  --extent EXTENT EXTENT
+  --resolution RESOLUTION
+  --checker CHECKER     checker square size, m
+  --checker-origin CHECKER_ORIGIN CHECKER_ORIGIN
+                        checker square corner anchor, m
+"""
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, expected", [("bench", _BENCH_HELP), ("lift", _LIFT_HELP)])
+    def test_text_is_pinned(self, monkeypatch, capsys, command, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == expected
+
+    def test_bench_help_lists_every_encoding(self):
+        assert ",".join(ENCODINGS) in _BENCH_HELP.split()
+
+
 class TestInputContract:
     """Bad input exits 2 with a one-line error and writes nothing."""
 

@@ -1,0 +1,56 @@
+"""The package imports lazily: a module runs only when a command uses it."""
+
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import fishrope
+
+# Modules that only angles, selfcheck, bench and lift use.
+_EXPERIMENT_MODULES = ("experiments", "attention", "rope", "angular", "fixtures")
+# Layers whose modules perfbench/spans.py reads from sys.modules; it reads
+# cli's only after importing it, as every caller of cli.main does.
+_TRACED_LAYERS = ("formats", "camera", "angular", "rope", "attention", "experiments")
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(fishrope)
+    for name in fishrope.__all__:
+        assert getattr(fishrope, name) is not None
+        assert name in listed
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fishrope.no_such_name
+
+
+def test_cli_project_runs_no_experiment_module(calibration_path):
+    result = _run_fresh(
+        f"""
+        import sys, types
+        import fishrope
+        missing = [m for m in {_TRACED_LAYERS!r} if f"fishrope.{{m}}" not in sys.modules]
+        assert not missing, missing
+        import fishrope.cli
+        assert fishrope.cli.main(
+            ["project", "--calib", {str(calibration_path)!r}, "--theta", "0.5", "--phi", "0.25"]
+        ) == 0
+        # type() reads no attribute, so it cannot load a lazy module.
+        ran = [m for m in {_EXPERIMENT_MODULES!r}
+               if type(sys.modules[f"fishrope.{{m}}"]) is types.ModuleType]
+        assert not ran, ran
+        """
+    )
+    assert result.returncode == 0, result.stderr

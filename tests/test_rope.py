@@ -13,7 +13,6 @@ from fishrope import (
     ShapeError,
     TokenGrid,
     logit_matrix,
-    make_schedule,
     relative_logit,
 )
 from fishrope.experiments import _probe_tokens
@@ -29,25 +28,29 @@ def _rotate(x, coord, config):
 
 
 class TestSchedule:
+    """Plane frequencies of a theta-only config: the one subspace's schedule."""
+
+    @staticmethod
+    def _freqs(dims, base):
+        return RotaryConfig(dim=dims, theta_dims=dims, base=base).plane_freqs
+
     def test_dims8_base10000(self):
-        np.testing.assert_allclose(
-            make_schedule(8, 10000.0).freqs, [1.0, 0.1, 0.01, 0.001], rtol=1e-12
-        )
+        np.testing.assert_allclose(self._freqs(8, 10000.0), [1.0, 0.1, 0.01, 0.001], rtol=1e-12)
 
     def test_dims2_single_plane(self):
         for base in (2.0, 100.0, 10000.0):
-            np.testing.assert_allclose(make_schedule(2, base).freqs, [1.0])
+            np.testing.assert_allclose(self._freqs(2, base), [1.0])
 
     def test_dims4_base100(self):
-        np.testing.assert_allclose(make_schedule(4, 100.0).freqs, [1.0, 0.1], rtol=1e-12)
+        np.testing.assert_allclose(self._freqs(4, 100.0), [1.0, 0.1], rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            make_schedule(3)
+            RotaryConfig(dim=3)
         with pytest.raises(ConfigError):
-            make_schedule(0)
+            RotaryConfig(dim=0)
         with pytest.raises(ConfigError):
-            make_schedule(4, base=1.0)
+            RotaryConfig(dim=4, base=1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -55,10 +58,10 @@ class TestSchedule:
         base=st.floats(min_value=1.001, max_value=1e6),
     )
     def test_invariants_hold(self, half, base):
-        sched = make_schedule(2 * half, base)
-        assert sched.freqs[0] == 1.0
-        assert np.all(sched.freqs > 0.0)
-        assert np.all(np.diff(sched.freqs) < 0.0) or len(sched.freqs) == 1
+        freqs = self._freqs(2 * half, base)
+        assert freqs[0] == 1.0
+        assert np.all(freqs > 0.0)
+        assert np.all(np.diff(freqs) < 0.0) or len(freqs) == 1
 
 
 class TestRotatePairs:
@@ -357,6 +360,13 @@ class TestRelativeLogitBatch:
             assert batch[i] == pytest.approx(scalar, abs=1e-15)
             mat = dense_rotation(self.DIM, self.THETA_DIMS, self.BASE, dtheta[i], dphi[i])
             assert batch[i] == pytest.approx(float(q[i] @ mat @ k[i]), abs=1e-12)
+
+    def test_shared_k_equals_repeated_k_bit_for_bit(self):
+        config = RotaryConfig(dim=self.DIM, theta_dims=self.THETA_DIMS, base=self.BASE)
+        q, k, dtheta, dphi = self._draws(15)
+        shared = relative_logit(q[0], k[0], (dtheta, dphi), config)  # broadcast: stride 0
+        repeated = relative_logit(q[0], np.repeat(k[:1], len(k), axis=0), (dtheta, dphi), config)
+        np.testing.assert_array_equal(shared, repeated)
 
     def test_broadcasts_over_batch_shape(self):
         config = RotaryConfig(dim=8)
