@@ -19,7 +19,11 @@ Three entry points:
                     of visible cells recovering their own label.
 
   selfcheck         executes every documented invariant with fixed seeds
-                    and reports measured values against tolerances.
+                    and reports measured values against tolerances.  The
+                    four rotary checks run in a forked child on a second
+                    core while this process runs the rest
+                    (`camera._fork_split`), with the same results as one
+                    process gives.
 
 Reports serialize deterministically: given equal seeds and configs the
 emitted documents are byte-identical.  Wall-clock timings are kept out
@@ -29,6 +33,7 @@ of the serialized form for that reason and reported separately.
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from dataclasses import dataclass, fields
 
@@ -37,7 +42,7 @@ import numpy as np
 from . import attention, rope
 from .angular import BevGridSpec, bev_angles, patch_angles
 from .attention import AttentionConfig, ProjectionWeights, TokenGrid
-from .camera import Extrinsics, KannalaBrandtCamera
+from .camera import Extrinsics, KannalaBrandtCamera, _fork_split
 from .errors import ConfigError, EmptyOverlapError
 from .fixtures import fixture_cameras, scene_extrinsics, wide_camera
 from .rope import ENCODINGS, RotaryConfig
@@ -1220,25 +1225,55 @@ def check_lift_monotone(seed: int = 0) -> list[CheckResult]:
 
 
 def selfcheck(seed: int = 0) -> SelfCheckReport:
-    """Execute every documented invariant with fixed seeds."""
+    """Execute every documented invariant with fixed seeds.
+
+    The four rotary checks run in a forked child, through
+    `camera._fork_split`, while this process runs the others; the child
+    sends its results back pickled.  Every check draws from its own
+    seeded generator, so the results, joined in the one-process order,
+    are the same whichever way they ran.
+    """
     _check_seed(seed)
-    results: list[CheckResult] = []
-    results += check_camera_roundtrip(seed)
-    results += check_monotonicity()
-    results += check_paraxial()
-    results += check_extrinsic_composition(seed)
-    results += check_radial_symmetry(seed)
-    results += check_angle_ranges()
-    results += check_bev_projection_consistency()
-    results += check_norm_preservation(seed)
-    results += check_relative_identity(seed)
-    results += check_rotation_composition(seed)
-    results += check_self_logit_max(seed)
-    results += check_softmax_rows(seed)
-    results += check_shift_invariance(seed)
-    results += check_stability(seed)
-    results += check_gradient(seed)
-    results += check_bench_determinism(seed)
-    results += check_bench_matches_relative_logit(seed)
-    results += check_lift_monotone(seed)
+
+    def geometry_checks() -> list[CheckResult]:
+        return [
+            *check_camera_roundtrip(seed),
+            *check_monotonicity(),
+            *check_paraxial(),
+            *check_extrinsic_composition(seed),
+            *check_radial_symmetry(seed),
+            *check_angle_ranges(),
+            *check_bev_projection_consistency(),
+        ]
+
+    def rotary_checks() -> list[CheckResult]:
+        return [
+            *check_norm_preservation(seed),
+            *check_relative_identity(seed),
+            *check_rotation_composition(seed),
+            *check_self_logit_max(seed),
+        ]
+
+    def downstream_checks() -> list[CheckResult]:
+        return [
+            *check_softmax_rows(seed),
+            *check_shift_invariance(seed),
+            *check_stability(seed),
+            *check_gradient(seed),
+            *check_bench_determinism(seed),
+            *check_bench_matches_relative_logit(seed),
+            *check_lift_monotone(seed),
+        ]
+
+    split = _fork_split(
+        lambda out: pickle.dump(rotary_checks(), out),
+        lambda: (geometry_checks(), downstream_checks()),
+        pickle.load,
+        "the process running the rotary checks",
+    )
+    if split is None:
+        results = geometry_checks() + rotary_checks() + downstream_checks()
+    else:
+        (first, last), rotary = split
+        results = first + rotary + last
     return SelfCheckReport(results=tuple(results))

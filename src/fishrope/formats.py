@@ -16,10 +16,11 @@ Formats (bit-exact layouts documented in the README):
 
 Every CSV goes through `_write_csv`: every value as str (for floats that
 is repr, so float64 round-trips exactly), CSV_BLOCK_ROWS rows at a time.
-A table of two or more blocks is formatted in two processes where the
-platform forks, a second core is usable and no other Python thread runs:
-a forked child writes the second half to a temporary file that the
-parent appends, with the same bytes as one process writes.
+A table of two or more blocks is formatted in two processes through
+`camera._fork_split` (where the platform forks, a second core is usable
+and no other Python thread runs): a forked child writes the second half
+to a temporary file that the parent appends, with the same bytes as one
+process writes.
 
 Every writer goes through `_replacing`: it writes a new sibling of its
 path and renames it over the path only once the write has finished, so
@@ -44,15 +45,13 @@ import contextlib
 import math
 import os
 import shutil
-import tempfile
-import threading
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import yaml
 
-from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _usable_cores
-from .errors import ConfigError, FishropeError, FormatError
+from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _fork_split
+from .errors import ConfigError, FormatError
 
 if TYPE_CHECKING:
     from .angular import PatchGrid
@@ -201,11 +200,11 @@ def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> N
 
     Columns are equal-length 1-D arrays, and every value is written with
     str (for a float that is repr), CSV_BLOCK_ROWS rows at a time.  A
-    table of at least two blocks is split at a block boundary when the
-    process may fork, has a second usable core and runs no other Python
-    thread: a forked child formats the second half into an unnamed
-    temporary file while this process formats the first half, then this
-    process appends the child's bytes.  Either way the bytes are the same.
+    table of at least two blocks is split at a block boundary when
+    `camera._fork_split`'s gate allows: a forked child formats the second
+    half into its temporary file while this process formats the first
+    half, then this process appends the child's bytes.  Either way the
+    bytes are the same.
     """
     n_rows = len(columns[0]) if columns else 0
     row = ",".join(["%s"] * len(columns)) + "\n"
@@ -217,37 +216,24 @@ def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> N
 
     with _replacing(path, "w") as fh:
         fh.write("".join(line + "\n" for line in [*preamble, ",".join(header)]))
-        if not (
-            n_rows >= 2 * CSV_BLOCK_ROWS
-            and hasattr(os, "fork")
-            and _usable_cores() >= 2
-            and threading.active_count() == 1  # no lock held by a thread the child lacks
-        ):
-            write_rows(fh.write, 0, n_rows)
-            return
-        half = CSV_BLOCK_ROWS * round(n_rows / (2 * CSV_BLOCK_ROWS))
-        with tempfile.TemporaryFile() as tail:
-            pid = os.fork()
-            if pid == 0:  # the child leaves only through os._exit
-                status = 1
-                try:
-                    write_rows(lambda text: tail.write(text.encode("utf-8")), half, n_rows)
-                    tail.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            try:
-                write_rows(fh.write, 0, half)
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code != 0:
-                raise FishropeError(
-                    f"the process writing rows {half}..{n_rows} of {path} failed "
-                    f"(exit code {code})"
-                )
-            tail.seek(0)  # the child moved the shared offset to its end
-            fh.flush()
-            shutil.copyfileobj(tail, fh.buffer)
+        if n_rows >= 2 * CSV_BLOCK_ROWS:
+            half = CSV_BLOCK_ROWS * round(n_rows / (2 * CSV_BLOCK_ROWS))
+
+            def format_tail(tail) -> None:
+                write_rows(lambda text: tail.write(text.encode("utf-8")), half, n_rows)
+
+            def append(tail) -> None:
+                fh.flush()
+                shutil.copyfileobj(tail, fh.buffer)
+
+            if _fork_split(
+                format_tail,
+                lambda: write_rows(fh.write, 0, half),
+                append,
+                f"the process writing rows {half}..{n_rows} of {path}",
+            ) is not None:
+                return
+        write_rows(fh.write, 0, n_rows)
 
 
 def _header_value(name: str, value) -> int | float:

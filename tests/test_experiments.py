@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from fishrope import (
     selfcheck,
 )
 from fishrope import experiments
+from fishrope.cli import main
 from fishrope.experiments import (
     check_relative_identity,
     ground_intersections,
@@ -36,6 +40,9 @@ from fishrope.formats import dump_report_yaml
 from fishrope.rope import apply_rotary_batch
 
 from .oracles import argmax_with_random_ties_loop, ranks_of_loop
+from .test_formats import _cores, _count_forks
+
+SELFCHECK_YAML = pathlib.Path(__file__).resolve().parent.parent / "results" / "selfcheck.yaml"
 
 
 def tie_heavy_logits(rng, n_rows=300, n_cols=40):
@@ -374,3 +381,71 @@ class TestSelfCheck:
         assert doc["checks"][0]["tolerance"] == 1e-12
         line = report.results[0].line()
         assert line.startswith("PASS demo")
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("a check that cannot run")
+
+
+class TestForkedSelfCheck:
+    """The rotary checks run in a forked child; the report is the one-process one."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_forked_report_equals_one_process_report(self, monkeypatch, seed):
+        forks = _count_forks(monkeypatch)
+        _cores(monkeypatch, 1)
+        alone = dump_report_yaml(selfcheck(seed).as_dict())
+        assert forks == []
+        _cores(monkeypatch, 2)
+        forked = dump_report_yaml(selfcheck(seed).as_dict())
+        assert len(forks) == 1
+        assert forked == alone
+
+    @pytest.mark.parametrize("gate", ["another thread", "no os.fork"])
+    def test_closed_gate_runs_in_one_process(self, monkeypatch, gate):
+        # one core is covered by the test above
+        forks = _count_forks(monkeypatch)
+        _cores(monkeypatch, 2)
+        if gate == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        if gate == "another thread":
+            other.start()
+        try:
+            report = selfcheck()
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(timeout=30)
+        assert not other.is_alive()
+        assert forks == []
+        assert dump_report_yaml(report.as_dict()) == SELFCHECK_YAML.read_text(encoding="utf-8")
+
+    def test_failed_child_exits_1_with_one_line(self, monkeypatch, tmp_path, capsys):
+        _cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(experiments, "check_relative_identity", _raise)
+        out = tmp_path / "selfcheck.yaml"
+        out.write_bytes(b"an earlier run\n")
+        assert main(["selfcheck", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "failure: the process running the rotary checks failed (exit code 1)\n"
+        )
+        assert len(forks) == 1
+        assert out.read_bytes() == b"an earlier run\n"
+        assert list(tmp_path.iterdir()) == [out]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_check_that_raises_still_reaps_the_child(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(experiments, "check_softmax_rows", _raise)
+        with pytest.raises(RuntimeError, match="cannot run"):
+            selfcheck()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

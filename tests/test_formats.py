@@ -17,7 +17,7 @@ from fishrope import ConfigError, FishropeError, FormatError, patch_angles
 from fishrope.cli import main
 from fishrope.experiments import CheckResult, SelfCheckReport
 from fishrope.fixtures import scene_extrinsics, wide_camera
-from fishrope import formats
+from fishrope import camera, formats
 
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -232,8 +232,8 @@ class TestReportsAndTables:
 
 
 def _cores(monkeypatch, n):
-    """Make the CSV writer see n usable cores."""
-    monkeypatch.setattr(formats, "_usable_cores", lambda: n)
+    """Make the fork helper's gate, and so the CSV writer, see n usable cores."""
+    monkeypatch.setattr(camera, "_usable_cores", lambda: n)
 
 
 def _count_forks(monkeypatch) -> list:
@@ -328,7 +328,7 @@ class TestSplitWriter:
         monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
         _cores(monkeypatch, 2)
         read_only = types.SimpleNamespace(TemporaryFile=lambda: open(os.devnull, "rb"))
-        monkeypatch.setattr(formats, "tempfile", read_only)
+        monkeypatch.setattr(camera, "tempfile", read_only)
         out = tmp_path / "lut.csv"
         argv = ["lut", "--calib", str(calibration_path), "--resolution", "16", "--out", str(out)]
         assert main(argv) == 1
