@@ -234,8 +234,13 @@ def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
     tile holds the (rows, N_k) products in a buffer that the worker's
     next tile overwrites.  Its shape does not depend on how many
     workers run, so neither does BLAS rounding, which can depend on the
-    shape of a product; every logit consumer goes through here, so dense
-    and streamed callers stay bit-identical.  Tiles are dealt round-robin
+    shape of a product.  On OpenBLAS 0.3.31 (Haswell kernels, one
+    thread) a one-row tile (gemv) rounds most of its row apart from the
+    same row in a larger tile, and when N_k is not a multiple of 8,
+    tiles of more than about 200 rows round the last N_k mod 8 columns
+    apart from smaller tiles; tiles of 2 to about 200 rows agree.  Every
+    logit consumer goes through here, so dense and streamed callers stay
+    bit-identical.  Tiles are dealt round-robin
     to one worker per usable core, at most MAX_TILE_WORKERS, the calling
     thread being worker 0.  Workers share only the read-only q and keys,
     and fn must write only its own rows.  A worker's exception is raised

@@ -20,8 +20,12 @@ Three entry points:
 
   selfcheck         executes every documented invariant with fixed seeds
                     and reports measured values against tolerances.  The
-                    four rotary checks run in a forked child on a second
-                    core while this process runs the rest
+                    rotary checks gather the blocks of each dim into one
+                    kernel call per batch: every draw carries its own
+                    plane angles, so draws under different configs share
+                    a call.  The elementwise camera checks and the
+                    rotary checks run in a forked child on a second core
+                    while this process runs the rest
                     (`camera._fork_split`), with the same results as one
                     process gives.
 
@@ -49,11 +53,10 @@ from .rope import ENCODINGS, RotaryConfig
 
 REPORT_FORMAT_VERSION = 1
 
-# Draws per block in the rotary property checks.  A block shares one config
-# and goes through the batched kernel at once; bounding it keeps peak memory
-# flat in the draw count.
+# Draws per block in the rotary property checks.  A block draws one config
+# and its rows in turn; bounding it keeps peak memory flat in the draw count.
 ROPE_CHECK_BLOCK = 50
-# Most rows the norm and self-logit checks gather across blocks into one
+# Most rows the rotary checks gather across blocks of one dim into one
 # kernel call; at dim 32 that is 64 KiB of features.
 ROPE_CHECK_ROWS = 256
 
@@ -856,30 +859,64 @@ def _blocks(n: int):
         yield min(ROPE_CHECK_BLOCK, n - start)
 
 
+def _gathered(blocks, evaluate) -> list:
+    """evaluate(*arrays) over batches of blocks that share a dim.
+
+    blocks yields (dim, arrays) one block at a time and draws the block
+    when asked, so the draws keep their order.  arrays hold one row per
+    draw, plane angles included, so blocks of one dim under different
+    configs join row-wise into one batch.  A batch is evaluated before a
+    block would take it past ROPE_CHECK_ROWS rows, and at the end.
+    Returns evaluate's results in the order it ran.
+    """
+    pending: dict[int, list] = {}
+    results = []
+
+    def flush(dim: int) -> None:
+        results.append(evaluate(*(np.concatenate(part) for part in zip(*pending.pop(dim)))))
+
+    for dim, arrays in blocks:
+        held = sum(len(block[0]) for block in pending.get(dim, ()))
+        if held and held + len(arrays[0]) > ROPE_CHECK_ROWS:
+            flush(dim)
+        pending.setdefault(dim, []).append(arrays)
+    for dim in list(pending):
+        flush(dim)
+    return results
+
+
+def _rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """x rotated by its plane angles (consumed) into a new array."""
+    return rope.rotate_planes(x, angles, np.empty_like(x))
+
+
+# Choices the rotary checks draw from, one rng.integers(len(...)) per draw:
+# the stream np.random.Generator.choice draws from a list, at a fifth of
+# its cost.
+_NORM_CONFIGS = tuple(RotaryConfig(dim=dim) for dim in (4, 8, 16, 32))
+_IDENTITY_DIMS = (4, 8, 16)
+_COMPOSITION_DIMS = (2, 4, 8, 16)
+
+
 def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
     """Rotation keeps every row's norm.
 
-    Each block draws its dim, rows and coordinates in turn.  The blocks of
-    each dim go through the kernel together, in one call once that dim
-    holds ROPE_CHECK_ROWS rows' worth of blocks, and at the end.
+    Each block draws its dim, rows and coordinates in turn; the blocks
+    of each dim rotate together through `_gathered`.
     """
     rng = np.random.default_rng([seed, 4])
-    worst = 0.0
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def rotate(dim: int) -> float:
-        x, coords = (np.concatenate(part) for part in zip(*pending.pop(dim)))
-        y = rope.apply_rotary_batch(x, coords, RotaryConfig(dim=dim))
+    def blocks():
+        for rows in _blocks(n):
+            config = _NORM_CONFIGS[rng.integers(len(_NORM_CONFIGS))]
+            x = rng.standard_normal((rows, config.dim))
+            yield config.dim, (x, config.plane_angles(_sample_coords(rng, rows, 2.0)))
+
+    def gap(x, angles) -> float:
+        y = _rotate(x, angles)
         return float(np.max(np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))))
 
-    for rows in _blocks(n):
-        dim = int(rng.choice([4, 8, 16, 32]))
-        x = rng.standard_normal((rows, dim))
-        if len(pending.get(dim, ())) == ROPE_CHECK_ROWS // ROPE_CHECK_BLOCK:
-            worst = max(worst, rotate(dim))
-        pending.setdefault(dim, []).append((x, _sample_coords(rng, rows, 2.0)))
-    for dim in list(pending):
-        worst = max(worst, rotate(dim))
+    worst = max(_gathered(blocks(), gap), default=0.0)
     return [
         CheckResult(
             name="rope.norm_preservation",
@@ -891,35 +928,42 @@ def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
 
 
 def check_relative_identity(
-    seed: int = 0, n_draws: int = 10000, relative_fn=None
+    seed: int = 0, n_draws: int = 10000, relative_fn=rope.rotated_logit
 ) -> list[CheckResult]:
     """Absolute-form logit equals the relative form over random draws.
 
-    Draws come in blocks sharing one RotaryConfig; relative_fn is called
-    once per block with (rows, dim) q and k and per-row delta arrays.  It
-    is injectable so a deliberately corrupted rotation can be shown to
-    fail the check (mutation fixture).
+    Each block draws a RotaryConfig (dim, theta split and base) and its
+    rows, and forms the plane angles of coord_m, coord_n and their
+    difference under that config; the blocks of each dim are evaluated
+    together through `_gathered`.  relative_fn(q, k, angles) is called
+    once per batch with (rows, dim) q and k and the (rows, dim/2)
+    angles of coord_n - coord_m, and returns each row's relative-form
+    logit.  It is injectable so a deliberately corrupted rotation can
+    be shown to fail the check (mutation fixture).
     """
-    if relative_fn is None:
-        relative_fn = rope.relative_logit
     rng = np.random.default_rng([seed, 5])
-    worst = 0.0
-    for rows in _blocks(n_draws):
-        dim = int(rng.choice([4, 8, 16]))
-        theta_dims = int(rng.choice([d for d in range(0, dim + 1, 2)]))
-        config = RotaryConfig(
-            dim=dim, theta_dims=theta_dims, base=float(rng.uniform(2.0, 10000.0))
-        )
-        q = rng.standard_normal((rows, dim))
-        k = rng.standard_normal((rows, dim))
-        cm = _sample_coords(rng, rows, 2.0)
-        cn = _sample_coords(rng, rows, 2.0)
-        absolute = np.sum(
-            rope.apply_rotary_batch(q, cm, config) * rope.apply_rotary_batch(k, cn, config),
-            axis=1,
-        )
-        relative = relative_fn(q, k, (cn[:, 0] - cm[:, 0], cn[:, 1] - cm[:, 1]), config)
-        worst = max(worst, float(np.max(np.abs(absolute - relative))))
+
+    def blocks():
+        for rows in _blocks(n_draws):
+            dim = _IDENTITY_DIMS[rng.integers(len(_IDENTITY_DIMS))]
+            splits = range(0, dim + 1, 2)
+            config = RotaryConfig(
+                dim=dim,
+                theta_dims=splits[rng.integers(len(splits))],
+                base=float(rng.uniform(2.0, 10000.0)),
+            )
+            q = rng.standard_normal((rows, dim))
+            k = rng.standard_normal((rows, dim))
+            cm = _sample_coords(rng, rows, 2.0)
+            cn = _sample_coords(rng, rows, 2.0)
+            angles = (config.plane_angles(c) for c in (cm, cn, cn - cm))
+            yield dim, (q, k, *angles)
+
+    def gap(q, k, at_m, at_n, between) -> float:
+        absolute = np.sum(_rotate(q, at_m) * _rotate(k, at_n), axis=1)
+        return float(np.max(np.abs(absolute - relative_fn(q, k, between))))
+
+    worst = max(_gathered(blocks(), gap), default=0.0)
     return [
         CheckResult(
             name="rope.relative_identity",
@@ -934,23 +978,30 @@ def check_relative_identity(
 def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult]:
     """rotate(rotate(x, a), b - a) equals rotate(x, b) for every schedule.
 
-    Each block draws one schedule and rotates through a theta-only
-    RotaryConfig, whose theta schedule is that schedule.
+    Each block draws one schedule and forms its angles through a
+    theta-only RotaryConfig, whose theta schedule is that schedule; the
+    blocks of each dim are evaluated together through `_gathered`.
     """
     rng = np.random.default_rng([seed, 6])
-    worst = 0.0
-    for rows in _blocks(n):
-        dim = 2 * int(rng.choice([1, 2, 4, 8]))
-        config = RotaryConfig(dim=dim, theta_dims=dim, base=float(rng.uniform(2.0, 10000.0)))
-        x = rng.standard_normal((rows, dim))
-        a = rng.uniform(-6.0, 6.0, rows)
-        b = rng.uniform(-6.0, 6.0, rows)
 
-        def rotate(v, angle):
-            return rope.apply_rotary_batch(v, np.stack([angle, np.zeros(rows)], -1), config)
+    def blocks():
+        for rows in _blocks(n):
+            dim = _COMPOSITION_DIMS[rng.integers(len(_COMPOSITION_DIMS))]
+            config = RotaryConfig(dim=dim, theta_dims=dim, base=float(rng.uniform(2.0, 10000.0)))
+            x = rng.standard_normal((rows, dim))
+            a = rng.uniform(-6.0, 6.0, rows)
+            b = rng.uniform(-6.0, 6.0, rows)
+            angles = (
+                config.plane_angles(np.stack([angle, np.zeros(rows)], -1))
+                for angle in (a, b - a, b)
+            )
+            yield dim, (x, *angles)
 
-        via = rotate(rotate(x, a), b - a)
-        worst = max(worst, float(np.max(np.abs(via - rotate(x, b)))))
+    def gap(x, at_a, a_to_b, at_b) -> float:
+        via = _rotate(_rotate(x, at_a), a_to_b)
+        return float(np.max(np.abs(via - _rotate(x, at_b))))
+
+    worst = max(_gathered(blocks(), gap), default=0.0)
     return [
         CheckResult(
             name="rope.rotation_composition",
@@ -964,30 +1015,31 @@ def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult
 def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
     """With q = k and nonzero pairs, the logit peaks at zero separation.
 
-    Each of the 200 draws is one q and 51 separations, the first zero.
-    The draws that fit ROPE_CHECK_ROWS rows go through one
-    `relative_logit` call, whose left-to-right sum over dims makes the
-    margin the same bit for bit as one call per draw.
+    Each of the 200 draws is one q and 51 separations, the first zero:
+    a block of 51 rows for `_gathered`.  `rope.rotated_logit` adds each
+    logit over dims left to right, so the margin is the same bit for bit
+    as one call per draw.
     """
     rng = np.random.default_rng([seed, 7])
     config = RotaryConfig(dim=16)
-    margin = np.inf
-    per_call = ROPE_CHECK_ROWS // 51
-    for start in range(0, 200, per_call):
-        draws = min(per_call, 200 - start)
-        q = np.empty((draws, 16))
-        deltas = np.zeros((draws, 51, 2))
-        for i in range(draws):
-            q[i] = rng.standard_normal(16)
-            deltas[i, 1:] = rng.uniform(-3.0, 3.0, (50, 2))
-        q = q[:, None]
-        logits = rope.relative_logit(q, q, (deltas[..., 0], deltas[..., 1]), config)
-        margin = min(margin, float(np.min(logits[:, :1] - logits[:, 1:])))
+
+    def blocks():
+        for _ in range(200):
+            q = rng.standard_normal(16)
+            deltas = np.zeros((51, 2))
+            deltas[1:] = rng.uniform(-3.0, 3.0, (50, 2))
+            yield 16, (np.broadcast_to(q, (51, 16)), config.plane_angles(deltas))
+
+    def margin(q, angles) -> float:
+        logits = rope.rotated_logit(q, q, angles).reshape(-1, 51)
+        return float(np.min(logits[:, :1] - logits[:, 1:]))
+
+    worst = min(_gathered(blocks(), margin))
     return [
         CheckResult(
             name="rope.self_logit_max",
-            passed=bool(margin >= -1e-12),
-            measured=float(-margin),
+            passed=bool(worst >= -1e-12),
+            measured=float(-worst),
             tolerance=1e-12,
             note="max excess of shifted logit over zero-separation logit",
         )
@@ -1224,56 +1276,60 @@ def check_lift_monotone(seed: int = 0) -> list[CheckResult]:
     ]
 
 
+def _selfcheck_plan(seed: int) -> tuple:
+    """Every selfcheck check in report order, as (runs in the child, check) pairs.
+
+    The child's checks use elementwise numpy only: no Extrinsics, no
+    LAPACK and no tile threads, so they are safe in a forked process.
+    The parent keeps extrinsic composition, BEV projection and the
+    downstream checks, which use all three.
+    """
+    return (
+        (True, lambda: check_camera_roundtrip(seed)),
+        (True, check_monotonicity),
+        (True, check_paraxial),
+        (False, lambda: check_extrinsic_composition(seed)),
+        (True, lambda: check_radial_symmetry(seed)),
+        (True, check_angle_ranges),
+        (False, check_bev_projection_consistency),
+        (True, lambda: check_norm_preservation(seed)),
+        (True, lambda: check_relative_identity(seed)),
+        (True, lambda: check_rotation_composition(seed)),
+        (True, lambda: check_self_logit_max(seed)),
+        (False, lambda: check_softmax_rows(seed)),
+        (False, lambda: check_shift_invariance(seed)),
+        (False, lambda: check_stability(seed)),
+        (False, lambda: check_gradient(seed)),
+        (False, lambda: check_bench_determinism(seed)),
+        (False, lambda: check_bench_matches_relative_logit(seed)),
+        (False, lambda: check_lift_monotone(seed)),
+    )
+
+
 def selfcheck(seed: int = 0) -> SelfCheckReport:
     """Execute every documented invariant with fixed seeds.
 
-    The four rotary checks run in a forked child, through
+    The camera and rotary checks run in a forked child, through
     `camera._fork_split`, while this process runs the others; the child
     sends its results back pickled.  Every check draws from its own
     seeded generator, so the results, joined in the one-process order,
     are the same whichever way they ran.
     """
     _check_seed(seed)
+    plan = _selfcheck_plan(seed)
 
-    def geometry_checks() -> list[CheckResult]:
-        return [
-            *check_camera_roundtrip(seed),
-            *check_monotonicity(),
-            *check_paraxial(),
-            *check_extrinsic_composition(seed),
-            *check_radial_symmetry(seed),
-            *check_angle_ranges(),
-            *check_bev_projection_consistency(),
-        ]
-
-    def rotary_checks() -> list[CheckResult]:
-        return [
-            *check_norm_preservation(seed),
-            *check_relative_identity(seed),
-            *check_rotation_composition(seed),
-            *check_self_logit_max(seed),
-        ]
-
-    def downstream_checks() -> list[CheckResult]:
-        return [
-            *check_softmax_rows(seed),
-            *check_shift_invariance(seed),
-            *check_stability(seed),
-            *check_gradient(seed),
-            *check_bench_determinism(seed),
-            *check_bench_matches_relative_logit(seed),
-            *check_lift_monotone(seed),
-        ]
+    def share(in_child: bool) -> list[list[CheckResult]]:
+        return [check() for child, check in plan if child == in_child]
 
     split = _fork_split(
-        lambda out: pickle.dump(rotary_checks(), out),
-        lambda: (geometry_checks(), downstream_checks()),
+        lambda out: pickle.dump(share(True), out),
+        lambda: share(False),
         pickle.load,
-        "the process running the rotary checks",
+        "the process running the camera and rotary checks",
     )
     if split is None:
-        results = geometry_checks() + rotary_checks() + downstream_checks()
+        per_check = [check() for _, check in plan]
     else:
-        (first, last), rotary = split
-        results = first + rotary + last
-    return SelfCheckReport(results=tuple(results))
+        parent, child = (iter(part) for part in split)
+        per_check = [next(child if in_child else parent) for in_child, _ in plan]
+    return SelfCheckReport(results=tuple(r for results in per_check for r in results))

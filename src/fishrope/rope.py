@@ -11,13 +11,16 @@ so freqs[0] = 1 and frequencies decay geometrically.  Each subspace gets
 its own schedule over its own dimension count, which keeps freqs[0] = 1
 under any split.
 
-`apply_rotary_batch` rotates all dim/2 planes in one pass.  A
+`rotate_planes` is the one rotation kernel: it rotates each row's dim/2
+planes by that row's own plane angles, ROTARY_TILE angles at a time.  A
 RotaryConfig caches the frequency of every plane (`plane_freqs`, the
 theta planes first) and the position column each plane reads
-(`plane_axis`), so the angles are positions[:, plane_axis] * plane_freqs
-and one pass rotates every pair, ROTARY_TILE angles at a time.  The
-products are the ones a per-subspace loop would form, so the result is
-the same bit for bit.
+(`plane_axis`), so `plane_angles` forms positions[:, plane_axis] *
+plane_freqs; `apply_rotary_batch` does that a tile at a time and hands
+the tile to the kernel.  The products are the ones a per-subspace loop
+would form, so the result is the same bit for bit.  Since the angles
+carry the config, rows of one dim under different configs rotate in one
+kernel call.
 
 Because every rotation is orthogonal, inner products of rotated vectors
 depend only on coordinate differences:
@@ -105,32 +108,51 @@ class RotaryConfig:
         axis.setflags(write=False)
         return axis
 
+    def plane_angles(self, positions: np.ndarray) -> np.ndarray:
+        """Angles (..., dim/2) of every plane at positions (..., 2), as a new array."""
+        angles = positions[..., self.plane_axis]
+        angles *= self.plane_freqs
+        return angles
 
-def _rotate_planes(x: np.ndarray, angles: np.ndarray, out: np.ndarray) -> None:
-    """Write x (N, 2P) with consecutive pairs rotated by angles (N, P) to out.
 
-    angles is overwritten; the cosines are the one other array held.
+def _tiles(n_rows: int, planes: int):
+    """Row slices of ROTARY_TILE // planes rows covering n_rows rows."""
+    step = max(1, ROTARY_TILE // planes)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
+
+
+def rotate_planes(x: np.ndarray, angles: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write x (N, 2P) with each row's consecutive pairs rotated to out; return out.
+
+    The one rotation kernel.  Pair p of row n turns by angles[n, p]
+    (angles is (N, P)), so every row can carry its own config.  It works
+    ROTARY_TILE angles at a time and overwrites angles with their sines;
+    the tile's cosines are the one other array it holds.
     """
-    even = x[:, 0::2]
-    odd = x[:, 1::2]
-    c = np.cos(angles)
-    s = np.sin(angles, out=angles)
-    out_even = out[:, 0::2]
-    out_odd = out[:, 1::2]
-    np.multiply(even, c, out=out_even)
-    np.multiply(odd, c, out=out_odd)
-    np.subtract(out_even, np.multiply(odd, s, out=c), out=out_even)
-    np.add(np.multiply(even, s, out=s), out_odd, out=out_odd)
+    for rows in _tiles(len(x), angles.shape[1]):
+        even = x[rows, 0::2]
+        odd = x[rows, 1::2]
+        c = np.cos(angles[rows])
+        s = np.sin(angles[rows], out=angles[rows])
+        out_even = out[rows, 0::2]
+        out_odd = out[rows, 1::2]
+        np.multiply(even, c, out=out_even)
+        np.multiply(odd, c, out=out_odd)
+        np.subtract(out_even, np.multiply(odd, s, out=c), out=out_even)
+        np.add(np.multiply(even, s, out=s), out_odd, out=out_odd)
+    return out
 
 
 def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
-    """Rotate rows of x (N, dim) by positions (N, 2); the one rotary kernel.
+    """Rotate rows of x (N, dim) by positions (N, 2) under one config.
 
     positions carry (theta, phi) pairs, or normalized pixel pairs for
     the Cartesian baseline; rows rotate independently.  The first
     config.theta_dims entries rotate through the theta schedule, the
-    rest through the phi schedule, in one pass over all dim/2 planes
-    of ROTARY_TILE // (dim/2) rows at a time.  `relative_logit` and the
+    rest through the phi schedule.  The plane angles are formed one
+    ROTARY_TILE tile at a time and rotated by `rotate_planes`, so the
+    temporaries stay at a tile however many rows there are.  The
     attention kernels all go through here; a single vector is a one-row
     array.
     """
@@ -143,13 +165,28 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
             f"positions must have shape ({x.shape[0]}, 2), got {positions.shape}"
         )
     out = np.empty_like(x)
-    step = max(1, ROTARY_TILE // (config.dim // 2))
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        angles = positions[rows, config.plane_axis]
-        angles *= config.plane_freqs
-        _rotate_planes(x[rows], angles, out[rows])
+    for rows in _tiles(len(x), config.dim // 2):
+        rotate_planes(x[rows], config.plane_angles(positions[rows]), out[rows])
     return out
+
+
+def rotated_logit(q: np.ndarray, k: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """<q, rot(k, angles)> over the last axis, dims added left to right.
+
+    k is (..., dim) and angles (..., dim/2) plane angles for each of its
+    rows (overwritten, as in `rotate_planes`); q broadcasts against k.
+    np.sum's order would follow the memory layout of the rotated k, so a
+    shared k and a batched one would round apart; the fixed order makes
+    each logit's bits independent of the shapes of the call.
+    """
+    dim = k.shape[-1]
+    flat = k.reshape(-1, dim)
+    rotated = rotate_planes(flat, angles.reshape(-1, dim // 2), np.empty_like(flat))
+    products = q * rotated.reshape(k.shape)
+    acc = products[..., 0].copy()
+    for i in range(1, dim):
+        acc += products[..., i]
+    return acc
 
 
 def relative_logit(q, k, delta, config: RotaryConfig):
@@ -159,9 +196,8 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     coord_q, which equals the inner product of the absolutely rotated q
     and k.  q and k have shape (..., dim); dtheta and dphi are scalars or
     arrays, and all four broadcast over the leading batch shape.  Returns
-    an array of that shape, or a float when the batch shape is empty.
-    Each logit adds its dim products left to right, so its bits do not
-    depend on the shapes of the call.
+    an array of that shape, or a float when the batch shape is empty,
+    from `rotated_logit`.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -174,18 +210,8 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     positions = np.empty(batch + (2,))
     positions[..., 0] = dtheta
     positions[..., 1] = dphi
-    rotated = apply_rotary_batch(
-        np.broadcast_to(k, batch + (config.dim,)).reshape(-1, config.dim),
-        positions.reshape(-1, 2),
-        config,
-    )
-    products = q * rotated.reshape(batch + (config.dim,))
-    # np.sum's order would follow the memory layout of `rotated`, so a
-    # shared k and a batched one would round apart.
-    acc = products[..., 0].copy()
-    for i in range(1, config.dim):
-        acc += products[..., i]
-    return acc[()]
+    k = np.broadcast_to(k, batch + (config.dim,))
+    return rotated_logit(q, k, config.plane_angles(positions))[()]
 
 
 def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:

@@ -37,7 +37,7 @@ from fishrope.fixtures import (
     wide_camera,
 )
 from fishrope.formats import dump_report_yaml
-from fishrope.rope import apply_rotary_batch
+from fishrope.rope import apply_rotary_batch, rotated_logit
 
 from .oracles import argmax_with_random_ties_loop, ranks_of_loop
 from .test_formats import _cores, _count_forks
@@ -308,32 +308,41 @@ class TestSelfCheck:
 
     def test_corrupted_rotation_sign_fails_identity_check(self):
         # mutation fixture: negating the relative rotation must be caught
-        def corrupted(q, k, delta, config):
-            from fishrope.rope import relative_logit as clean
-
-            return clean(q, k, (-delta[0], -delta[1]), config)
+        def corrupted(q, k, angles):
+            return rotated_logit(q, k, -angles)
 
         results = check_relative_identity(seed=0, n_draws=200, relative_fn=corrupted)
         assert not results[0].passed
         assert results[0].measured > results[0].tolerance
 
     def test_relative_identity_counts_every_draw_across_ragged_blocks(self):
-        block = experiments.ROPE_CHECK_BLOCK
-        n_draws = 2 * block + 7
-        rows = []
+        block, limit = experiments.ROPE_CHECK_BLOCK, experiments.ROPE_CHECK_ROWS
+        for n_draws in (2 * block + 7, 10000):
+            calls = []
 
-        def counting(q, k, delta, config):
-            rows.append(len(q))
-            return relative_logit(q, k, delta, config)
+            def counting(q, k, angles):
+                calls.append((len(q), q.shape[1]))
+                assert k.shape == q.shape and angles.shape == (len(q), q.shape[1] // 2)
+                return rotated_logit(q, k, angles)
 
-        results = check_relative_identity(seed=3, n_draws=n_draws, relative_fn=counting)
-        assert results[0].passed
-        assert rows == [block, block, 7]
-        assert results[0].note == f"{n_draws} random draws"
+            results = check_relative_identity(seed=3, n_draws=n_draws, relative_fn=counting)
+            assert results[0].passed
+            assert sum(rows for rows, _ in calls) == n_draws
+            assert results[0].note == f"{n_draws} random draws"
+            # one call per batch; each dim's batches but its last stop short of
+            # ROPE_CHECK_ROWS by less than a block
+            dims = {dim for _, dim in calls}
+            for dim in dims:
+                batches = [rows for rows, d in calls if d == dim]
+                assert max(batches) <= limit
+                assert all(rows > limit - block for rows in batches[:-1])
+            if n_draws < limit:
+                assert len(calls) == len(dims)
 
-    @pytest.mark.parametrize("seed", [0, 2, 3])
+    @pytest.mark.parametrize("seed", range(16))
     def test_gathered_rotary_checks_equal_their_per_block_loops(self, seed):
-        # at seeds 2 and 3 a pairwise sum over dims moves the self-logit margin
+        # The per-block loops the checks ran before they gathered their draws.
+        # At seeds 2 and 3 a pairwise sum over dims moves the self-logit margin.
         block = experiments.ROPE_CHECK_BLOCK
         rng = np.random.default_rng([seed, 4])
         worst = 0.0
@@ -347,6 +356,39 @@ class TestSelfCheck:
             worst = max(worst, float(np.max(gap)))
         assert experiments.check_norm_preservation(seed)[0].measured == worst
 
+        rng = np.random.default_rng([seed, 5])
+        worst = 0.0
+        for _ in range(10000 // block):
+            dim = int(rng.choice([4, 8, 16]))
+            theta_dims = int(rng.choice([d for d in range(0, dim + 1, 2)]))
+            config = RotaryConfig(dim, theta_dims, float(rng.uniform(2.0, 10000.0)))
+            q = rng.standard_normal((block, dim))
+            k = rng.standard_normal((block, dim))
+            cm = np.stack([rng.uniform(0.0, 2.0, block), rng.uniform(-math.pi, math.pi, block)], -1)
+            cn = np.stack([rng.uniform(0.0, 2.0, block), rng.uniform(-math.pi, math.pi, block)], -1)
+            absolute = np.sum(
+                apply_rotary_batch(q, cm, config) * apply_rotary_batch(k, cn, config), axis=1
+            )
+            relative = relative_logit(q, k, (cn[:, 0] - cm[:, 0], cn[:, 1] - cm[:, 1]), config)
+            worst = max(worst, float(np.max(np.abs(absolute - relative))))
+        assert experiments.check_relative_identity(seed)[0].measured == worst
+
+        rng = np.random.default_rng([seed, 6])
+        worst = 0.0
+        for _ in range(2000 // block):
+            dim = 2 * int(rng.choice([1, 2, 4, 8]))
+            config = RotaryConfig(dim, dim, float(rng.uniform(2.0, 10000.0)))
+            x = rng.standard_normal((block, dim))
+            a = rng.uniform(-6.0, 6.0, block)
+            b = rng.uniform(-6.0, 6.0, block)
+
+            def rotate(v, angle):
+                return apply_rotary_batch(v, np.stack([angle, np.zeros(block)], -1), config)
+
+            via = rotate(rotate(x, a), b - a)
+            worst = max(worst, float(np.max(np.abs(via - rotate(x, b)))))
+        assert experiments.check_rotation_composition(seed)[0].measured == worst
+
         rng = np.random.default_rng([seed, 7])
         margin = math.inf
         for _ in range(200):
@@ -355,6 +397,20 @@ class TestSelfCheck:
             logits = relative_logit(q, q, (deltas[:, 0], deltas[:, 1]), RotaryConfig(dim=16))
             margin = min(margin, float(np.min(logits[0] - logits[1:])))
         assert experiments.check_self_logit_max(seed)[0].measured == -margin
+
+    def test_indexed_integers_draw_the_choice_stream(self):
+        # the rotary checks index a tuple by rng.integers(n) where they drew
+        # rng.choice from a list; both must leave the same values and state
+        options = [(4, 8, 16, 32), (4, 8, 16), (1, 2, 4, 8)] + [
+            tuple(range(0, dim + 1, 2)) for dim in (4, 8, 16)
+        ]
+        chosen, indexed = np.random.default_rng(11), np.random.default_rng(11)
+        for i in range(2000):
+            pick = options[i % len(options)]
+            assert pick[indexed.integers(len(pick))] == int(chosen.choice(list(pick)))
+            chosen.standard_normal(3)  # the draws between the picks
+            indexed.standard_normal(3)
+        assert indexed.random() == chosen.random()
 
     @pytest.mark.parametrize("seed", range(16))
     def test_rotary_checks_pass_for_benchmark_seeds(self, seed):
@@ -388,7 +444,7 @@ def _raise(*args, **kwargs):
 
 
 class TestForkedSelfCheck:
-    """The rotary checks run in a forked child; the report is the one-process one."""
+    """The camera and rotary checks run in a forked child; the report is the one-process one."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_forked_report_equals_one_process_report(self, monkeypatch, seed):
@@ -400,6 +456,32 @@ class TestForkedSelfCheck:
         forked = dump_report_yaml(selfcheck(seed).as_dict())
         assert len(forks) == 1
         assert forked == alone
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_child_checks_need_no_extrinsics_lapack_or_threads(self, monkeypatch, seed):
+        _cores(monkeypatch, 1)
+        report = selfcheck(seed)
+        monkeypatch.setattr(Extrinsics, "__post_init__", _raise)
+        monkeypatch.setattr(np.linalg, "qr", _raise)
+        monkeypatch.setattr(np.linalg, "det", _raise)
+        monkeypatch.setattr(threading.Thread, "start", _raise)
+        plan = experiments._selfcheck_plan(seed)
+        child = [r for in_child, check in plan if in_child for r in check()]
+        child_names = (
+            "camera.round_trip.",
+            "camera.monotone_radial[",
+            "camera.lut_monotone[",
+            "camera.paraxial_linearity[",
+            "angular.radial_symmetry[",
+            "angular.angle_ranges[",
+            "rope.",
+        )
+        assert child == [r for r in report.results if r.name.startswith(child_names)]
+        # the patches bite on the parent's side
+        for in_child, check in plan[3], plan[6]:
+            assert not in_child
+            with pytest.raises(RuntimeError, match="cannot run"):
+                check()
 
     @pytest.mark.parametrize("gate", ["another thread", "no os.fork"])
     def test_closed_gate_runs_in_one_process(self, monkeypatch, gate):
@@ -432,7 +514,7 @@ class TestForkedSelfCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "failure: the process running the rotary checks failed (exit code 1)\n"
+            "failure: the process running the camera and rotary checks failed (exit code 1)\n"
         )
         assert len(forks) == 1
         assert out.read_bytes() == b"an earlier run\n"

@@ -17,7 +17,13 @@ from fishrope import (
 )
 from fishrope.experiments import _probe_tokens
 from fishrope.fixtures import k2_camera
-from fishrope.rope import DEFAULT_BASE, ROTARY_TILE, apply_rotary_batch, sinusoidal_pe_batch
+from fishrope.rope import (
+    DEFAULT_BASE,
+    ROTARY_TILE,
+    apply_rotary_batch,
+    rotate_planes,
+    sinusoidal_pe_batch,
+)
 
 from .oracles import dense_rotation, two_pass_rotary
 
@@ -156,6 +162,42 @@ class TestApplyFishrope:
                 got = apply_rotary_batch(x, positions, RotaryConfig(dim, theta_dims))
                 want = two_pass_rotary(x, positions, dim, theta_dims, DEFAULT_BASE)
                 assert got.tobytes() == want.tobytes(), (dim, theta_dims)
+
+    @staticmethod
+    def _assert_mixed_configs_equal_oracles(rng, dim, rows):
+        """One kernel call over rows whose configs cycle through every even theta split.
+
+        Each config has its own base; every row must equal both oracles
+        run on that config's rows alone.
+        """
+        configs = [
+            RotaryConfig(dim, theta_dims, float(rng.uniform(2.0, 10000.0)))
+            for theta_dims in range(0, dim + 1, 2)
+        ]
+        which = np.arange(rows) % len(configs)
+        x = rng.standard_normal((rows, dim))
+        positions = rng.uniform(-7.0, 7.0, (rows, 2))
+        angles = np.empty((rows, dim // 2))
+        for i, c in enumerate(configs):
+            angles[which == i] = c.plane_angles(positions[which == i])
+        got = rotate_planes(x, angles, np.empty_like(x))
+        for i, c in enumerate(configs):
+            own = (x[which == i], positions[which == i])
+            want = two_pass_rotary(*own, c.dim, c.theta_dims, c.base)
+            assert got[which == i].tobytes() == want.tobytes(), c
+            assert got[which == i].tobytes() == apply_rotary_batch(*own, c).tobytes(), c
+
+    def test_kernel_per_row_angles_equal_two_pass_bit_for_bit(self):
+        # every dim 2..64, each in one call mixing every even theta split
+        rng = np.random.default_rng(5)
+        for dim in range(2, 65, 2):
+            self._assert_mixed_configs_equal_oracles(rng, dim, 3 * (dim // 2 + 1))
+
+    def test_kernel_ragged_tiles_equal_two_pass_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        for dim in (2, 16, 64):
+            rows = 2 * ROTARY_TILE // (dim // 2) + 7
+            self._assert_mixed_configs_equal_oracles(rng, dim, rows)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
