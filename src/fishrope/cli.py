@@ -139,11 +139,11 @@ def _cmd_angles(args) -> int:
         formats.write_anglemap_bin(out, grid)
     else:
         formats.write_anglemap_csv(out, grid)
-    coords, _ = grid.flat_valid()
+    theta = grid.coords[..., 0][grid.valid_mask]
     frac = grid.n_valid / (grid.grid_dims[0] * grid.grid_dims[1])
     print(
         f"angle map: grid {grid.grid_dims[0]}x{grid.grid_dims[1]} "
-        f"theta range [{coords[:, 0].min():.6f}, {coords[:, 0].max():.6f}] "
+        f"theta range [{theta.min():.6f}, {theta.max():.6f}] "
         f"valid fraction {frac:.4f} -> {out}"
     )
     return EXIT_OK

@@ -20,7 +20,11 @@ A table of two or more blocks is formatted in two processes through
 `camera._fork_split` (where the platform forks, a second core is usable
 and no other Python thread runs): a forked child writes the second half
 to a temporary file that the parent appends, with the same bytes as one
-process writes.
+process writes.  `read_anglemap_csv` splits a body of two or more blocks
+the same way: the child parses the bytes after the first newline past
+the middle and the parent the bytes before it, with the same arrays as
+one process parses; any failure there is parsed again in one process,
+which raises that parse's FormatError.
 
 Every writer goes through `_replacing`: it writes a new sibling of its
 path and renames it over the path only once the write has finished, so
@@ -42,16 +46,18 @@ not finite and positive).
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import shutil
+import warnings
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import yaml
 
 from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _fork_split
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FishropeError, FormatError
 
 if TYPE_CHECKING:
     from .angular import PatchGrid
@@ -306,8 +312,88 @@ def write_anglemap_csv(path, grid: PatchGrid) -> None:
     _write_csv(path, [meta], _ANGLE_CSV_COLUMNS, [row, col, flat[:, 0], flat[:, 1], valid])
 
 
+def _loadtxt_range(fd: int, start: int, stop: int) -> np.ndarray:
+    """np.loadtxt of bytes start..stop of fd, decoded as `read_anglemap_csv` decodes.
+
+    The bytes come from os.pread, which leaves the descriptor's offset
+    alone.  ValueError if the file ends before stop; any warning (a range
+    with no data line) is raised as an error.
+    """
+    body = os.pread(fd, stop - start, start)
+    if len(body) != stop - start:
+        raise ValueError(f"the file ends before byte {stop}")
+    text = io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", errors="replace")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(text, delimiter=",", ndmin=2)
+
+
+def _split_loadtxt(fh) -> np.ndarray | None:
+    """The rest of text file fh as np.loadtxt parses it, in two processes; or None.
+
+    The rest is cut after the first newline at or past its byte midpoint.
+    Through `camera._fork_split`, a forked child parses the bytes after the
+    cut and writes (rows, cols) as two int64 values, then its float64
+    rows, to its temporary file, while this process parses the bytes before
+    it; this process then copies its rows into the result and reads the
+    child's in after them.  Both halves are read through fh's descriptor
+    with os.pread: the path is not opened again (a replaced --out could
+    swap the file between two opens) and fh does not move.  None when the
+    gate says no; when fh is not a seekable file, its position is not a
+    plain byte offset, or it has no newline within io.DEFAULT_BUFFER_SIZE
+    bytes of the midpoint; when either half fails to parse; and when the
+    halves differ in width.  The caller then parses fh in one process,
+    with that parse's errors.
+    """
+    if not fh.seekable():
+        return None
+    fd = fh.fileno()
+    start, size = fh.tell(), os.fstat(fd).st_size
+    if start > size:  # a tell() cookie that holds decoder state, not a byte offset
+        return None
+    mid = start + (size - start) // 2
+    newline = os.pread(fd, io.DEFAULT_BUFFER_SIZE, mid).find(b"\n")
+    if newline < 0:
+        return None
+    cut = mid + newline + 1
+    halves = []
+
+    def parse_tail(out) -> None:
+        tail = _loadtxt_range(fd, cut, size)
+        out.write(np.array(tail.shape, dtype=np.int64).tobytes())
+        out.write(tail)
+
+    def join(out) -> np.ndarray | None:
+        (head,) = halves
+        rows, cols = np.frombuffer(out.read(16), dtype=np.int64).tolist()
+        if cols != head.shape[1]:
+            return None
+        data = np.empty((len(head) + rows, cols))
+        data[: len(head)] = head
+        out.readinto(data[len(head) :])
+        return data
+
+    try:
+        split = _fork_split(
+            parse_tail,
+            lambda: halves.append(_loadtxt_range(fd, start, cut)),
+            join,
+            f"the process parsing bytes {cut}..{size} of {fh.name}",
+        )
+    except (ValueError, Warning, FishropeError):
+        return None
+    return None if split is None else split[1]
+
+
 def read_anglemap_csv(path) -> dict[str, Any]:
-    """Parse an angle-map CSV back into arrays (theta, phi, valid) plus metadata."""
+    """Parse an angle-map CSV back into arrays (theta, phi, valid) plus metadata.
+
+    A body of at least 2 * CSV_BLOCK_ROWS rows by the metadata line is
+    parsed in two processes where `camera._fork_split`'s gate allows (see
+    `_split_loadtxt`), with the same bits as one process parses.  Any
+    failure there, and every smaller body, is parsed by np.loadtxt in this
+    process, which raises the FormatError for a malformed line.
+    """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
         tokens = header.split()
@@ -320,11 +406,13 @@ def read_anglemap_csv(path) -> dict[str, Any]:
         if columns != ",".join(_ANGLE_CSV_COLUMNS):
             raise FormatError(f"unexpected column header {columns!r}")
         head = {f: _header_value(f, meta.get(f)) for f in _ANGLE_BIN_FIELDS[:4]}
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"malformed angle-map CSV line: {exc}") from exc
-    n = head["rows"] * head["cols"]
+        n = head["rows"] * head["cols"]
+        data = _split_loadtxt(fh) if n >= 2 * CSV_BLOCK_ROWS else None
+        if data is None:
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise FormatError(f"malformed angle-map CSV line: {exc}") from exc
     if data.shape != (n, 5):
         raise FormatError(f"expected {n} rows of 5 fields, found shape {data.shape}")
     row, col = np.divmod(np.arange(n), head["cols"])

@@ -47,6 +47,19 @@ class TestAngles:
         summary = capsys.readouterr().out
         assert "16x16" in summary and "valid fraction" in summary
 
+    @pytest.mark.parametrize(
+        "patch_size, summary",
+        [
+            (4, "grid 256x256 theta range [0.017676, 1.657956] valid fraction 0.7676"),
+            (14, "grid 74x74 theta range [0.008839, 1.657853] valid fraction 0.7515"),
+        ],
+    )
+    def test_summary_line_pinned(self, calib, tmp_path, capsys, patch_size, summary):
+        out = tmp_path / "angles.bin"
+        argv = ["angles", "--calib", calib, "--out", str(out), "--format", "bin"]
+        assert main(argv + ["--patch-size", str(patch_size)]) == 0
+        assert capsys.readouterr().out == f"angle map: {summary} -> {out}\n"
+
     def test_emitted_csv_matches_in_memory_grid(self, calib, tmp_path):
         out = tmp_path / "angles.csv"
         assert main(["angles", "--calib", calib, "--out", str(out), "--patch-size", "32"]) == 0

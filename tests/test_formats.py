@@ -1,4 +1,5 @@
 import errno
+import io
 import math
 import os
 import pathlib
@@ -6,6 +7,7 @@ import stat
 import threading
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +357,199 @@ class TestSplitWriter:
         assert not other.is_alive()
         assert forks == []
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "x"], columns)
+
+
+def _anglemap_lines(rows, cols, pad=()) -> list[str]:
+    """Lines of an angle-map CSV with NaN angles in every third (invalid) cell.
+
+    Each cell in pad gets 400 trailing zeros on its theta, a long line that
+    parses to the same float.
+    """
+    lines = [
+        f"{formats._ANGLE_CSV_TAG} v{formats.FORMAT_VERSION} rows={rows} cols={cols} "
+        "patch_size=8 theta_max=1.5",
+        ",".join(formats._ANGLE_CSV_COLUMNS),
+    ]
+    for k in range(rows * cols):
+        theta = f"{0.01 * k!r}" + "0" * (400 if k in pad else 0)
+        angles = "nan,nan,0" if k % 3 == 2 else f"{theta},{-0.5 + 0.1 * k!r},1"
+        lines.append(f"{k // cols},{k % cols},{angles}")
+    return lines
+
+
+def _first_child_line(lines) -> int:
+    """Index in lines of the first line the split reader leaves to the child.
+
+    The body is cut after the first newline at or past its byte midpoint.
+    """
+    body = "".join(line + "\n" for line in lines[2:]).encode()
+    cut = body.index(b"\n", len(body) // 2) + 1
+    return 2 + body[:cut].count(b"\n")
+
+
+def _read_outcome(path):
+    """read_anglemap_csv's arrays as bytes, or its FormatError's message."""
+    try:
+        back = formats.read_anglemap_csv(path)
+    except FormatError as exc:
+        return str(exc)
+    return [back[k].tobytes() for k in ("theta", "phi", "valid")] + [
+        back["patch_size"], back["theta_max"]
+    ]
+
+
+class TestSplitReader:
+    """Bodies of two or more blocks are parsed by two processes, same bits and errors."""
+
+    @staticmethod
+    def _read_both(monkeypatch, path):
+        """The one-process and the split outcome, and the forks each made."""
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        forks = _count_forks(monkeypatch)
+        outcomes, counts = [], []
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes.append(_read_outcome(path))
+            assert caught == []
+            counts.append(len(forks))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return outcomes, [counts[0], counts[1] - counts[0]]
+
+    @pytest.mark.parametrize(
+        "rows, cols, pad, child_first",
+        [
+            (3, 5, (), None),  # 15 cells, odd, short lines on both sides of the cut
+            (2, 2, (), None),  # the smallest split body, 4 cells
+            (3, 5, (7,), 10),  # the cut lands right after a long line
+            (3, 5, (0, 7), 9),  # the child's first line is a long one
+        ],
+    )
+    def test_split_and_in_process_bits_identical(self, tmp_path, monkeypatch, rows, cols,
+                                                 pad, child_first):
+        lines = _anglemap_lines(rows, cols, pad)
+        if child_first is not None:
+            assert _first_child_line(lines) == child_first
+        path = tmp_path / "angles.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        (whole, split), forks = self._read_both(monkeypatch, path)
+        assert forks == [0, 1]
+        assert not isinstance(whole, str)
+        assert split == whole
+        assert np.isnan(np.frombuffer(whole[0], dtype=np.float64)[2::3]).all()
+
+    def test_written_grid_reads_back_the_same_on_two_cores(self, tmp_path, monkeypatch):
+        grid = patch_angles(wide_camera(), 96)  # 11 x 11, odd, NaN outside the circle
+        path = tmp_path / "angles.csv"
+        formats.write_anglemap_csv(path, grid)
+        (whole, split), forks = self._read_both(monkeypatch, path)
+        assert forks == [0, 1] and split == whole
+        assert whole[0] == grid.coords[..., 0].tobytes()
+        assert whole[2] == grid.valid_mask.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "under-two-blocks",  # 3 cells
+            "line-longer-than-a-buffer",  # no newline within io.DEFAULT_BUFFER_SIZE of the middle
+            "lone-cr-header",  # tell() carries decoder state, not a byte offset
+        ],
+    )
+    def test_no_fork_where_the_body_cannot_be_split(self, tmp_path, monkeypatch, edit):
+        lines = _anglemap_lines(1, 3) if edit == "under-two-blocks" else _anglemap_lines(3, 5)
+        text = "".join(line + "\n" for line in lines)
+        if edit == "line-longer-than-a-buffer":
+            text = text.replace("0.07,", "0.07" + "0" * 2 * io.DEFAULT_BUFFER_SIZE + ",")
+        elif edit == "lone-cr-header":
+            text = text.replace("\n", "\r", 2)
+        path = tmp_path / "angles.csv"
+        path.write_bytes(text.encode())
+        (whole, split), forks = self._read_both(monkeypatch, path)
+        assert forks == [0, 0]
+        assert not isinstance(whole, str) and split == whole
+
+    def test_pipe_is_read_in_one_process(self, tmp_path, monkeypatch):
+        text = "".join(line + "\n" for line in _anglemap_lines(3, 5)).encode()
+        plain, pipe = tmp_path / "angles.csv", tmp_path / "pipe.csv"
+        plain.write_bytes(text)
+        os.mkfifo(pipe)
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
+        _cores(monkeypatch, 2)
+        writer = threading.Thread(target=pipe.write_bytes, args=(text,))
+        writer.start()
+        try:
+            # the reader cannot tell() on a pipe; the writer thread also closes the gate
+            from_pipe = _read_outcome(pipe)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert not isinstance(from_pipe, str) and from_pipe == _read_outcome(plain)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_half_without_data_falls_back_without_a_warning(self, tmp_path, monkeypatch,
+                                                            capfd, where):
+        # long comment lines before or after the cells put one half among them
+        lines = _anglemap_lines(2, 2)
+        comments = ["# " + "x" * 200] * 4
+        lines[2:2] = comments if where == "before" else []
+        lines += comments if where == "after" else []
+        path = tmp_path / "angles.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        (whole, split), forks = self._read_both(monkeypatch, path)
+        assert forks == [0, 1]
+        assert not isinstance(whole, str) and split == whole
+        assert capfd.readouterr().err == ""  # nor did the child warn
+
+    @staticmethod
+    def _edit(lines, case) -> bytes:
+        """The file's bytes with case's defect placed relative to the cut."""
+        child = _first_child_line(lines)
+        if case == "bad-field-in-child-half":
+            lines[-1] = lines[-1].replace(",nan,", ",abc,", 1)
+        elif case == "columns-change-across-the-cut":
+            # a comment in place of the last comma keeps every line's length
+            lines[child:] = ["#".join(line.rsplit(",", 1)) for line in lines[child:]]
+        elif case == "one-column-before-the-cut":
+            lines[2:child] = [line.replace(",", "#", 1) for line in lines[2:child]]
+        elif case == "blank-line-at-the-cut":
+            lines[child] = ""
+        elif case == "whitespace-line-at-the-cut":
+            lines[child] = "  "
+        assert _first_child_line(lines) == child
+        text = "".join(line + "\n" for line in lines).encode()
+        if case == "truncated-body":
+            return text[:-4]
+        if case == "trailing-garbage":
+            return text + b"0,0,garbage\n"
+        if case.startswith("non-utf8-in-"):
+            index = 2 if case.endswith("parent-half") else len(lines) - 1
+            start = len("".join(line + "\n" for line in lines[:index]).encode())
+            return text[:start] + b"\xff" + text[start + 1 :]
+        return text
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "bad-field-in-child-half",
+            "columns-change-across-the-cut",
+            "one-column-before-the-cut",
+            "blank-line-at-the-cut",
+            "whitespace-line-at-the-cut",
+            "truncated-body",
+            "non-utf8-in-parent-half",
+            "non-utf8-in-child-half",
+            "trailing-garbage",
+        ],
+    )
+    def test_split_raises_the_in_process_error(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "angles.csv"
+        path.write_bytes(self._edit(_anglemap_lines(3, 5), case))
+        (whole, split), forks = self._read_both(monkeypatch, path)
+        assert forks == [0, 1]
+        assert isinstance(whole, str), whole
+        assert split == whole
 
 
 class _FullDisk:
