@@ -144,7 +144,8 @@ class KannalaBrandtCamera:
     image_size: (width, height) in pixels, whole numbers (1024.0 loads as 1024).
 
     Construction verifies that r(theta) is strictly increasing on
-    [0, theta_max] by sampling its derivative; it fails otherwise.
+    [0, theta_max] by sampling its derivative, and that r_max is finite;
+    it fails otherwise.
     Instances are immutable and safe to share across threads.
     """
 
@@ -185,10 +186,18 @@ class KannalaBrandtCamera:
                 f"principal point {self.principal_point} outside image bounds {self.image_size}"
             )
         thetas = np.linspace(0.0, self.theta_max, _MONOTONE_SAMPLES)
-        if np.any(self.radial_derivative(thetas) <= 0.0):
+        # Huge coefficients overflow to inf, and inf * 0 gives NaN samples,
+        # which only `> 0` refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            increasing = np.all(self.radial_derivative(thetas) > 0.0)
+            r_max = self.r_max
+        if not increasing:
             raise ConfigError(
-                "radial polynomial is not strictly increasing on [0, theta_max]"
+                "radial polynomial is not strictly increasing on [0, theta_max] "
+                "(a sampled derivative is not positive, or is NaN)"
             )
+        if not math.isfinite(r_max):
+            raise ConfigError(f"image circle radius r(theta_max) is {r_max}, not finite")
 
     @cached_property
     def r_max(self) -> float:

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -161,11 +161,19 @@ class _ScoredReport:
                 return s
         raise KeyError(encoding)
 
-    def _results(self) -> list[dict]:
-        return [
-            {f.name: getattr(s, f.name) for f in fields(s) if f.name != "runtime_s"}
-            for s in self.scores
-        ]
+    def _as_dict(self, kind: str, camera: dict, **counts) -> dict:
+        """The report document: camera holds the entries beside the fingerprint."""
+        return {
+            "format_version": REPORT_FORMAT_VERSION,
+            "kind": kind,
+            "config": self.config_summary,
+            "camera": {"fingerprint": self.camera_fingerprint, **camera},
+            **counts,
+            "results": [
+                {f.name: getattr(s, f.name) for f in fields(s) if f.name != "runtime_s"}
+                for s in self.scores
+            ],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +232,12 @@ class BenchReport(_ScoredReport):
     scores: tuple[EncodingScore, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "kind": "retrieval_bench",
-            "config": self.config_summary,
-            "camera": {
-                "fingerprint": self.camera_fingerprint,
-                "extent_ratio": self.extent_ratio,
-                "degenerate": self.degenerate_camera,
-            },
-            "n_keys": self.n_keys,
-            "wrap_query_count": self.wrap_query_count,
-            "results": self._results(),
-        }
+        return self._as_dict(
+            "retrieval_bench",
+            {"extent_ratio": self.extent_ratio, "degenerate": self.degenerate_camera},
+            n_keys=self.n_keys,
+            wrap_query_count=self.wrap_query_count,
+        )
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["encoding", "query_set", "top1_accuracy", "mean_rank"]
@@ -477,15 +478,7 @@ class LiftReport(_ScoredReport):
     scores: tuple[LiftScore, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "kind": "bev_lift",
-            "config": self.config_summary,
-            "camera": {"fingerprint": self.camera_fingerprint},
-            "n_visible": self.n_visible,
-            "n_keys": self.n_keys,
-            "results": self._results(),
-        }
+        return self._as_dict("bev_lift", {}, n_visible=self.n_visible, n_keys=self.n_keys)
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["encoding", "region", "accuracy", "n_cells"]
@@ -625,6 +618,16 @@ class CheckResult:
     tolerance: float
     note: str = ""
 
+    @classmethod
+    def below(cls, name: str, measured: float, tolerance: float, note: str = "") -> CheckResult:
+        """Passes when measured < tolerance, so a NaN measurement fails."""
+        return cls(name, bool(measured < tolerance), measured, tolerance, note)
+
+    @classmethod
+    def flag(cls, name: str, ok: bool, note: str) -> CheckResult:
+        """An indicator check: measured 0 when ok, else 1, against tolerance 0."""
+        return cls(name, bool(ok), 0.0 if ok else 1.0, 0.0, note)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         text = f"{status} {self.name}: measured={self.measured:.3e} tolerance={self.tolerance:.3e}"
@@ -644,16 +647,7 @@ class SelfCheckReport:
             "format_version": REPORT_FORMAT_VERSION,
             "kind": "selfcheck",
             "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "tolerance": r.tolerance,
-                    "note": r.note,
-                }
-                for r in self.results
-            ],
+            "checks": [asdict(r) for r in self.results],
         }
 
 
@@ -663,35 +657,21 @@ def _sample_coords(rng: np.random.Generator, n: int, theta_max: float) -> np.nda
     return np.stack([theta, phi], axis=-1)
 
 
-def check_camera_roundtrip(seed: int = 0, n: int = 10000) -> list[CheckResult]:
+def check_camera_roundtrip(seed: int = 0) -> list[CheckResult]:
     """unproject(project(theta, phi)) errors, converged and 5-iteration Newton."""
     out = []
     for name, camera in fixture_cameras().items():
         rng = np.random.default_rng([seed, 1])
-        theta = rng.uniform(0.0, camera.theta_max, n)
-        phi = rng.uniform(-math.pi, math.pi, n)
+        theta = rng.uniform(0.0, camera.theta_max, 10000)
+        phi = rng.uniform(-math.pi, math.pi, 10000)
         u, v = camera.project(theta, phi)
         for mode, iterations, tol in (("converged", None, 1e-9), ("five_iter", 5, 1e-5)):
             t2, p2 = camera.unproject_newton(u, v, iterations=iterations)
             dtheta = float(np.max(np.abs(t2 - theta)))
             nonzero = theta > 0
             dphi = float(np.max(np.abs(p2[nonzero] - phi[nonzero]))) if np.any(nonzero) else 0.0
-            out.append(
-                CheckResult(
-                    name=f"camera.round_trip.{mode}.theta[{name}]",
-                    passed=dtheta < tol,
-                    measured=dtheta,
-                    tolerance=tol,
-                )
-            )
-            out.append(
-                CheckResult(
-                    name=f"camera.round_trip.{mode}.phi[{name}]",
-                    passed=dphi < 1e-9,
-                    measured=dphi,
-                    tolerance=1e-9,
-                )
-            )
+            out.append(CheckResult.below(f"camera.round_trip.{mode}.theta[{name}]", dtheta, tol))
+            out.append(CheckResult.below(f"camera.round_trip.{mode}.phi[{name}]", dphi, 1e-9))
     return out
 
 
@@ -731,14 +711,7 @@ def check_paraxial() -> list[CheckResult]:
         thetas = np.linspace(1e-8, 0.01 * camera.theta_max, 256)
         r = camera.radial(thetas)
         rel = float(np.max(np.abs(thetas - r / camera.coeffs[0]) / thetas))
-        out.append(
-            CheckResult(
-                name=f"camera.paraxial_linearity[{name}]",
-                passed=rel < 1e-3,
-                measured=rel,
-                tolerance=1e-3,
-            )
-        )
+        out.append(CheckResult.below(f"camera.paraxial_linearity[{name}]", rel, 1e-3))
     return out
 
 
@@ -755,14 +728,7 @@ def check_extrinsic_composition(seed: int = 0) -> list[CheckResult]:
             abs(float(np.linalg.det(c.rotation)) - 1.0),
         )
         worst = max(worst, err)
-    return [
-        CheckResult(
-            name="camera.extrinsic_composition",
-            passed=worst < 1e-9,
-            measured=worst,
-            tolerance=1e-9,
-        )
-    ]
+    return [CheckResult.below("camera.extrinsic_composition", worst, 1e-9)]
 
 
 def _random_extrinsics(rng: np.random.Generator) -> Extrinsics:
@@ -789,14 +755,7 @@ def check_radial_symmetry(seed: int = 0) -> list[CheckResult]:
             cx + radii * np.cos(phi_b), cy + radii * np.sin(phi_b), iterations=None
         )
         err = float(np.max(np.abs(ta - tb)))
-        out.append(
-            CheckResult(
-                name=f"angular.radial_symmetry[{name}]",
-                passed=err < 1e-9,
-                measured=err,
-                tolerance=1e-9,
-            )
-        )
+        out.append(CheckResult.below(f"angular.radial_symmetry[{name}]", err, 1e-9))
     return out
 
 
@@ -812,15 +771,7 @@ def check_angle_ranges() -> list[CheckResult]:
             and np.all(coords[:, 0] <= camera.theta_max + 1e-12)
             and np.all(coords[:, 0] >= 0.0)
         )
-        out.append(
-            CheckResult(
-                name=f"angular.angle_ranges[{name}]",
-                passed=ok,
-                measured=0.0 if ok else 1.0,
-                tolerance=0.0,
-                note="violation indicator",
-            )
-        )
+        out.append(CheckResult.flag(f"angular.angle_ranges[{name}]", ok, "violation indicator"))
     return out
 
 
@@ -843,12 +794,10 @@ def check_bev_projection_consistency() -> list[CheckResult]:
     inside = (u >= 0) & (u <= w) & (v >= 0) & (v <= h)
     ok = bool(np.all(inside)) and bev.n_visible > 0
     return [
-        CheckResult(
-            name="angular.bev_projection_consistency",
-            passed=ok,
-            measured=0.0 if ok else 1.0,
-            tolerance=0.0,
-            note=f"{bev.n_visible} visible cells all project in-image",
+        CheckResult.flag(
+            "angular.bev_projection_consistency",
+            ok,
+            f"{bev.n_visible} visible cells all project in-image",
         )
     ]
 
@@ -898,7 +847,7 @@ _IDENTITY_DIMS = (4, 8, 16)
 _COMPOSITION_DIMS = (2, 4, 8, 16)
 
 
-def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
+def check_norm_preservation(seed: int = 0) -> list[CheckResult]:
     """Rotation keeps every row's norm.
 
     Each block draws its dim, rows and coordinates in turn; the blocks
@@ -907,7 +856,7 @@ def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
 
     def blocks():
-        for rows in _blocks(n):
+        for rows in _blocks(2000):
             config = _NORM_CONFIGS[rng.integers(len(_NORM_CONFIGS))]
             x = rng.standard_normal((rows, config.dim))
             yield config.dim, (x, config.plane_angles(_sample_coords(rng, rows, 2.0)))
@@ -917,14 +866,7 @@ def check_norm_preservation(seed: int = 0, n: int = 2000) -> list[CheckResult]:
         return float(np.max(np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))))
 
     worst = max(_gathered(blocks(), gap), default=0.0)
-    return [
-        CheckResult(
-            name="rope.norm_preservation",
-            passed=worst < 1e-12,
-            measured=worst,
-            tolerance=1e-12,
-        )
-    ]
+    return [CheckResult.below("rope.norm_preservation", worst, 1e-12)]
 
 
 def check_relative_identity(
@@ -964,18 +906,10 @@ def check_relative_identity(
         return float(np.max(np.abs(absolute - relative_fn(q, k, between))))
 
     worst = max(_gathered(blocks(), gap), default=0.0)
-    return [
-        CheckResult(
-            name="rope.relative_identity",
-            passed=worst < 1e-12,
-            measured=worst,
-            tolerance=1e-12,
-            note=f"{n_draws} random draws",
-        )
-    ]
+    return [CheckResult.below("rope.relative_identity", worst, 1e-12, f"{n_draws} random draws")]
 
 
-def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult]:
+def check_rotation_composition(seed: int = 0) -> list[CheckResult]:
     """rotate(rotate(x, a), b - a) equals rotate(x, b) for every schedule.
 
     Each block draws one schedule and forms its angles through a
@@ -985,7 +919,7 @@ def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult
     rng = np.random.default_rng([seed, 6])
 
     def blocks():
-        for rows in _blocks(n):
+        for rows in _blocks(2000):
             dim = _COMPOSITION_DIMS[rng.integers(len(_COMPOSITION_DIMS))]
             config = RotaryConfig(dim=dim, theta_dims=dim, base=float(rng.uniform(2.0, 10000.0)))
             x = rng.standard_normal((rows, dim))
@@ -1002,14 +936,7 @@ def check_rotation_composition(seed: int = 0, n: int = 2000) -> list[CheckResult
         return float(np.max(np.abs(via - _rotate(x, at_b))))
 
     worst = max(_gathered(blocks(), gap), default=0.0)
-    return [
-        CheckResult(
-            name="rope.rotation_composition",
-            passed=worst < 1e-12,
-            measured=worst,
-            tolerance=1e-12,
-        )
-    ]
+    return [CheckResult.below("rope.rotation_composition", worst, 1e-12)]
 
 
 def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
@@ -1092,27 +1019,12 @@ def check_shift_invariance(seed: int = 0) -> list[CheckResult]:
         if encoding == "axial_rope":  # pixels of a 640 x 480 image, as _probe_tokens feeds them
             size = np.array([640.0, 480.0])
             coords, shifted_coords = coords / size, shifted_coords / size
-        base = attention.logit_matrix(
-            TokenGrid(features=features, coords=coords, mask=mask),
-            TokenGrid(features=features, coords=coords, mask=mask),
-            weights,
-            config,
-        )
-        shifted = attention.logit_matrix(
-            TokenGrid(features=features, coords=shifted_coords, mask=mask),
-            TokenGrid(features=features, coords=shifted_coords, mask=mask),
-            weights,
-            config,
-        )
+        grids = [
+            TokenGrid(features=features, coords=c, mask=mask) for c in (coords, shifted_coords)
+        ]
+        base, shifted = (attention.logit_matrix(g, g, weights, config) for g in grids)
         err = float(np.max(np.abs(base - shifted)))
-        out.append(
-            CheckResult(
-                name=f"attention.shift_invariance[{encoding}]",
-                passed=err < 1e-10,
-                measured=err,
-                tolerance=1e-10,
-            )
-        )
+        out.append(CheckResult.below(f"attention.shift_invariance[{encoding}]", err, 1e-10))
     return out
 
 
@@ -1130,13 +1042,7 @@ def check_stability(seed: int = 0) -> list[CheckResult]:
     out = attention.self_attention(tokens, weights, config)
     finite = bool(np.all(np.isfinite(out)))
     return [
-        CheckResult(
-            name="attention.stability_large_inputs",
-            passed=finite,
-            measured=0.0 if finite else 1.0,
-            tolerance=0.0,
-            note="non-finite output indicator",
-        )
+        CheckResult.flag("attention.stability_large_inputs", finite, "non-finite output indicator")
     ]
 
 
@@ -1184,14 +1090,7 @@ def check_gradient(seed: int = 0) -> list[CheckResult]:
     numeric = fd_self_attention_jacobian(tokens, weights, config)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     rel = float(np.max(np.abs(analytic - numeric) / scale))
-    return [
-        CheckResult(
-            name="attention.gradient_check",
-            passed=rel < 1e-4,
-            measured=rel,
-            tolerance=1e-4,
-        )
-    ]
+    return [CheckResult.below("attention.gradient_check", rel, 1e-4)]
 
 
 def _small_bench_config(seed: int = 0) -> RetrievalBenchConfig:
@@ -1205,14 +1104,9 @@ def check_bench_determinism(seed: int = 0) -> list[CheckResult]:
 
     a = dump_report_yaml(retrieval_bench(_small_bench_config(seed)).as_dict())
     b = dump_report_yaml(retrieval_bench(_small_bench_config(seed)).as_dict())
-    same = a == b
     return [
-        CheckResult(
-            name="experiments.bench_determinism",
-            passed=same,
-            measured=0.0 if same else 1.0,
-            tolerance=0.0,
-            note="serialized report mismatch indicator",
+        CheckResult.flag(
+            "experiments.bench_determinism", a == b, "serialized report mismatch indicator"
         )
     ]
 
@@ -1238,14 +1132,7 @@ def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
     delta = key_coords[None, :, :] - query_coords[::4, None, :]
     expected = tau * rope.relative_logit(probe, probe, (delta[..., 0], delta[..., 1]), rcfg)
     worst = float(np.max(np.abs(expected - logits[::4])))
-    return [
-        CheckResult(
-            name="experiments.bench_matches_relative_logit",
-            passed=worst < 1e-10,
-            measured=worst,
-            tolerance=1e-10,
-        )
-    ]
+    return [CheckResult.below("experiments.bench_matches_relative_logit", worst, 1e-10)]
 
 
 def check_lift_monotone(seed: int = 0) -> list[CheckResult]:
@@ -1311,9 +1198,11 @@ def selfcheck(seed: int = 0) -> SelfCheckReport:
 
     The camera and rotary checks run in a forked child, through
     `camera._fork_split`, while this process runs the others; the child
-    sends its results back pickled.  Every check draws from its own
-    seeded generator, so the results, joined in the one-process order,
-    are the same whichever way they ran.
+    sends its results back pickled.  When the fork gate says no, this
+    process runs both shares in turn, the parent's first.  Either way the
+    two shares are joined in plan order by one path, and every check
+    draws from its own seeded generator, so running order cannot change
+    a result.
     """
     _check_seed(seed)
     plan = _selfcheck_plan(seed)
@@ -1327,9 +1216,6 @@ def selfcheck(seed: int = 0) -> SelfCheckReport:
         pickle.load,
         "the process running the camera and rotary checks",
     )
-    if split is None:
-        per_check = [check() for _, check in plan]
-    else:
-        parent, child = (iter(part) for part in split)
-        per_check = [next(child if in_child else parent) for in_child, _ in plan]
+    parent, child = (iter(part) for part in split or (share(False), share(True)))
+    per_check = [next(child if in_child else parent) for in_child, _ in plan]
     return SelfCheckReport(results=tuple(r for results in per_check for r in results))

@@ -70,13 +70,9 @@ def fixture_cameras() -> dict[str, KannalaBrandtCamera]:
     return {"linear": linear_camera(), "k2": k2_camera(), "wide": wide_camera()}
 
 
-def scene_extrinsics(
-    height: float = SCENE_CAMERA_HEIGHT, target=SCENE_LOOK_TARGET
-) -> Extrinsics:
+def scene_extrinsics() -> Extrinsics:
     """Oblique downward-looking pose for ground-plane lifting scenes."""
-    return Extrinsics.look_at(
-        position=np.array([0.0, 0.0, float(height)]), target=np.asarray(target, float)
-    )
+    return Extrinsics.look_at(position=(0.0, 0.0, SCENE_CAMERA_HEIGHT), target=SCENE_LOOK_TARGET)
 
 
 def scene_pattern():

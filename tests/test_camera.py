@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ class TestConstruction:
         # r' = 1 - 3*theta^2 turns negative before theta_max = 1.
         with pytest.raises(ConfigError):
             toy_camera(coeffs=(1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "coeffs, theta_max, message",
+        [
+            ((1e308, 1e308), 3.0, "not strictly increasing"),
+            ((1.0, 1e308), 1.5, "not strictly increasing"),
+            ((1e308,), 3.0, "r\\(theta_max\\) is inf"),
+        ],
+    )
+    def test_rejects_overflowing_polynomial(self, coeffs, theta_max, message):
+        # overflow gives NaN derivative samples or an infinite r_max, which
+        # must be refused without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match=message):
+                toy_camera(coeffs=coeffs, theta_max=theta_max)
 
     @pytest.mark.parametrize(
         "size", [(200.7, 200), (200, math.nan), (math.inf, 200), (200, "200"), (200, None)]

@@ -93,11 +93,13 @@ class TestAngles:
         code = main(["angles", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_unwritable_output_exits_3(self, calib, tmp_path):
-        code = main(
-            ["angles", "--calib", calib, "--out", str(tmp_path / "no" / "dir" / "x.csv")]
-        )
+    def test_unwritable_output_exits_3(self, calib, tmp_path, capsys):
+        out = str(tmp_path / "no" / "dir" / "x.csv")
+        code = main(["angles", "--calib", calib, "--out", out])
         assert code == 3
+        # the error names --out, not the temporary sibling written beside it
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and out in err and ".tmp" not in err
 
 
 class TestLut:
@@ -484,6 +486,18 @@ class TestInputContract:
                 warnings.simplefilter("error", RuntimeWarning)
                 argv = [command, "--calib", bad, "--out", str(out)]
                 self._exits_2_with_one_line(argv, out, capsys, message)
+
+    @pytest.mark.parametrize("coeffs, theta_max", [([1e308, 1e308], 3.0), ([1.0, 1e308], 1.5)])
+    def test_overflowing_coeffs(self, calib, tmp_path, capsys, coeffs, theta_max):
+        # refused when the camera is built, before unproject could print NaN
+        bad = _edited_calibration(calib, tmp_path, ("coeffs",), coeffs)
+        bad = _edited_calibration(bad, tmp_path, ("theta_max",), theta_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["unproject", "--calib", bad, "--u", "11", "--v", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_angles_without_a_valid_patch(self, calib, tmp_path, capsys):
         # a run-time failure, as bench and lift report it, found before any

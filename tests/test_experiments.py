@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 import os
 import pathlib
@@ -42,7 +44,8 @@ from fishrope.rope import apply_rotary_batch, rotated_logit
 from .oracles import argmax_with_random_ties_loop, ranks_of_loop
 from .test_formats import _cores, _count_forks
 
-SELFCHECK_YAML = pathlib.Path(__file__).resolve().parent.parent / "results" / "selfcheck.yaml"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+SELFCHECK_YAML = REPO_ROOT / "results" / "selfcheck.yaml"
 
 
 def tie_heavy_logits(rng, n_rows=300, n_cols=40):
@@ -423,6 +426,36 @@ class TestSelfCheck:
             (result,) = check(seed)
             assert result.passed, (check.__name__, result.measured)
             assert result.tolerance == 1e-12
+
+    def test_below_fails_on_nan_and_on_equality(self):
+        below = experiments.CheckResult.below
+        assert below("c", 0.5, 1.0) == experiments.CheckResult("c", True, 0.5, 1.0)
+        assert below("c", 0.5, 1.0, "why").note == "why"
+        assert not below("c", 1.0, 1.0).passed
+        nan = below("c", math.nan, 1.0)
+        assert not nan.passed and math.isnan(nan.measured) and nan.tolerance == 1.0
+
+    def test_flag_measures_0_or_1_against_0(self):
+        flag, result = experiments.CheckResult.flag, experiments.CheckResult
+        assert flag("c", True, "why") == result("c", True, 0.0, 0.0, "why")
+        assert flag("c", False, "why") == result("c", False, 1.0, 0.0, "why")
+
+    def test_traced_checks_are_every_check(self):
+        # perfbench/spans.py wraps the checks it names in CHECKS; a renamed or
+        # added check must not drop out of the traced run unnoticed
+        tree = ast.parse((REPO_ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+        (traced,) = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["CHECKS"]
+        ]
+        checks = {
+            name
+            for name, obj in vars(experiments).items()
+            if name.startswith("check_") and inspect.isfunction(obj)
+        }
+        assert sorted(traced) == sorted(checks)
 
     def test_report_serializes_with_tolerances(self):
         report = experiments.SelfCheckReport(
