@@ -66,8 +66,8 @@ ROPE_CHECK_ROWS = 256
 MAX_FEATURE_DIM = 1024
 MAX_BENCH_QUERIES = 2**16
 # The bench holds dense n_queries x n_keys float64 logits for both query sets
-# plus their temporaries; at a product just under this its peak RSS was
-# 616 MiB (Linux x86-64, one BLAS thread).
+# plus their temporaries; at a product just under this (`bench --patch-size 16
+# --n-queries 5336`) its peak RSS was 458 MiB (Linux x86-64, one BLAS thread).
 MAX_BENCH_LOGITS = 2**24
 
 # Fixed scoring constants; every report records them in its `config` block.
@@ -253,25 +253,39 @@ class BenchReport(_ScoredReport):
 def _argmax_with_random_ties(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Row argmax with exact ties broken uniformly at random (seeded).
 
-    Draws one scalar rng.integers(count) per tied row, in row order; the
-    array form of integers buffers its draws and would shift the stream.
+    One rng.integers(counts) call draws an index below each tied row's
+    peak count, in row order.  For int64 draws that gives the values and
+    generator state of one scalar rng.integers(count) per tied row, the
+    loop in tests/oracles.py: checked on numpy 2.4.6, and TestSelection
+    repeats the check on whatever numpy runs the suite.  A row holding
+    NaN has no peak equal to its max: it takes column 0 and draws nothing.
     """
     is_peak = rows == rows.max(axis=1, keepdims=True)
     counts = np.count_nonzero(is_peak, axis=1)
     out = np.argmax(is_peak, axis=1)
     tied = np.flatnonzero(counts > 1)
     if tied.size:
-        draws = np.array([rng.integers(int(counts[i])) for i in tied])
-        seen = np.cumsum(is_peak[tied], axis=1)
-        out[tied] = np.argmax(seen > draws[:, None], axis=1)
+        tied_counts = counts[tied]
+        first = np.cumsum(tied_counts) - tied_counts
+        picks = np.flatnonzero(is_peak[tied])[first + rng.integers(tied_counts)]
+        out[tied] = picks % rows.shape[1]
     return out
 
 
 def _ranks_of(rows: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """1-based rank of targets under descending logits, ties broken by perm."""
+    """1-based rank of targets under descending logits, ties broken by perm.
+
+    The perm comparison runs only when some row holds another logit equal
+    to its target's; one count over the whole matrix decides, since a
+    per-row count and gather cost more than the comparison they would save.
+    """
     picked = np.arange(rows.shape[0])
     target = rows[picked, targets][:, None]
-    ahead = (rows > target) | ((rows == target) & (perm < perm[targets][:, None]))
+    ahead = rows > target
+    level = rows == target
+    # Each row holds its target's logit once, unless that logit is NaN.
+    if np.count_nonzero(level) > np.count_nonzero(level[picked, targets]):
+        ahead |= level & (perm < perm[targets][:, None])
     return 1 + np.count_nonzero(ahead, axis=1)
 
 

@@ -214,6 +214,56 @@ class TestSelection:
             experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
         )
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.full((512, 208), 0.25),  # what `none` gives: every key ties
+            np.array([[1.0, 3.0, 3.0, 0.0, 1.0, 0.0]]),  # every logit ties one other
+            np.array([[2.0], [2.0], [-1.0]]),
+        ],
+        ids=["all_equal", "one_row", "one_column"],
+    )
+    def test_edge_shapes_match_loops(self, rows):
+        fast_rng, loop_rng = np.random.default_rng(16), np.random.default_rng(16)
+        fast = experiments._argmax_with_random_ties(rows, fast_rng)
+        assert np.array_equal(fast, argmax_with_random_ties_loop(rows, loop_rng))
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        rng = np.random.default_rng(17)
+        targets = rng.integers(0, rows.shape[1], rows.shape[0])
+        perm = rng.permutation(rows.shape[1])
+        assert np.array_equal(
+            experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
+        )
+
+    def test_nan_row_draws_nothing(self):
+        rows = tie_heavy_logits(np.random.default_rng(18))
+        nan_row, nan_col = 6, 3  # row 6 ties at its peak before the NaN goes in
+        assert np.count_nonzero(rows[nan_row] == rows[nan_row].max()) > 1
+        rows[nan_row, nan_col] = np.nan
+        others = np.arange(rows.shape[0]) != nan_row
+        fast_rng, loop_rng = np.random.default_rng(19), np.random.default_rng(19)
+        fast = experiments._argmax_with_random_ties(rows, fast_rng)
+        # The loop oracle has no peak to index in a NaN row, so it sees the
+        # other rows only; equal states show the NaN row took no draw.
+        assert np.array_equal(fast[others], argmax_with_random_ties_loop(rows[others], loop_rng))
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert fast[nan_row] == 0
+        # The NaN never ranks ahead of a finite target, as under lexsort.
+        rng = np.random.default_rng(20)
+        targets = rng.integers(0, rows.shape[1], rows.shape[0])
+        targets[nan_row] = nan_col + 1
+        perm = rng.permutation(rows.shape[1])
+        assert np.array_equal(
+            experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
+        )
+
+    def test_nan_target_keeps_other_rows_tie_break(self):
+        # Row 0's NaN target equals nothing; row 1's target ties one other key.
+        rows = np.array([[np.nan, 1.0, 2.0], [1.0, 1.0, 0.0]])
+        targets, perm = np.array([0, 1]), np.arange(3)
+        ranks = experiments._ranks_of(rows, targets, perm)
+        assert ranks[1] == ranks_of_loop(rows[1:], targets[1:], perm)[0] == 2
+
 
 class TestBevRoundtrip:
     def test_fixture_scene_frozen_scores(self):
