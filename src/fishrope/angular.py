@@ -8,13 +8,18 @@ angles by forward projection of ground-plane cell centers.
 Out-of-domain entries (patch centers outside the image circle, cells
 behind the camera or past theta_max) become mask entries, never errors:
 grids keep their full rectangular shape and carry NaN angles where the
-mask is False.
+mask is False.  Both grids check their masked-in angles on one path,
+`_check_angles`: finite, theta in [0, theta_max + 1e-12], phi in
+[-pi, pi).  No grid stores a size its arrays or spec already fix:
+BevGridSpec.dims, BevGrid.cell_world and PatchGrid.grid_dims are
+derived.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,19 +42,30 @@ def _readonly_bool(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_angles(angles: np.ndarray, mask: np.ndarray, theta_max: float, what: str) -> None:
+    """Refuse masked-in (theta, phi) outside theta in [0, theta_max], phi in [-pi, pi).
+
+    A NaN fails every comparison, so only theta needs its own finite test
+    (in case theta_max is infinite).
+    """
+    theta, phi = angles[mask].T
+    ok = np.isfinite(theta) & (theta >= 0.0) & (theta <= theta_max + 1e-12)
+    if not np.all(ok & (phi >= -np.pi) & (phi < np.pi)):
+        raise ConfigError(f"masked-in {what} angles violate angular invariants")
+
+
 @dataclass(frozen=True)
 class PatchGrid:
     """Angular coordinates of patch centers over a fisheye image.
 
-    coords has shape (rows, cols, 2) holding (theta, phi) per patch;
-    centers_px the matching pixel centers; valid_mask flags patches
-    whose center lies inside the image circle.  Masked-out entries hold
-    NaN angles.  Edge patches clipped by the image boundary keep the
-    center of their actual pixel extent.
+    coords has shape (rows, cols, 2) holding (theta, phi) per patch, and
+    fixes grid_dims = (rows, cols); centers_px the matching pixel
+    centers; valid_mask flags patches whose center lies inside the image
+    circle.  Masked-out entries hold NaN angles.  Edge patches clipped by
+    the image boundary keep the center of their actual pixel extent.
     """
 
     patch_size: int
-    grid_dims: tuple[int, int]
     coords: np.ndarray
     valid_mask: np.ndarray
     centers_px: np.ndarray
@@ -60,22 +76,15 @@ class PatchGrid:
         object.__setattr__(self, "coords", _readonly(self.coords))
         object.__setattr__(self, "centers_px", _readonly(self.centers_px))
         object.__setattr__(self, "valid_mask", _readonly_bool(self.valid_mask))
-        rows, cols = self.grid_dims
-        if self.coords.shape != (rows, cols, 2):
-            raise ConfigError(
-                f"coords shape {self.coords.shape} != (rows, cols, 2) for dims {self.grid_dims}"
-            )
-        if self.valid_mask.shape != (rows, cols) or self.centers_px.shape != (rows, cols, 2):
+        if self.coords.ndim != 3 or self.coords.shape[2] != 2:
+            raise ConfigError(f"coords shape {self.coords.shape} is not (rows, cols, 2)")
+        if self.valid_mask.shape != self.grid_dims or self.centers_px.shape != self.coords.shape:
             raise ConfigError("mask/centers shapes inconsistent with grid dims")
-        valid = self.coords[self.valid_mask]
-        if valid.size and (
-            np.any(~np.isfinite(valid))
-            or np.any(valid[:, 0] < 0.0)
-            or np.any(valid[:, 0] > self.theta_max + 1e-12)
-            or np.any(valid[:, 1] < -np.pi)
-            or np.any(valid[:, 1] >= np.pi)
-        ):
-            raise ConfigError("masked-in patch angles violate angular invariants")
+        _check_angles(self.coords, self.valid_mask, self.theta_max, "patch")
+
+    @property
+    def grid_dims(self) -> tuple[int, int]:
+        return self.coords.shape[:2]
 
     @property
     def n_valid(self) -> int:
@@ -136,7 +145,6 @@ def patch_angles(
 
     return PatchGrid(
         patch_size=patch_size,
-        grid_dims=(rows, cols),
         coords=np.stack([theta, phi], axis=-1),
         valid_mask=valid,
         centers_px=np.stack([u, v], axis=-1),
@@ -147,51 +155,41 @@ def patch_angles(
 
 @dataclass(frozen=True)
 class BevGridSpec:
-    """Discretization of the ground plane: dims cells spanning extent meters.
+    """Discretization of the ground plane: square cells spanning extent meters.
 
-    dims = (n_x, n_y) cells, extent = (x_extent, y_extent) meters; the
-    grid is centered on the world origin with cell (i, j) centered at
+    extent = (x_extent, y_extent) meters, finite and positive, cut into
+    dims = (n_x, n_y) = round(extent / resolution) cells, at least one a
+    side and at most MAX_BEV_CELLS in all.  The grid is centered on the
+    world origin with cell (i, j) centered at
     x = -x_extent/2 + (i + 0.5) * resolution (and likewise in y).
     """
 
-    dims: tuple[int, int]
     extent: tuple[float, float]
     resolution: float
+    dims: tuple[int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
-        object.__setattr__(self, "resolution", float(self.resolution))
-        if self.resolution <= 0.0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
-        if self.dims[0] < 1 or self.dims[1] < 1:
-            raise ConfigError(f"grid dims must be positive, got {self.dims}")
-        for n, e in zip(self.dims, self.extent):
-            if abs(n * self.resolution - e) > self.resolution:
-                raise ConfigError(
-                    f"dims {self.dims} x resolution {self.resolution} "
-                    f"inconsistent with extent {self.extent} (off by more than one cell)"
-                )
-
-    @classmethod
-    def from_extent(cls, extent: tuple[float, float], resolution: float) -> "BevGridSpec":
+        extent = tuple(float(e) for e in self.extent)
+        resolution = float(self.resolution)
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "resolution", resolution)
         if not (math.isfinite(resolution) and resolution > 0.0):
             raise ConfigError(f"resolution must be positive and finite, got {resolution}")
         if not all(math.isfinite(e) and e > 0.0 for e in extent):
-            raise ConfigError(f"extent must be positive and finite, got {tuple(extent)}")
+            raise ConfigError(f"extent must be positive and finite, got {extent}")
         cells = (extent[0] / resolution) * (extent[1] / resolution)
         if cells > MAX_BEV_CELLS:
             raise ConfigError(
-                f"extent {tuple(extent)} at resolution {resolution} gives {cells:.3g} "
+                f"extent {extent} at resolution {resolution} gives {cells:.3g} "
                 f"cells, above the limit of {MAX_BEV_CELLS}"
             )
         dims = (round(extent[0] / resolution), round(extent[1] / resolution))
         if min(dims) < 1:
             raise ConfigError(
-                f"extent {tuple(extent)} at resolution {resolution} rounds to {dims} "
+                f"extent {extent} at resolution {resolution} rounds to {dims} "
                 "cells; each side needs at least one"
             )
-        return cls(dims=dims, extent=extent, resolution=resolution)
+        object.__setattr__(self, "dims", dims)
 
     def cell_centers(self) -> np.ndarray:
         """World (x, y, 0) centers, shape (n_x, n_y, 3)."""
@@ -206,34 +204,30 @@ class BevGridSpec:
 class BevGrid:
     """Ground-plane grid with per-cell angular coordinates under a camera.
 
-    cell_world holds (x, y, 0) centers; cell_angles the projected
-    (theta, phi) per cell; visibility_mask flags cells in front of the
-    camera with theta <= theta_max.  Masked-out cells hold NaN angles.
+    cell_angles holds the projected (theta, phi) per cell; visibility_mask
+    flags cells in front of the camera with theta <= theta_max.
+    Masked-out cells hold NaN angles.  cell_world, the (x, y, 0) centers,
+    is computed from spec on first use.
     """
 
     spec: BevGridSpec
-    cell_world: np.ndarray
     cell_angles: np.ndarray
     visibility_mask: np.ndarray
     theta_max: float
     camera_token: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cell_world", _readonly(self.cell_world))
         object.__setattr__(self, "cell_angles", _readonly(self.cell_angles))
         object.__setattr__(self, "visibility_mask", _readonly_bool(self.visibility_mask))
-        nx, ny = self.spec.dims
-        if self.cell_world.shape != (nx, ny, 3) or self.cell_angles.shape != (nx, ny, 2):
+        if self.cell_angles.shape != (*self.spec.dims, 2):
             raise ConfigError("BEV grid array shapes inconsistent with spec dims")
-        if self.visibility_mask.shape != (nx, ny):
+        if self.visibility_mask.shape != self.spec.dims:
             raise ConfigError("visibility mask shape inconsistent with spec dims")
-        vis = self.cell_angles[self.visibility_mask]
-        if vis.size and (
-            np.any(~np.isfinite(vis))
-            or np.any(vis[:, 0] < 0.0)
-            or np.any(vis[:, 0] > self.theta_max + 1e-12)
-        ):
-            raise ConfigError("masked-in BEV angles violate angular invariants")
+        _check_angles(self.cell_angles, self.visibility_mask, self.theta_max, "BEV")
+
+    @cached_property
+    def cell_world(self) -> np.ndarray:
+        return _readonly(self.spec.cell_centers())
 
     @property
     def n_visible(self) -> int:
@@ -267,7 +261,6 @@ def bev_angles(
     phi = np.where(visible, phi, np.nan)
     return BevGrid(
         spec=spec,
-        cell_world=world,
         cell_angles=np.stack([theta, phi], axis=-1),
         visibility_mask=visible,
         theta_max=camera.theta_max,

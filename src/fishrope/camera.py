@@ -317,12 +317,7 @@ class KannalaBrandtCamera:
             )
         radii = np.linspace(0.0, self.r_max, resolution)
         entries = self.radius_to_theta(radii, iterations=None)
-        return InverseLut(
-            entries=entries,
-            resolution=resolution,
-            r_max=self.r_max,
-            theta_max=self.theta_max,
-        )
+        return InverseLut(entries=entries, r_max=self.r_max, theta_max=self.theta_max)
 
     def angular_extent_ratio(self, pixel_offset: float) -> float:
         """Incidence-angle change per fixed pixel offset: center vs periphery.
@@ -350,31 +345,36 @@ class KannalaBrandtCamera:
 class InverseLut:
     """Uniformly spaced radius -> incidence-angle table.
 
-    entries[i] holds theta at radius i * r_max / (resolution - 1),
-    computed to full Newton convergence.  Entries are strictly
-    increasing, start at 0, and end at theta_max.
+    entries[i] holds theta at radius i * r_max / (resolution - 1), where
+    resolution = len(entries) >= 2, computed to full Newton convergence.
+    Entries are strictly increasing, start at 0, and end within 1e-9 of
+    theta_max; r_max is finite and positive.
     """
 
     entries: np.ndarray
-    resolution: int
     r_max: float
     theta_max: float
 
     def __post_init__(self) -> None:
         entries = _readonly(self.entries)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 1 or len(entries) != self.resolution or self.resolution < 2:
-            raise ConfigError("LUT entries must be a 1-D array of length `resolution`")
+        if entries.ndim != 1 or len(entries) < 2:
+            raise ConfigError("LUT entries must be a 1-D array of at least 2 values")
         if not (math.isfinite(self.r_max) and self.r_max > 0.0):
             raise ConfigError(f"LUT r_max must be finite and positive, got {self.r_max}")
         if entries[0] != 0.0:
             raise ConfigError(f"LUT must start at 0, got {entries[0]}")
-        if np.any(np.diff(entries) <= 0.0):
+        # Written so that a NaN entry or theta_max fails the comparison.
+        if not np.all(np.diff(entries) > 0.0):
             raise ConfigError("LUT entries must be strictly increasing")
-        if abs(entries[-1] - self.theta_max) > 1e-9:
+        if not abs(entries[-1] - self.theta_max) <= 1e-9:
             raise ConfigError(
                 f"LUT endpoint {entries[-1]} does not reach theta_max {self.theta_max}"
             )
+
+    @property
+    def resolution(self) -> int:
+        return len(self.entries)
 
     def lookup(self, r):
         """Linear interpolation of theta at radius r, in r's shape (clamp band as in Newton)."""

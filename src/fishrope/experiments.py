@@ -21,7 +21,7 @@ Three entry points:
   selfcheck         executes every documented invariant with fixed seeds
                     and reports measured values against tolerances.  The
                     rotary checks gather the blocks of each dim into one
-                    kernel call per batch: every draw carries its own
+                    kernel call: every draw carries its own
                     plane angles, so draws under different configs share
                     a call.  The elementwise camera checks and the
                     rotary checks run in a forked child on a second core
@@ -54,11 +54,10 @@ from .rope import ENCODINGS, RotaryConfig
 REPORT_FORMAT_VERSION = 1
 
 # Draws per block in the rotary property checks.  A block draws one config
-# and its rows in turn; bounding it keeps peak memory flat in the draw count.
+# and its rows in turn.  Each dim's blocks are then evaluated in one call;
+# at the default draw counts that is at most 10200 rows (the self-logit
+# check's 200 x 51 at dim 16), a few MiB.
 ROPE_CHECK_BLOCK = 50
-# Most rows the rotary checks gather across blocks of one dim into one
-# kernel call; at dim 32 that is 64 KiB of features.
-ROPE_CHECK_ROWS = 256
 
 # Ceilings on the experiment sizes a user can ask for, well above the
 # defaults (16 and 512), so a mistyped value is a config error rather than
@@ -552,7 +551,7 @@ def bev_roundtrip(
     _require_two_keys(n_keys, config.patch_size, "lift")
     _require_two_labels(pattern, key_labels, "image patch key")
 
-    spec = BevGridSpec.from_extent(config.extent, config.resolution)
+    spec = BevGridSpec(config.extent, config.resolution)
     bev = bev_angles(spec, camera, extrinsics)
     if bev.n_visible == 0:
         raise EmptyOverlapError("no BEV cell is visible to the camera")
@@ -800,7 +799,7 @@ def check_bev_projection_consistency() -> list[CheckResult]:
     from .fixtures import downward_extrinsics
 
     extr = downward_extrinsics(10.0)
-    spec = BevGridSpec.from_extent((100.0, 100.0), 1.0)
+    spec = BevGridSpec((100.0, 100.0), 1.0)
     bev = bev_angles(spec, camera, extr)
     coords, _ = bev.flat_visible()
     u, v = camera.project(coords[:, 0], coords[:, 1])
@@ -823,29 +822,18 @@ def _blocks(n: int):
 
 
 def _gathered(blocks, evaluate) -> list:
-    """evaluate(*arrays) over batches of blocks that share a dim.
+    """evaluate(*arrays) once per dim, over every block of that dim.
 
     blocks yields (dim, arrays) one block at a time and draws the block
     when asked, so the draws keep their order.  arrays hold one row per
     draw, plane angles included, so blocks of one dim under different
-    configs join row-wise into one batch.  A batch is evaluated before a
-    block would take it past ROPE_CHECK_ROWS rows, and at the end.
-    Returns evaluate's results in the order it ran.
+    configs join row-wise into one call.  Returns evaluate's results in
+    the order the dims first appear.
     """
     pending: dict[int, list] = {}
-    results = []
-
-    def flush(dim: int) -> None:
-        results.append(evaluate(*(np.concatenate(part) for part in zip(*pending.pop(dim)))))
-
     for dim, arrays in blocks:
-        held = sum(len(block[0]) for block in pending.get(dim, ()))
-        if held and held + len(arrays[0]) > ROPE_CHECK_ROWS:
-            flush(dim)
         pending.setdefault(dim, []).append(arrays)
-    for dim in list(pending):
-        flush(dim)
-    return results
+    return [evaluate(*(np.concatenate(part) for part in zip(*held))) for held in pending.values()]
 
 
 def _rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -892,7 +880,7 @@ def check_relative_identity(
     rows, and forms the plane angles of coord_m, coord_n and their
     difference under that config; the blocks of each dim are evaluated
     together through `_gathered`.  relative_fn(q, k, angles) is called
-    once per batch with (rows, dim) q and k and the (rows, dim/2)
+    once per dim with (rows, dim) q and k and the (rows, dim/2)
     angles of coord_n - coord_m, and returns each row's relative-form
     logit.  It is injectable so a deliberately corrupted rotation can
     be shown to fail the check (mutation fixture).

@@ -39,8 +39,10 @@ whole number; a body of the wrong length or of partial float64s; a
 malformed or out-of-order angle-map CSV line; a `valid` flag other than
 0 or 1; an angle map whose patch_size is below 1, whose theta_max is not
 positive, or with a valid cell outside theta in [0, theta_max] and
-|phi| <= pi; a LUT that InverseLut refuses (entries, or an r_max that is
-not finite and positive).
+|phi| <= pi (wider than PatchGrid's [-pi, pi), so phi = +pi at the seam
+reads); a LUT whose header count is not its body length, or that
+InverseLut refuses (entries that do not start at 0, rise strictly and
+end at a finite theta_max, or an r_max that is not finite and positive).
 """
 
 from __future__ import annotations
@@ -465,7 +467,7 @@ def read_lut_bin(path) -> InverseLut:
     if len(entries) != head["resolution"]:
         raise FormatError(f"LUT holds {len(entries)} entries, expected {head['resolution']}")
     try:
-        return InverseLut(entries=entries, **head)
+        return InverseLut(entries=entries, r_max=head["r_max"], theta_max=head["theta_max"])
     except ConfigError as exc:
         raise FormatError(f"LUT table is malformed: {exc}") from exc
 

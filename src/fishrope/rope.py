@@ -214,23 +214,21 @@ def relative_logit(q, k, delta, config: RotaryConfig):
     return rotated_logit(q, k, config.plane_angles(positions))[()]
 
 
-def sinusoidal_pe_batch(positions, dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
+def sinusoidal_pe_batch(positions, dim: int) -> np.ndarray:
     """Additive two-axis sinusoidal encoding of (theta, phi) or pixel rows (N, 2).
 
     Each axis owns dim/2 entries laid out as interleaved
-    (sin(a * w_i), cos(a * w_i)) with the dim/2 geometric schedule, so
-    position 0 encodes to the alternating pattern (0, 1, 0, 1, ...).
-    dim must be divisible by 4.
+    (sin(a * w_i), cos(a * w_i)) with the dim/2 geometric schedule of
+    base DEFAULT_BASE, so position 0 encodes to the alternating pattern
+    (0, 1, 0, 1, ...).  dim must be divisible by 4.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ShapeError(f"positions must have shape (N, 2), got {positions.shape}")
     if dim < 4 or dim % 4 != 0:
         raise ConfigError(f"sinusoidal dim must be divisible by 4, got {dim}")
-    if not base > 1.0:
-        raise ConfigError(f"frequency base must exceed 1, got {base}")
     half = dim // 2
-    freqs = _geometric_freqs(half, base)
+    freqs = _geometric_freqs(half, DEFAULT_BASE)
     out = np.empty((positions.shape[0], dim), dtype=np.float64)
     for offset, pos in ((0, positions[:, 0]), (half, positions[:, 1])):
         ang = pos[:, None] * freqs[None, :]

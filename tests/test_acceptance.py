@@ -305,7 +305,7 @@ def test_criterion_10_brute_force_oracle():
     dim = 8
     patch = patch_angles(cam, 128)  # 8x8 keys
     bev = bev_angles(
-        BevGridSpec(dims=(10, 10), extent=(10.0, 10.0), resolution=1.0),
+        BevGridSpec(extent=(10.0, 10.0), resolution=1.0),
         cam,
         downward_extrinsics(6.0),
     )

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fishrope import (
+    BevGrid,
     BevGridSpec,
     ConfigError,
     KannalaBrandtCamera,
+    PatchGrid,
     bev_angles,
     patch_angles,
 )
@@ -92,12 +94,24 @@ class TestPatchAngles:
 class TestBevGridSpec:
     def test_from_extent_matches_reference_resolution(self):
         # 100 x 100 m at 0.2 m/cell discretizes to 500 x 500
-        spec = BevGridSpec.from_extent((100.0, 100.0), 0.2)
+        spec = BevGridSpec((100.0, 100.0), 0.2)
         assert spec.dims == (500, 500)
 
-    def test_dims_extent_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            BevGridSpec(dims=(10, 10), extent=(100.0, 100.0), resolution=0.2)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_resolution_and_extent(self, bad):
+        with pytest.raises(ConfigError, match="resolution must be positive and finite"):
+            BevGridSpec(extent=(4.0, 4.0), resolution=bad)
+        with pytest.raises(ConfigError, match="extent must be positive and finite"):
+            BevGridSpec(extent=(4.0, bad), resolution=1.0)
+
+    def test_dims_are_derived_not_settable(self):
+        assert BevGridSpec(extent=(4.2, 3.0), resolution=1.0).dims == (4, 3)
+        with pytest.raises(TypeError):
+            BevGridSpec(dims=(4, 4), extent=(4.0, 4.0), resolution=1.0)
+
+    def test_rejects_fewer_than_one_cell_a_side(self):
+        with pytest.raises(ConfigError, match="each side needs at least one"):
+            BevGridSpec(extent=(0.4, 4.0), resolution=1.0)
 
     @pytest.mark.parametrize(
         "extent, resolution",
@@ -105,13 +119,13 @@ class TestBevGridSpec:
     )
     def test_from_extent_rejects_grids_over_the_cell_ceiling(self, extent, resolution):
         with pytest.raises(ConfigError, match="above the limit"):
-            BevGridSpec.from_extent(extent, resolution)
+            BevGridSpec(extent, resolution)
 
     def test_from_extent_accepts_the_ceiling_itself(self):
-        assert BevGridSpec.from_extent((4096.0, 4096.0), 1.0).dims == (4096, 4096)
+        assert BevGridSpec((4096.0, 4096.0), 1.0).dims == (4096, 4096)
 
     def test_cell_centers_layout(self):
-        spec = BevGridSpec(dims=(2, 2), extent=(2.0, 2.0), resolution=1.0)
+        spec = BevGridSpec(extent=(2.0, 2.0), resolution=1.0)
         centers = spec.cell_centers()
         np.testing.assert_allclose(centers[0, 0], [-0.5, -0.5, 0.0])
         np.testing.assert_allclose(centers[1, 1], [0.5, 0.5, 0.0])
@@ -119,13 +133,13 @@ class TestBevGridSpec:
 
 class TestBevAngles:
     def test_center_cell_on_axis(self, wide_camera):
-        spec = BevGridSpec(dims=(3, 3), extent=(3.0, 3.0), resolution=1.0)
+        spec = BevGridSpec(extent=(3.0, 3.0), resolution=1.0)
         bev = bev_angles(spec, wide_camera, downward_extrinsics(5.0))
         assert bev.cell_angles[1, 1, 0] == pytest.approx(0.0, abs=1e-12)
         assert bev.visibility_mask[1, 1]
 
     def test_equal_ground_radius_shares_theta_and_phi_matches_azimuth(self, wide_camera):
-        spec = BevGridSpec.from_extent((20.0, 20.0), 0.5)
+        spec = BevGridSpec((20.0, 20.0), 0.5)
         bev = bev_angles(spec, wide_camera, downward_extrinsics(5.0))
         coords, world = bev.flat_visible()
         rho = np.hypot(world[:, 0], world[:, 1])
@@ -140,7 +154,7 @@ class TestBevAngles:
 
     def test_cells_behind_camera_masked(self, wide_camera):
         # oblique camera: cells far behind the image plane are invisible
-        spec = BevGridSpec.from_extent((30.0, 30.0), 0.5)
+        spec = BevGridSpec((30.0, 30.0), 0.5)
         bev = bev_angles(spec, wide_camera, scene_extrinsics())
         assert 0 < bev.n_visible < bev.spec.dims[0] * bev.spec.dims[1]
         assert np.all(np.isnan(bev.cell_angles[~bev.visibility_mask]))
@@ -156,7 +170,7 @@ class TestBevAngles:
             image_size=(512, 512),
         )
         height = 10.0
-        spec = BevGridSpec.from_extent((100.0, 100.0), 0.2)
+        spec = BevGridSpec((100.0, 100.0), 0.2)
         bev = bev_angles(spec, camera, downward_extrinsics(height))
         footprint_radius = height * math.tan(1.2)
         analytic = math.pi * footprint_radius**2 / (100.0 * 100.0)
@@ -170,7 +184,7 @@ class TestBevAngles:
             theta_max=1.2,
             image_size=(512, 512),
         )
-        spec = BevGridSpec.from_extent((100.0, 100.0), 1.0)
+        spec = BevGridSpec((100.0, 100.0), 1.0)
         bev = bev_angles(spec, camera, downward_extrinsics(10.0))
         coords, _ = bev.flat_visible()
         u, v = camera.project(coords[:, 0], coords[:, 1])
@@ -184,6 +198,52 @@ class TestBevAngles:
         assert np.all(~in_front | (theta > camera.theta_max))
 
     def test_grid_carries_camera_token(self, wide_camera):
-        spec = BevGridSpec(dims=(4, 4), extent=(4.0, 4.0), resolution=1.0)
+        spec = BevGridSpec(extent=(4.0, 4.0), resolution=1.0)
         bev = bev_angles(spec, wide_camera, downward_extrinsics(5.0))
         assert bev.camera_token == wide_camera.fingerprint
+
+
+class TestAngleInvariants:
+    """PatchGrid and BevGrid refuse the same masked-in angles."""
+
+    @staticmethod
+    def _grids(theta, phi):
+        angles = np.array([[[theta, phi], [math.nan, math.nan]]])
+        mask = np.array([[True, False]])
+        yield lambda: PatchGrid(
+            patch_size=1,
+            coords=angles,
+            valid_mask=mask,
+            centers_px=np.zeros((1, 2, 2)),
+            theta_max=1.0,
+            camera_token="t",
+        )
+        yield lambda: BevGrid(
+            spec=BevGridSpec(extent=(1.0, 2.0), resolution=1.0),
+            cell_angles=angles,
+            visibility_mask=mask,
+            theta_max=1.0,
+            camera_token="t",
+        )
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(0.5, 7.0), (0.5, -9.0), (0.5, math.pi), (0.5, math.nan), (-0.1, 0.0), (1.1, 0.0),
+         (math.inf, 0.0), (math.nan, 0.0)],
+    )
+    def test_out_of_range_angles_refused(self, theta, phi):
+        for build, what in zip(self._grids(theta, phi), ("patch", "BEV")):
+            with pytest.raises(ConfigError, match=f"masked-in {what} angles violate"):
+                build()
+
+    def test_in_range_angles_accepted(self):
+        for build in self._grids(1.0 + 1e-13, -math.pi):
+            build()
+
+    def test_derived_shapes(self, wide_camera):
+        grid = patch_angles(wide_camera, 64)
+        assert grid.grid_dims == grid.coords.shape[:2] == grid.valid_mask.shape
+        spec = BevGridSpec(extent=(3.0, 2.0), resolution=1.0)
+        bev = bev_angles(spec, wide_camera, downward_extrinsics(5.0))
+        np.testing.assert_array_equal(bev.cell_world, spec.cell_centers())
+        assert bev.cell_world is bev.cell_world and not bev.cell_world.flags.writeable

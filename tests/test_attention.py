@@ -69,7 +69,7 @@ class TestTokenGrid:
         tokens = tokens_from_patches(grid, feats)
         assert tokens.camera_token == cam.fingerprint
         bev = bev_angles(
-            BevGridSpec(dims=(4, 4), extent=(4.0, 4.0), resolution=1.0),
+            BevGridSpec(extent=(4.0, 4.0), resolution=1.0),
             cam,
             downward_extrinsics(5.0),
         )
@@ -469,7 +469,7 @@ class TestCrossAttention:
         dim = 8
         patch = patch_angles(cam, 128)  # 8x8 grid
         bev = bev_angles(
-            BevGridSpec(dims=(10, 10), extent=(10.0, 10.0), resolution=1.0),
+            BevGridSpec(extent=(10.0, 10.0), resolution=1.0),
             cam,
             downward_extrinsics(6.0),
         )

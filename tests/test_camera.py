@@ -12,6 +12,7 @@ from fishrope import (
     ConfigError,
     DomainError,
     Extrinsics,
+    InverseLut,
     KannalaBrandtCamera,
     OutOfImageCircleError,
 )
@@ -215,6 +216,22 @@ class TestLut:
     def test_resolution_must_be_at_least_two(self, wide_camera):
         with pytest.raises(ConfigError):
             wide_camera.build_lut(1)
+
+    def test_resolution_is_the_entry_count(self, wide_camera):
+        lut = wide_camera.build_lut(37)
+        assert lut.resolution == len(lut.entries) == 37
+        with pytest.raises(TypeError):
+            InverseLut(entries=lut.entries, resolution=37, r_max=lut.r_max, theta_max=1.0)
+
+    @pytest.mark.parametrize("theta_max", [math.nan, math.inf, 1.5])
+    def test_endpoint_must_match_a_finite_theta_max(self, theta_max):
+        entries = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ConfigError, match="does not reach theta_max"):
+            InverseLut(entries=entries, r_max=10.0, theta_max=theta_max)
+
+    def test_nan_entry_is_not_increasing(self):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            InverseLut(entries=np.array([0.0, math.nan, 1.0]), r_max=10.0, theta_max=1.0)
 
     def test_lookup_against_bisection_oracle(self, k2_camera):
         lut = k2_camera.build_lut(4096)

@@ -10,8 +10,13 @@ the benchmark checks its ops against in perfbench/expected.json.
 
 import importlib.util
 import json
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from fishrope import cli, experiments, fixtures
@@ -41,6 +46,55 @@ def test_default_report_matches_results(run_experiments, tmp_path, experiment):
         run_experiments.write_selfcheck(tmp_path)
     else:
         getattr(run_experiments, f"write_{experiment}")(tmp_path, fixtures.wide_camera())
+    tracked = sorted((REPO_ROOT / "results").glob(f"{experiment}.*"))
+    assert [p.name for p in tracked] == sorted(p.name for p in tmp_path.iterdir())
+    for path in tracked:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _openblas_picks_its_kernel_at_run_time() -> bool:
+    """True where numpy links an OpenBLAS built with DYNAMIC_ARCH on x86-64."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return (
+        "openblas" in blas.get("name", "")
+        and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+        and platform.machine().lower() in ("x86_64", "amd64")
+    )
+
+
+_WRITE_DEFAULT_REPORT = """
+import importlib.util, pathlib, sys
+from fishrope import fixtures
+spec = importlib.util.spec_from_file_location("run_experiments", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+getattr(script, "write_" + sys.argv[2])(pathlib.Path(sys.argv[3]), fixtures.wide_camera())
+"""
+
+
+@pytest.mark.skipif(
+    not _openblas_picks_its_kernel_at_run_time(),
+    reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH",
+)
+@pytest.mark.parametrize("experiment", ["bench", "lift"])
+def test_default_report_bytes_hold_under_a_kernel_without_fma(tmp_path, experiment):
+    # bench and lift report argmax-based scores only, so the BLAS kernel's
+    # rounding must not reach their bytes.  Prescott is OpenBLAS's oldest
+    # x86-64 kernel and has no FMA.  selfcheck is left out: two of its
+    # values differ under such kernels today.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    script = REPO_ROOT / "scripts" / "run_experiments.py"
+    result = subprocess.run(
+        [sys.executable, "-c", _WRITE_DEFAULT_REPORT, str(script), experiment, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
     tracked = sorted((REPO_ROOT / "results").glob(f"{experiment}.*"))
     assert [p.name for p in tracked] == sorted(p.name for p in tmp_path.iterdir())
     for path in tracked:

@@ -290,9 +290,9 @@ class TestSinusoidal:
 
     def test_matches_scalar_closed_form(self):
         # entry pairs (2i, 2i+1) of each half are sin/cos(p * base^(-4i/dim))
-        dim, base = 12, 10000.0
+        dim, base = 12, DEFAULT_BASE
         a, b = 0.8, -2.3
-        pe = sinusoidal_pe_batch([(a, b)], dim, base)[0]
+        pe = sinusoidal_pe_batch([(a, b)], dim)[0]
         half = dim // 2
         for i in range(half // 2):
             freq = base ** (-2.0 * i / half)
