@@ -14,8 +14,10 @@ Formats (bit-exact layouts documented in the README):
                 configs and seeds serialize byte-identically; CSV tables
                 alongside for plotting.
 
-Every CSV goes through `_write_csv`: every value as str (for floats that
-is repr, so float64 round-trips exactly), CSV_BLOCK_ROWS rows at a time.
+Every CSV goes through `_write_csv`: every value as its str (for floats
+that is repr, so float64 round-trips exactly), CSV_BLOCK_ROWS rows at a
+time.  A numeric column's block that repeats its values formats each
+distinct value once; the bytes are those of formatting every value.
 A table of two or more blocks is formatted in two processes through
 `camera._fork_split` (where the platform forks, a second core is usable
 and no other Python thread runs): a forked child writes the second half
@@ -206,24 +208,46 @@ def save_calibration(
 # -- CSV writer and binary header reader --------------------------------------
 
 
+def _block_strs(block: np.ndarray) -> list[str]:
+    """The str of each value of one block of a column.
+
+    A numeric block with at most half as many distinct values as rows
+    formats each distinct value once and shares its str between the rows
+    that hold it.  Floats are told apart by their int64 bits, so -0.0 and
+    0.0, and NaNs with different payloads, each get their own value's str.
+    """
+    if block.dtype.kind in "iuf":
+        keys = block.view(f"i{block.itemsize}") if block.dtype.kind == "f" else block
+        ordered = np.sort(keys, kind="stable")  # linear on an already sorted block
+        if 2 * (np.count_nonzero(ordered[1:] != ordered[:-1]) + 1) <= len(block):
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            strs = np.array(list(map(str, block[first].tolist())), dtype=object)
+            return strs[inverse].tolist()
+    return list(map(str, block.tolist()))
+
+
 def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> None:
     """Write the preamble lines, the header row, then one row per column entry.
 
-    Columns are equal-length 1-D arrays, and every value is written with
-    str (for a float that is repr), CSV_BLOCK_ROWS rows at a time.  A
-    table of at least two blocks is split at a block boundary when
-    `camera._fork_split`'s gate allows: a forked child formats the second
-    half into its temporary file while this process formats the first
-    half, then this process appends the child's bytes.  Either way the
-    bytes are the same.
+    Columns are equal-length 1-D arrays, and every value is written as its
+    str (for a float that is repr), CSV_BLOCK_ROWS rows at a time; within
+    a block, each distinct value of a repeating numeric column is
+    formatted once (`_block_strs`).  A table of at least two blocks is
+    split at a block boundary when `camera._fork_split`'s gate allows: a
+    forked child formats the second half into its temporary file while
+    this process formats the first half, then this process appends the
+    child's bytes.  Either way the bytes are the same.
     """
     n_rows = len(columns[0]) if columns else 0
-    row = ",".join(["%s"] * len(columns)) + "\n"
+
+    def block_text(lo: int, hi: int) -> str:
+        # the strs go when this returns, before the next block makes its own
+        strs = [_block_strs(column[lo:hi]) for column in columns]
+        return "\n".join([*map(",".join, zip(*strs)), ""])
 
     def write_rows(write, start: int, stop: int) -> None:
         for lo in range(start, stop, CSV_BLOCK_ROWS):
-            block = [column[lo : min(lo + CSV_BLOCK_ROWS, stop)].tolist() for column in columns]
-            write("".join([row % values for values in zip(*block)]))
+            write(block_text(lo, min(lo + CSV_BLOCK_ROWS, stop)))
 
     with _replacing(path, "w") as fh:
         fh.write("".join(line + "\n" for line in [*preamble, ",".join(header)]))
@@ -397,7 +421,9 @@ def read_anglemap_csv(path) -> dict[str, Any]:
     parsed in two processes where `camera._fork_split`'s gate allows (see
     `_split_loadtxt`), with the same bits as one process parses.  Any
     failure there, and every smaller body, is parsed by np.loadtxt in this
-    process, which raises the FormatError for a malformed line.
+    process, which raises the FormatError for a malformed line.  A body
+    without a data line is zero rows, so a zero-cell map reads as its
+    binary form does and any other map is refused for its row count.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         header = fh.readline().rstrip("\n")
@@ -414,10 +440,14 @@ def read_anglemap_csv(path) -> dict[str, Any]:
         n = head["rows"] * head["cols"]
         data = _split_loadtxt(fh) if n >= 2 * CSV_BLOCK_ROWS else None
         if data is None:
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise FormatError(f"malformed angle-map CSV line: {exc}") from exc
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError as exc:
+                    raise FormatError(f"malformed angle-map CSV line: {exc}") from exc
+                except UserWarning:  # np.loadtxt warns on a body without a data line
+                    data = np.empty((0, 5))
     if data.shape != (n, 5):
         raise FormatError(f"expected {n} rows of 5 fields, found shape {data.shape}")
     row, col = np.divmod(np.arange(n), head["cols"])
@@ -435,10 +465,10 @@ def write_anglemap_bin(path, grid: PatchGrid) -> None:
     )
     body = np.concatenate(
         [grid.coords, grid.valid_mask[..., None].astype(np.float64)], axis=-1
-    ).astype("<f8")
+    ).astype("<f8", copy=False)
     with _replacing(path, "wb") as fh:
         fh.write(header.tobytes())
-        fh.write(body.tobytes())
+        fh.write(body.data)
 
 
 def read_anglemap_bin(path) -> dict[str, Any]:
@@ -459,7 +489,7 @@ def write_lut_bin(path, lut: InverseLut) -> None:
     )
     with _replacing(path, "wb") as fh:
         fh.write(header.tobytes())
-        fh.write(lut.entries.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(lut.entries, dtype="<f8").data)
 
 
 def read_lut_bin(path) -> InverseLut:

@@ -170,6 +170,36 @@ class TestAngleMaps:
         with pytest.raises(FormatError):
             formats.read_anglemap_csv(path)
 
+    @staticmethod
+    def _header_only_csv(path, rows, cols):
+        path.write_text(
+            f"{formats._ANGLE_CSV_TAG} v{formats.FORMAT_VERSION} rows={rows} cols={cols} "
+            f"patch_size=8 theta_max=1.5\n{','.join(formats._ANGLE_CSV_COLUMNS)}\n"
+        )
+
+    def test_csv_without_a_data_line_raises_format_error_not_a_warning(self, tmp_path):
+        path = tmp_path / "angles.csv"
+        self._header_only_csv(path, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            with pytest.raises(FormatError, match="expected 1 rows of 5 fields"):
+                formats.read_anglemap_csv(path)
+
+    def test_zero_cell_map_reads_the_same_from_csv_and_bin(self, tmp_path):
+        csv_path, bin_path = tmp_path / "angles.csv", tmp_path / "angles.bin"
+        self._header_only_csv(csv_path, 0, 0)
+        header = [formats.ANGLE_MAP_MAGIC, formats.FORMAT_VERSION, 0, 0, 8, 1.5, 0, 0]
+        np.array(header, dtype="<f8").tofile(bin_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_csv = formats.read_anglemap_csv(csv_path)
+            from_bin = formats.read_anglemap_bin(bin_path)
+        for key in ("theta", "phi", "valid"):
+            assert from_csv[key].shape == from_bin[key].shape == (0, 0)
+            assert from_csv[key].dtype == from_bin[key].dtype
+        assert from_csv["patch_size"] == from_bin["patch_size"] == 8
+        assert from_csv["theta_max"] == from_bin["theta_max"] == 1.5
+
 
 class TestLut:
     def test_bin_roundtrip_identical(self, tmp_path):
@@ -251,12 +281,9 @@ def _count_forks(monkeypatch) -> list:
 
 
 def _reference_csv(header, columns) -> bytes:
-    """The body rows as the per-value writer formatted them: repr for floats."""
+    """The header and body rows with each value formatted on its own by str."""
     rows = zip(*[column.tolist() for column in columns])
-    lines = [",".join(header)] + [
-        ",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row)
-        for row in rows
-    ]
+    lines = [",".join(header)] + [",".join(str(x) for x in row) for row in rows]
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
@@ -357,6 +384,73 @@ class TestSplitWriter:
         assert not other.is_alive()
         assert forks == []
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "x"], columns)
+
+
+def _float_bits(*bits) -> list[float]:
+    return np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+
+
+class TestBlockFormatting:
+    """Repeating numeric blocks format each distinct value once, with per-value bytes."""
+
+    # Eight values with distinct keys per column.  Floats hold -0.0 beside
+    # 0.0, NaNs of two payloads and a negative NaN, +-inf, subnormals, the
+    # smallest normal and two floats one ulp apart.
+    _VALUES = {
+        "x": [-0.0, 0.0, math.inf, -math.inf, *_float_bits(0x7FF8000000000001,
+              0x7FF4000000000000, 0xFFF8000000000000), 5e-324],
+        "y": [1.0, math.nextafter(1.0, 2.0), 2.225073858507201e-308, 2.2250738585072014e-308,
+              0.1 + 0.2, 0.3, -1e300, 1e-5],
+        "i": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1,
+              np.iinfo(np.int64).min + 1, np.iinfo(np.int64).max - 1, 1, 7],
+        "flag": [0, 255, 1, 2, 254, 3, 4, 5],
+        "report": ["fishrope", np.float64(0.1) * 3, 3, True, math.nan, -0.0, "a b", None],
+    }
+    _DTYPES = {"x": np.float64, "y": np.float64, "i": np.int64, "flag": np.uint8,
+               "report": object}
+    # Indices into each column's values for 8-row blocks: exactly half
+    # distinct, all distinct, half distinct, one over half, then a ragged
+    # last block of 6 rows with 3 distinct.
+    _BLOCKS = [
+        ([0, 1, 2, 3, 0, 1, 2, 3], True),
+        ([0, 1, 2, 3, 4, 5, 6, 7], False),
+        ([4, 5, 6, 7, 5, 4, 7, 6], True),
+        ([0, 1, 2, 3, 4, 0, 1, 2], False),
+        ([7, 6, 7, 6, 5, 5], True),
+    ]
+
+    def _columns(self):
+        index = np.concatenate([np.array(block) for block, _ in self._BLOCKS])
+        return [
+            np.array(self._VALUES[name], dtype=dtype)[index]
+            for name, dtype in self._DTYPES.items()
+        ]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_bytes_equal_per_value_str(self, tmp_path, monkeypatch, cores):
+        monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 8)
+        _cores(monkeypatch, cores)
+        forks = _count_forks(monkeypatch)
+        header, columns = list(self._DTYPES), self._columns()
+        path = tmp_path / "t.csv"
+        formats._write_csv(path, [], header, columns)
+        assert len(forks) == cores - 1  # 38 rows: the child writes rows 16..38
+        assert path.read_bytes() == _reference_csv(header, columns)
+
+    def test_only_repeating_numeric_blocks_format_each_value_once(self, monkeypatch):
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        lo = 0
+        for block, repeats in self._BLOCKS:
+            for name, column in zip(self._DTYPES, self._columns()):
+                part = column[lo : lo + len(block)]
+                calls.clear()
+                strs = formats._block_strs(part)
+                assert strs == [str(v) for v in part.tolist()]
+                assert len(calls) == (name != "report" and repeats), (name, block)
+                if calls:  # one str object per distinct value, shared by its rows
+                    assert len({id(s) for s in strs}) == len(set(block))
+            lo += len(block)
 
 
 def _anglemap_lines(rows, cols, pad=()) -> list[str]:

@@ -5,9 +5,12 @@ as scripts/run_experiments.py writes them and compares them byte for
 byte with the tracked copies, so a change that moves any reported number or
 serialization detail fails here.  The selfcheck's check names and
 tolerances, and the scaled `lift` report's digests, must equal the ones
-the benchmark checks its ops against in perfbench/expected.json.
+the benchmark checks its ops against in perfbench/expected.json.  The
+angle-map and LUT CSVs at the benchmark's sizes are pinned by digest, the
+LUT's equal to the benchmark's.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -99,6 +102,32 @@ def test_default_report_bytes_hold_under_a_kernel_without_fma(tmp_path, experime
     assert [p.name for p in tracked] == sorted(p.name for p in tmp_path.iterdir())
     for path in tracked:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# sha256 of the CSV artifacts at the benchmark's sizes, and of the default
+# angle map, as written when every value was formatted on its own.
+ARTIFACT_CSV_SHA256 = {
+    "angles-4": ("angles --patch-size 4",
+                 "e5aaee7e06776eb03c9151cdf065cd4e2a36026b38d374cec7501415fd5aa241"),
+    "angles-14": ("angles --patch-size 14",
+                  "7898c7dff0eea07361eb9818460546f564d1f6337bc572b9db0cbfd6034bcf77"),
+    "lut-65536": ("lut --resolution 65536",
+                  "f4384f2e3a9969929504d790266cfd7b28784b66c7b63f502cd24b25e11e0ffa"),
+}
+
+
+@pytest.mark.parametrize("name", ARTIFACT_CSV_SHA256)
+def test_artifact_csv_bytes_hold(tmp_path, name):
+    command, digest = ARTIFACT_CSV_SHA256[name]
+    out = tmp_path / f"{name}.csv"
+    calib = REPO_ROOT / "calibrations" / "synthetic_fisheye.yaml"
+    argv = command.split() + ["--format", "csv", "--calib", str(calib), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_lut_csv_pin_is_the_benchmark_digest():
+    assert ARTIFACT_CSV_SHA256["lut-65536"][1] == _expected()["artifacts"]["lut_csv_sha256"]
 
 
 def test_selfcheck_checks_match_benchmark_expectation():
