@@ -29,10 +29,11 @@ not, because a positive scale cannot reorder a row.  Softmax rows are
 max-subtracted and exclude masked keys entirely (equivalent to -inf
 logits), so weights over valid keys always sum to 1.  cross_attention
 (and so self_attention) and logit_argmax run the exact softmax, the
-value product or the row argmax tile by tile, so memory stays bounded by
-about LOGIT_TILE logits instead of growing with N_q x N_k.  Only
-logit_matrix and self_attention_jacobian, whose results are that large,
-hold all the logits at once.
+value product or the row argmax tile by tile in one buffer per worker,
+so memory stays bounded by about LOGIT_TILE logits instead of growing
+with N_q x N_k.  Only logit_matrix and self_attention_jacobian, whose
+results are that large, hold all the logits at once; logit_matrix
+writes each tile straight into its rows of the result, with no buffer.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -228,30 +229,34 @@ def _projected_qk(
     return q, k
 
 
-def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
+def _for_each_tile(
+    q: np.ndarray, k: np.ndarray, fn, out: np.ndarray | None = None
+) -> None:
     """Call fn(rows, tile) on every query tile of the unscaled logits q @ k^T.
 
-    tile holds the (rows, N_k) products in a buffer that the worker's
-    next tile overwrites.  Its shape does not depend on how many
-    workers run, so neither does BLAS rounding, which can depend on the
-    shape of a product.  On OpenBLAS 0.3.31 (Haswell kernels, one
-    thread) a one-row tile (gemv) rounds most of its row apart from the
-    same row in a larger tile, and when N_k is not a multiple of 8,
-    tiles of more than about 200 rows round the last N_k mod 8 columns
-    apart from smaller tiles; tiles of 2 to about 200 rows agree.  Every
-    logit consumer goes through here, so dense and streamed callers stay
-    bit-identical.  Tiles are dealt round-robin
-    to one worker per usable core, at most MAX_TILE_WORKERS, the calling
-    thread being worker 0.  Workers share only the read-only q and keys,
-    and fn must write only its own rows.  A worker's exception is raised
-    here once every worker has joined.
+    With out, an (N_q, N_k) C-contiguous array, tile is out[rows] and
+    holds that tile's products, so no worker buffer is allocated.
+    Without it, tile is a buffer that the worker's next tile overwrites.
+    Either way its shape does not depend on how many workers run, so
+    neither does BLAS rounding, which can depend on the shape of a
+    product.  On OpenBLAS 0.3.31 (Haswell kernels, one thread) a one-row
+    tile (gemv) rounds most of its row apart from the same row in a
+    larger tile, and when N_k is not a multiple of 8, tiles of more than
+    about 200 rows round the last N_k mod 8 columns apart from smaller
+    tiles; tiles of 2 to about 200 rows agree.  Every logit consumer goes
+    through here, so dense and streamed callers stay bit-identical.
+    Tiles are dealt round-robin to one worker per usable core, at most
+    MAX_TILE_WORKERS, the calling thread being worker 0.  Workers share
+    only the read-only q and keys, and fn must write only its own rows.
+    A worker's exception is raised here once every worker has joined.
     """
     n_q, n_k = len(q), len(k)
     k_t = np.ascontiguousarray(k.T)
     step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
     starts = range(0, n_q, step)
     n_workers = max(1, min(_usable_cores(), MAX_TILE_WORKERS, len(starts)))
-    bufs = [np.empty((step, n_k)) for _ in range(n_workers)]
+    if out is None:
+        bufs = [np.empty((step, n_k)) for _ in range(n_workers)]
     errors: list[BaseException] = []
 
     def work(w: int) -> None:
@@ -259,7 +264,8 @@ def _for_each_tile(q: np.ndarray, k: np.ndarray, fn) -> None:
             for start in starts[w::n_workers]:
                 stop = min(start + step, n_q)
                 rows = slice(start, stop)
-                fn(rows, np.matmul(q[rows], k_t, out=bufs[w][: stop - start]))
+                tile = bufs[w][: stop - start] if out is None else out[rows]
+                fn(rows, np.matmul(q[rows], k_t, out=tile))
         except BaseException as exc:  # re-raised by the caller after join
             errors.append(exc)
 
@@ -281,12 +287,14 @@ def logit_matrix(
 ) -> np.ndarray:
     """Raw pre-softmax logits, (N_q, N_k).
 
-    No masking is applied here; this is the test surface for the
-    relative-position properties.
+    Each tile's products land in their rows of the result and are scaled
+    there, so the result is the only (N_q, N_k) allocation.  No masking
+    is applied here; this is the test surface for the relative-position
+    properties.
     """
     q, k = _projected_qk(queries, keys, weights, config)
     logits = np.empty((len(q), len(k)))
-    _for_each_tile(q, k, lambda rows, t: np.multiply(t, config.scale, out=logits[rows]))
+    _for_each_tile(q, k, lambda rows, t: np.multiply(t, config.scale, out=t), out=logits)
     return logits
 
 

@@ -249,43 +249,62 @@ class BenchReport(_ScoredReport):
         return header, rows
 
 
-def _argmax_with_random_ties(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row argmax with exact ties broken uniformly at random (seeded).
+def _select(
+    rows: np.ndarray, targets: np.ndarray, perm: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row picks with exact ties broken at random, and 1-based target ranks.
 
-    One rng.integers(counts) call draws an index below each tied row's
-    peak count, in row order.  For int64 draws that gives the values and
-    generator state of one scalar rng.integers(count) per tied row, the
-    loop in tests/oracles.py: checked on numpy 2.4.6, and TestSelection
-    repeats the check on whatever numpy runs the suite.  A row holding
-    NaN has no peak equal to its max: it takes column 0 and draws nothing.
+    chosen is each row's argmax, a tie among its peak keys broken by one
+    draw below the tied count.  One rng.integers(counts) call draws for
+    every tied row, in row order.  For int64 draws that gives the values
+    and generator state of one scalar rng.integers(count) per tied row,
+    the loop in tests/oracles.py: checked on numpy 2.4.6, and
+    TestSelection repeats the check on whatever numpy runs the suite.  A
+    row holding NaN has no peak equal to its max: it takes column 0 and
+    draws nothing.
+
+    ranks orders each row's keys by descending logit, keys level with
+    the target by perm, as a lexsort by (-logit, perm) does for a finite
+    target.  A target at its row's peak ranks 1, plus the peak-tied keys
+    that perm puts ahead of it.  Only rows whose target is below the peak
+    pay for the > and == comparisons; a NaN target is one of them and
+    ranks 1, since nothing compares above or level with it.  The
+    comparisons run over the whole matrix when such rows are most of it,
+    as under `sinusoidal`, and over the gathered rows otherwise.  Their
+    perm comparison runs only when one of those rows holds another logit
+    equal to its target's.
     """
-    is_peak = rows == rows.max(axis=1, keepdims=True)
-    counts = np.count_nonzero(is_peak, axis=1)
-    out = np.argmax(is_peak, axis=1)
-    tied = np.flatnonzero(counts > 1)
-    if tied.size:
-        tied_counts = counts[tied]
+    n_rows, n_cols = rows.shape
+    picked = np.arange(n_rows)
+    chosen = np.argmax(rows, axis=1)  # the first NaN where a row holds one
+    peak = rows[picked, chosen]
+    has_peak = peak == peak
+    chosen[~has_peak] = 0
+    is_peak = rows == peak[:, None]
+    target = rows[picked, targets]
+    below = np.flatnonzero(~(target == peak))
+    ranks = np.ones(n_rows, dtype=np.intp)
+    # Each row with a peak holds it at least once, so any surplus is a tie.
+    if np.count_nonzero(is_peak) > np.count_nonzero(has_peak):
+        counts = np.count_nonzero(is_peak, axis=1)
+        tied = np.flatnonzero(counts > 1)
+        tied_counts, tied_peaks = counts[tied], is_peak[tied]
         first = np.cumsum(tied_counts) - tied_counts
-        picks = np.flatnonzero(is_peak[tied])[first + rng.integers(tied_counts)]
-        out[tied] = picks % rows.shape[1]
-    return out
-
-
-def _ranks_of(rows: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """1-based rank of targets under descending logits, ties broken by perm.
-
-    The perm comparison runs only when some row holds another logit equal
-    to its target's; one count over the whole matrix decides, since a
-    per-row count and gather cost more than the comparison they would save.
-    """
-    picked = np.arange(rows.shape[0])
-    target = rows[picked, targets][:, None]
-    ahead = rows > target
-    level = rows == target
-    # Each row holds its target's logit once, unless that logit is NaN.
-    if np.count_nonzero(level) > np.count_nonzero(level[picked, targets]):
-        ahead |= level & (perm < perm[targets][:, None])
-    return 1 + np.count_nonzero(ahead, axis=1)
+        picks = np.flatnonzero(tied_peaks)[first + rng.integers(tied_counts)]
+        chosen[tied] = picks % n_cols
+        # A tied row whose target is below its peak is ranked again below.
+        tied_peaks &= perm < perm[targets[tied], None]
+        ranks[tied] += np.count_nonzero(tied_peaks, axis=1)
+    if below.size:
+        sub = slice(None) if 2 * below.size > n_rows else below
+        part, level_of = rows[sub], target[sub, None]
+        ahead = part > level_of
+        level = part == level_of
+        # Each row holds its target's logit once, unless that logit is NaN.
+        if np.count_nonzero(level) > np.count_nonzero(level_of == level_of):
+            ahead |= level & (perm < perm[targets[sub], None])
+        ranks[sub] = 1 + np.count_nonzero(ahead, axis=1)
+    return chosen, ranks
 
 
 def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
@@ -350,8 +369,7 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
         ):
             queries = _probe_tokens(encoding, coords, px, camera, config.feature_dim)
             logits = attention.logit_matrix(queries, keys, weights, att)
-            chosen = _argmax_with_random_ties(logits, enc_rng)
-            ranks = _ranks_of(logits, truth, perm)
+            chosen, ranks = _select(logits, truth, perm, enc_rng)
             per_set[set_name] = {
                 "logits": logits,
                 "chosen": chosen,

@@ -236,6 +236,25 @@ class TestLogitMatrix:
         assert base[0, 0] == pytest.approx(-1.6053067489459008, abs=1e-9)
         assert shifted[0, 0] == pytest.approx(-2.5583523483751707, abs=1e-9)
 
+    def test_tiles_land_in_the_result(self, monkeypatch):
+        # 128 rows of 1024 keys per tile: 16 tiles dealt to 2 workers.  A
+        # 1 MiB buffer per worker would add 2 MiB; projections and the key
+        # copy take about 1.4 (N_q + N_k) dim float64s
+        monkeypatch.setattr(attention, "_usable_cores", lambda: 2)
+        n_q, n_k, dim = 2048, 1024, 8
+        assert attention.LOGIT_TILE // attention.MAX_TILE_WORKERS // n_k == 128
+        rng = np.random.default_rng(30)
+        q = angular_tokens(rng, n_q, dim)
+        k = angular_tokens(rng, n_k, dim)
+        weights = ProjectionWeights.random(dim, seed=31)
+        tracemalloc.start()
+        try:
+            logits = logit_matrix(q, k, weights, fishrope_config(dim))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < logits.nbytes + 4 * (n_q + n_k) * dim * 8
+
 
 class TestLogitArgmax:
     N_KEYS = 10

@@ -187,32 +187,41 @@ class TestRetrievalBench:
             RetrievalBenchConfig(camera=wide_camera(), feature_dim=10)
 
 
+def _targets_and_perm(rng, rows):
+    return rng.integers(0, rows.shape[1], rows.shape[0]), rng.permutation(rows.shape[1])
+
+
 class TestSelection:
+    """experiments._select against the per-row loops in tests/oracles.py."""
+
+    @staticmethod
+    def _assert_matches_loops(rows, targets, perm, seed):
+        fast_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chosen, ranks = experiments._select(rows, targets, perm, fast_rng)
+        assert np.array_equal(chosen, argmax_with_random_ties_loop(rows, loop_rng))
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert np.array_equal(ranks, ranks_of_loop(rows, targets, perm))
+
     def test_random_tie_argmax_matches_loop_and_rng_stream(self):
         rows = tie_heavy_logits(np.random.default_rng(11))
-        fast_rng, loop_rng = np.random.default_rng(12), np.random.default_rng(12)
-        fast = experiments._argmax_with_random_ties(rows, fast_rng)
-        loop = argmax_with_random_ties_loop(rows, loop_rng)
-        assert np.array_equal(fast, loop)
-        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        targets, perm = _targets_and_perm(np.random.default_rng(111), rows)
+        self._assert_matches_loops(rows, targets, perm, 12)
 
     def test_random_tie_argmax_without_ties_draws_nothing(self):
         rows = np.random.default_rng(13).standard_normal((50, 20))
+        targets, perm = _targets_and_perm(np.random.default_rng(113), rows)
         rng = np.random.default_rng(14)
         before = rng.bit_generator.state
-        assert np.array_equal(
-            experiments._argmax_with_random_ties(rows, rng), np.argmax(rows, axis=1)
-        )
+        chosen, ranks = experiments._select(rows, targets, perm, rng)
+        assert np.array_equal(chosen, np.argmax(rows, axis=1))
         assert rng.bit_generator.state == before
+        assert np.array_equal(ranks, ranks_of_loop(rows, targets, perm))
 
     def test_ranks_match_loop(self):
         rng = np.random.default_rng(15)
         rows = tie_heavy_logits(rng)
-        targets = rng.integers(0, rows.shape[1], rows.shape[0])
-        perm = rng.permutation(rows.shape[1])
-        assert np.array_equal(
-            experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
-        )
+        targets, perm = _targets_and_perm(rng, rows)
+        self._assert_matches_loops(rows, targets, perm, 115)
 
     @pytest.mark.parametrize(
         "rows",
@@ -224,16 +233,35 @@ class TestSelection:
         ids=["all_equal", "one_row", "one_column"],
     )
     def test_edge_shapes_match_loops(self, rows):
-        fast_rng, loop_rng = np.random.default_rng(16), np.random.default_rng(16)
-        fast = experiments._argmax_with_random_ties(rows, fast_rng)
-        assert np.array_equal(fast, argmax_with_random_ties_loop(rows, loop_rng))
-        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
-        rng = np.random.default_rng(17)
-        targets = rng.integers(0, rows.shape[1], rows.shape[0])
+        targets, perm = _targets_and_perm(np.random.default_rng(17), rows)
+        self._assert_matches_loops(rows, targets, perm, 16)
+
+    def test_mixed_targets_match_loops(self):
+        # single-peak, tied-peak and below-peak targets in one matrix; fewer
+        # than half sit below their peak, so those rows are gathered
+        rng = np.random.default_rng(21)
+        rows = tie_heavy_logits(rng, n_rows=60, n_cols=12)
+        peak = rows.max(axis=1, keepdims=True)
+        targets = np.array([rng.choice(np.flatnonzero(row == row.max())) for row in rows])
+        below = np.flatnonzero(peak[:, 0] > rows.min(axis=1))[::3]
+        targets[below] = np.argmin(rows[below], axis=1)
         perm = rng.permutation(rows.shape[1])
-        assert np.array_equal(
-            experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
-        )
+        counts = np.count_nonzero(rows == peak, axis=1)
+        at = np.ones(len(rows), bool)
+        at[below] = False
+        assert np.any(at & (counts == 1)) and np.any(at & (counts > 1))
+        assert 0 < below.size < len(rows) / 2
+        self._assert_matches_loops(rows, targets, perm, 22)
+
+    def test_every_target_below_its_peak_matches_loops(self):
+        # targets at each row's minimum, where coarse rows tie at both ends
+        rng = np.random.default_rng(23)
+        rows = tie_heavy_logits(rng, n_rows=60, n_cols=12)
+        rows = rows[rows.max(axis=1) > rows.min(axis=1)]
+        targets = np.argmin(rows, axis=1)
+        perm = rng.permutation(rows.shape[1])
+        assert np.count_nonzero(rows == rows[np.arange(len(rows)), targets][:, None]) > len(rows)
+        self._assert_matches_loops(rows, targets, perm, 24)
 
     def test_nan_row_draws_nothing(self):
         rows = tie_heavy_logits(np.random.default_rng(18))
@@ -241,28 +269,59 @@ class TestSelection:
         assert np.count_nonzero(rows[nan_row] == rows[nan_row].max()) > 1
         rows[nan_row, nan_col] = np.nan
         others = np.arange(rows.shape[0]) != nan_row
+        rng = np.random.default_rng(20)
+        targets, perm = _targets_and_perm(rng, rows)
+        targets[nan_row] = nan_col + 1
         fast_rng, loop_rng = np.random.default_rng(19), np.random.default_rng(19)
-        fast = experiments._argmax_with_random_ties(rows, fast_rng)
+        fast, ranks = experiments._select(rows, targets, perm, fast_rng)
         # The loop oracle has no peak to index in a NaN row, so it sees the
         # other rows only; equal states show the NaN row took no draw.
         assert np.array_equal(fast[others], argmax_with_random_ties_loop(rows[others], loop_rng))
         assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
         assert fast[nan_row] == 0
         # The NaN never ranks ahead of a finite target, as under lexsort.
-        rng = np.random.default_rng(20)
-        targets = rng.integers(0, rows.shape[1], rows.shape[0])
-        targets[nan_row] = nan_col + 1
-        perm = rng.permutation(rows.shape[1])
-        assert np.array_equal(
-            experiments._ranks_of(rows, targets, perm), ranks_of_loop(rows, targets, perm)
-        )
+        assert np.array_equal(ranks, ranks_of_loop(rows, targets, perm))
 
     def test_nan_target_keeps_other_rows_tie_break(self):
         # Row 0's NaN target equals nothing; row 1's target ties one other key.
         rows = np.array([[np.nan, 1.0, 2.0], [1.0, 1.0, 0.0]])
         targets, perm = np.array([0, 1]), np.arange(3)
-        ranks = experiments._ranks_of(rows, targets, perm)
+        _, ranks = experiments._select(rows, targets, perm, np.random.default_rng(0))
         assert ranks[1] == ranks_of_loop(rows[1:], targets[1:], perm)[0] == 2
+        assert ranks[0] == 1
+
+    def test_nan_target_beside_one_level_tie(self):
+        # Row 1's target ties one other key below the peak; row 0's NaN
+        # target adds no level entry, so the one tie still takes the perm pass.
+        rows = np.array([[np.nan, 1.0, 2.0], [1.0, 0.0, 0.0]])
+        targets, perm = np.array([0, 1]), np.array([2, 1, 0])
+        _, ranks = experiments._select(rows, targets, perm, np.random.default_rng(0))
+        assert ranks[1] == ranks_of_loop(rows[1:], targets[1:], perm)[0] == 3
+        assert ranks[0] == 1
+
+    @pytest.mark.parametrize("others", ["at_peak", "below_peak"])
+    def test_nan_target_in_a_tied_row(self, others):
+        # Row 4's peak ties before its target turns NaN.  The other rows'
+        # targets sit at or below their peaks, so the NaN row is gathered
+        # with a few rows or compared with the whole matrix.
+        rng = np.random.default_rng(25)
+        rows = rng.integers(0, 3, (9, 7)).astype(float)
+        rows[4] = [2.0, 1.0, 2.0, 0.0, 2.0, 1.0, 0.0]
+        peak = rows.max(axis=1, keepdims=True)
+        pick = np.argmax if others == "at_peak" else np.argmin
+        targets = pick(rows, axis=1)
+        targets[4] = 2
+        rows[4, 2] = np.nan
+        perm = rng.permutation(rows.shape[1])
+        fine = np.arange(len(rows)) != 4
+        n_below = np.count_nonzero(rows[fine, targets[fine]] < peak[fine, 0])
+        assert (2 * (n_below + 1) > len(rows)) == (others == "below_peak")
+        fast_rng, loop_rng = np.random.default_rng(26), np.random.default_rng(26)
+        chosen, ranks = experiments._select(rows, targets, perm, fast_rng)
+        assert np.array_equal(chosen[fine], argmax_with_random_ties_loop(rows[fine], loop_rng))
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert chosen[4] == 0 and ranks[4] == 1
+        assert np.array_equal(ranks[fine], ranks_of_loop(rows[fine], targets[fine], perm))
 
 
 class TestBevRoundtrip:

@@ -4,8 +4,9 @@ Regenerates the default `bench`, `lift` and `selfcheck` reports exactly
 as scripts/run_experiments.py writes them and compares them byte for
 byte with the tracked copies, so a change that moves any reported number or
 serialization detail fails here.  The selfcheck's check names and
-tolerances, and the scaled `lift` report's digests, must equal the ones
-the benchmark checks its ops against in perfbench/expected.json.  The
+tolerances, and the digests of the scaled `lift` report and of the
+default `bench` report at every benchmark seed, must equal the ones the
+benchmark checks its ops against in perfbench/expected.json.  The
 angle-map and LUT CSVs at the benchmark's sizes are pinned by digest, the
 LUT's equal to the benchmark's.
 """
@@ -147,3 +148,14 @@ def test_scaled_lift_matches_benchmark_digests(tmp_path):
     expected = _expected()["lift_scaled"][workloads.origin_key(origin)]
     for suffix, path in (("yaml", out), ("csv", tmp_path / "lift.yaml.csv")):
         assert workloads.sha256(path) == expected[f"{suffix}_sha256"], suffix
+
+
+@pytest.mark.parametrize("seed", sorted(_expected()["retrieval"], key=int))
+def test_bench_matches_benchmark_digests(tmp_path, seed):
+    # the benchmark's retrieval op: the default bench at one recorded seed
+    out = tmp_path / "bench.yaml"
+    calib = REPO_ROOT / "calibrations" / "synthetic_fisheye.yaml"
+    assert cli.main(["bench", "--calib", str(calib), "--seed", seed, "--out", str(out)]) == 0
+    expected = _expected()["retrieval"][seed]
+    for suffix, path in (("yaml", out), ("csv", tmp_path / "bench.yaml.csv")):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[f"{suffix}_sha256"], suffix
