@@ -36,12 +36,6 @@ MAX_BEV_CELLS = 4096 * 4096
 MAX_PATCH_SIZE = 2**16
 
 
-def _readonly_bool(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=bool, copy=True)
-    a.setflags(write=False)
-    return a
-
-
 def _check_angles(angles: np.ndarray, mask: np.ndarray, theta_max: float, what: str) -> None:
     """Refuse masked-in (theta, phi) outside theta in [0, theta_max], phi in [-pi, pi).
 
@@ -75,7 +69,7 @@ class PatchGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", _readonly(self.coords))
         object.__setattr__(self, "centers_px", _readonly(self.centers_px))
-        object.__setattr__(self, "valid_mask", _readonly_bool(self.valid_mask))
+        object.__setattr__(self, "valid_mask", _readonly(self.valid_mask, dtype=bool))
         if self.coords.ndim != 3 or self.coords.shape[2] != 2:
             raise ConfigError(f"coords shape {self.coords.shape} is not (rows, cols, 2)")
         if self.valid_mask.shape != self.grid_dims or self.centers_px.shape != self.coords.shape:
@@ -218,7 +212,7 @@ class BevGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cell_angles", _readonly(self.cell_angles))
-        object.__setattr__(self, "visibility_mask", _readonly_bool(self.visibility_mask))
+        object.__setattr__(self, "visibility_mask", _readonly(self.visibility_mask, dtype=bool))
         if self.cell_angles.shape != (*self.spec.dims, 2):
             raise ConfigError("BEV grid array shapes inconsistent with spec dims")
         if self.visibility_mask.shape != self.spec.dims:

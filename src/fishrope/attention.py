@@ -80,8 +80,7 @@ class TokenGrid:
     def __post_init__(self) -> None:
         features = _readonly(self.features)
         coords = _readonly(self.coords)
-        mask = np.array(self.mask, dtype=bool, copy=True)
-        mask.setflags(write=False)
+        mask = _readonly(self.mask, dtype=bool)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "mask", mask)

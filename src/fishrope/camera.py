@@ -80,8 +80,8 @@ def _clamped_radius(r, r_max: float) -> np.ndarray:
     return np.minimum(r, r_max)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64, copy=True)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
 

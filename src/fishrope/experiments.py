@@ -48,7 +48,13 @@ from .angular import BevGridSpec, bev_angles, patch_angles
 from .attention import AttentionConfig, ProjectionWeights, TokenGrid
 from .camera import Extrinsics, KannalaBrandtCamera, _fork_split
 from .errors import ConfigError, EmptyOverlapError
-from .fixtures import fixture_cameras, scene_extrinsics, wide_camera
+from .fixtures import (
+    downward_extrinsics,
+    fixture_cameras,
+    linear_camera,
+    scene_extrinsics,
+    wide_camera,
+)
 from .rope import ENCODINGS, RotaryConfig
 
 REPORT_FORMAT_VERSION = 1
@@ -66,7 +72,8 @@ MAX_FEATURE_DIM = 1024
 MAX_BENCH_QUERIES = 2**16
 # The bench holds dense n_queries x n_keys float64 logits for both query sets
 # plus their temporaries; at a product just under this (`bench --patch-size 16
-# --n-queries 5336`) its peak RSS was 458 MiB (Linux x86-64, one BLAS thread).
+# --n-queries 5336`, 3144 keys) an in-process `cli.main` run peaked at 474 MiB
+# ru_maxrss (Linux x86-64, numpy 2.4.6, one BLAS thread).
 MAX_BENCH_LOGITS = 2**24
 
 # Fixed scoring constants; every report records them in its `config` block.
@@ -814,8 +821,6 @@ def check_bev_projection_consistency() -> list[CheckResult]:
         theta_max=1.2,
         image_size=(512, 512),
     )
-    from .fixtures import downward_extrinsics
-
     extr = downward_extrinsics(10.0)
     spec = BevGridSpec((100.0, 100.0), 1.0)
     bev = bev_angles(spec, camera, extr)
@@ -1133,8 +1138,6 @@ def check_bench_determinism(seed: int = 0) -> list[CheckResult]:
 
 def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
     """Bench logits equal direct relative-form evaluation on a linear camera."""
-    from .fixtures import linear_camera
-
     config = RetrievalBenchConfig(
         camera=linear_camera(),
         patch_size=50,

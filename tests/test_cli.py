@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -36,6 +37,14 @@ def _edited_calibration(calib, tmp_path, path, value) -> str:
     edited = tmp_path / "edited.yaml"
     edited.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return str(edited)
+
+
+def _assert_lines(text, lines):
+    """text is exactly lines, each "<t>" in them matching a printed runtime."""
+    got = text.splitlines()
+    assert len(got) == len(lines), got
+    for line, want in zip(got, lines):
+        assert re.fullmatch(re.escape(want).replace(re.escape("<t>"), r"\d+\.\d\d"), line), line
 
 
 class TestAngles:
@@ -166,6 +175,20 @@ class TestBenchAndLift:
         assert (tmp_path / "a.yaml.csv").read_bytes() == (tmp_path / "b.yaml.csv").read_bytes()
         assert b"runtime" not in a.read_bytes()
 
+    def test_bench_stdout_pinned(self, calib, tmp_path, capsys):
+        out = tmp_path / "r.yaml"
+        assert main(["bench", "--calib", calib, "--n-queries", "64", "--patch-size", "128",
+                     "--encodings", "fishrope,none", "--out", str(out)]) == 0
+        report = yaml.safe_load(out.read_text(encoding="utf-8"))
+        scores = {s["encoding"]: s for s in report["results"]}
+        lines = [
+            f"bench[{enc}] top1={scores[enc]['top1_accuracy']:.4f} "
+            f"periphery={scores[enc]['periphery_accuracy']:.4f} "
+            f"mean_rank={scores[enc]['mean_rank']:.2f} (<t>s)"
+            for enc in report["config"]["encodings"]
+        ]
+        _assert_lines(capsys.readouterr().out, lines + [f"report -> {out}"])
+
     def test_bench_rejects_unknown_encoding(self, calib, tmp_path):
         code = main(["bench", "--calib", calib, "--out", str(tmp_path / "r.yaml"),
                      "--encodings", "fishrope,learned"])
@@ -182,6 +205,21 @@ class TestBenchAndLift:
         assert table[0] == "encoding,region,accuracy,n_cells"
         regions = {line.split(",")[1] for line in table[1:]}
         assert {"overall", "inner", "mid", "outer"} <= regions
+
+    def test_lift_stdout_pinned(self, calib, tmp_path, capsys):
+        out = tmp_path / "r.yaml"
+        assert main(["lift", "--calib", calib, "--extent", "16", "16", "--resolution", "1.0",
+                     "--patch-size", "64", "--out", str(out)]) == 0
+        report = yaml.safe_load(out.read_text(encoding="utf-8"))
+        lines = [
+            f"lift[{s['encoding']}] overall={s['overall_accuracy']:.4f} "
+            f"peripheral={s['peripheral_accuracy']:.4f} (<t>s)"
+            for s in report["results"]
+        ]
+        lines.append(
+            f"report -> {out} (visible cells: {report['n_visible']}, keys: {report['n_keys']})"
+        )
+        _assert_lines(capsys.readouterr().out, lines)
 
     @pytest.mark.parametrize(
         "extra, message",

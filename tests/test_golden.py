@@ -1,14 +1,16 @@
 """The committed reference reports in results/ are what the code produces.
 
-Regenerates the default `bench`, `lift` and `selfcheck` reports exactly
-as scripts/run_experiments.py writes them and compares them byte for
+Regenerates the default `bench`, `lift` and `selfcheck` reports through
+the CLI, as `fishrope <cmd> --out results/<cmd>.yaml` writes them (with
+the repo calibration for `bench` and `lift`), and compares them byte for
 byte with the tracked copies, so a change that moves any reported number or
-serialization detail fails here.  The selfcheck's check names and
-tolerances, and the digests of the scaled `lift` report and of the
-default `bench` report at every benchmark seed, must equal the ones the
-benchmark checks its ops against in perfbench/expected.json.  The
-angle-map and LUT CSVs at the benchmark's sizes are pinned by digest, the
-LUT's equal to the benchmark's.
+serialization detail fails here; results/ holds those five files and no
+other.  The selfcheck's check names and tolerances, and the digests of
+the scaled `lift` report and of the default `bench` report at every
+benchmark seed, must equal the ones the benchmark checks its ops against
+in perfbench/expected.json.  The angle-map and LUT CSVs at the
+benchmark's sizes are pinned by digest, the LUT's equal to the
+benchmark's.
 """
 
 import hashlib
@@ -23,9 +25,10 @@ import sys
 import numpy as np
 import pytest
 
-from fishrope import cli, experiments, fixtures
+from fishrope import cli, experiments
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+CALIBRATION = REPO_ROOT / "calibrations" / "synthetic_fisheye.yaml"
 
 
 def _load_script(name, path):
@@ -35,25 +38,34 @@ def _load_script(name, path):
     return module
 
 
-@pytest.fixture(scope="module")
-def run_experiments():
-    return _load_script("run_experiments", REPO_ROOT / "scripts" / "run_experiments.py")
-
-
 def _expected():
     return json.loads((REPO_ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("experiment", ["bench", "lift", "selfcheck"])
-def test_default_report_matches_results(run_experiments, tmp_path, experiment):
-    if experiment == "selfcheck":
-        run_experiments.write_selfcheck(tmp_path)
-    else:
-        getattr(run_experiments, f"write_{experiment}")(tmp_path, fixtures.wide_camera())
+def _default_argv(experiment, out_dir):
+    """The command line that writes results/<experiment>.yaml, into out_dir."""
+    calib = [] if experiment == "selfcheck" else ["--calib", str(CALIBRATION)]
+    return [experiment, *calib, "--out", str(out_dir / f"{experiment}.yaml")]
+
+
+def _assert_matches_results(out_dir, experiment):
     tracked = sorted((REPO_ROOT / "results").glob(f"{experiment}.*"))
-    assert [p.name for p in tracked] == sorted(p.name for p in tmp_path.iterdir())
+    assert [p.name for p in tracked] == sorted(p.name for p in out_dir.iterdir())
     for path in tracked:
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("experiment", ["bench", "lift", "selfcheck"])
+def test_default_report_matches_results(tmp_path, experiment):
+    assert cli.main(_default_argv(experiment, tmp_path)) == 0
+    _assert_matches_results(tmp_path, experiment)
+
+
+def test_results_holds_only_the_default_reports():
+    # the YAML reports of the three commands above, and the CSV tables
+    # that bench and lift write beside theirs at --out.csv
+    names = ["bench.yaml", "bench.yaml.csv", "lift.yaml", "lift.yaml.csv", "selfcheck.yaml"]
+    assert sorted(p.name for p in (REPO_ROOT / "results").iterdir()) == names
 
 
 def _openblas_picks_its_kernel_at_run_time() -> bool:
@@ -67,16 +79,6 @@ def _openblas_picks_its_kernel_at_run_time() -> bool:
         and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
         and platform.machine().lower() in ("x86_64", "amd64")
     )
-
-
-_WRITE_DEFAULT_REPORT = """
-import importlib.util, pathlib, sys
-from fishrope import fixtures
-spec = importlib.util.spec_from_file_location("run_experiments", sys.argv[1])
-script = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(script)
-getattr(script, "write_" + sys.argv[2])(pathlib.Path(sys.argv[3]), fixtures.wide_camera())
-"""
 
 
 @pytest.mark.skipif(
@@ -93,16 +95,12 @@ def test_default_report_bytes_hold_under_a_kernel_without_fma(tmp_path, experime
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
-    script = REPO_ROOT / "scripts" / "run_experiments.py"
     result = subprocess.run(
-        [sys.executable, "-c", _WRITE_DEFAULT_REPORT, str(script), experiment, str(tmp_path)],
+        [sys.executable, "-m", "fishrope.cli", *_default_argv(experiment, tmp_path)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == 0, result.stderr
-    tracked = sorted((REPO_ROOT / "results").glob(f"{experiment}.*"))
-    assert [p.name for p in tracked] == sorted(p.name for p in tmp_path.iterdir())
-    for path in tracked:
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    _assert_matches_results(tmp_path, experiment)
 
 
 # sha256 of the CSV artifacts at the benchmark's sizes, and of the default
@@ -121,8 +119,7 @@ ARTIFACT_CSV_SHA256 = {
 def test_artifact_csv_bytes_hold(tmp_path, name):
     command, digest = ARTIFACT_CSV_SHA256[name]
     out = tmp_path / f"{name}.csv"
-    calib = REPO_ROOT / "calibrations" / "synthetic_fisheye.yaml"
-    argv = command.split() + ["--format", "csv", "--calib", str(calib), "--out", str(out)]
+    argv = command.split() + ["--format", "csv", "--calib", str(CALIBRATION), "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -154,8 +151,7 @@ def test_scaled_lift_matches_benchmark_digests(tmp_path):
 def test_bench_matches_benchmark_digests(tmp_path, seed):
     # the benchmark's retrieval op: the default bench at one recorded seed
     out = tmp_path / "bench.yaml"
-    calib = REPO_ROOT / "calibrations" / "synthetic_fisheye.yaml"
-    assert cli.main(["bench", "--calib", str(calib), "--seed", seed, "--out", str(out)]) == 0
+    assert cli.main(["bench", "--calib", str(CALIBRATION), "--seed", seed, "--out", str(out)]) == 0
     expected = _expected()["retrieval"][seed]
     for suffix, path in (("yaml", out), ("csv", tmp_path / "bench.yaml.csv")):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[f"{suffix}_sha256"], suffix
