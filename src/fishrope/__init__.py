@@ -53,7 +53,7 @@ _EXPORTS = {
 }
 
 # Every module but cli.  A module added to the package joins this list.
-_LAZY_MODULES = (*_EXPORTS, "formats", "fixtures")
+_LAZY_MODULES = (*_EXPORTS, "formats", "fixtures", "_parallel")
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

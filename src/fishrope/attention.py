@@ -41,15 +41,14 @@ shared between calls.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import rope
+from . import _parallel, rope
 from .angular import BevGrid, PatchGrid
-from .camera import _readonly, _usable_cores
+from .camera import _readonly
 from .errors import ConfigError, EmptyAttentionError, ShapeError
 from .rope import ENCODINGS, RotaryConfig
 
@@ -245,37 +244,26 @@ def _for_each_tile(
     tiles; tiles of 2 to about 200 rows agree.  Every logit consumer goes
     through here, so dense and streamed callers stay bit-identical.
     Tiles are dealt round-robin to one worker per usable core, at most
-    MAX_TILE_WORKERS, the calling thread being worker 0.  Workers share
-    only the read-only q and keys, and fn must write only its own rows.
-    A worker's exception is raised here once every worker has joined.
+    MAX_TILE_WORKERS, run by `_parallel.fan_out` with the calling thread
+    as worker 0.  Workers share only the read-only q and keys, and fn
+    must write only its own rows.
     """
     n_q, n_k = len(q), len(k)
     k_t = np.ascontiguousarray(k.T)
     step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
     starts = range(0, n_q, step)
-    n_workers = max(1, min(_usable_cores(), MAX_TILE_WORKERS, len(starts)))
+    n_workers = max(1, min(_parallel.usable_cores(), MAX_TILE_WORKERS, len(starts)))
     if out is None:
         bufs = [np.empty((step, n_k)) for _ in range(n_workers)]
-    errors: list[BaseException] = []
 
     def work(w: int) -> None:
-        try:
-            for start in starts[w::n_workers]:
-                stop = min(start + step, n_q)
-                rows = slice(start, stop)
-                tile = bufs[w][: stop - start] if out is None else out[rows]
-                fn(rows, np.matmul(q[rows], k_t, out=tile))
-        except BaseException as exc:  # re-raised by the caller after join
-            errors.append(exc)
+        for start in starts[w::n_workers]:
+            stop = min(start + step, n_q)
+            rows = slice(start, stop)
+            tile = bufs[w][: stop - start] if out is None else out[rows]
+            fn(rows, np.matmul(q[rows], k_t, out=tile))
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    _parallel.fan_out(work, n_workers)
 
 
 def logit_matrix(

@@ -26,15 +26,12 @@ it rather than extrapolating the polynomial outside its fitted range.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FishropeError, OutOfImageCircleError
+from .errors import ConfigError, DomainError, OutOfImageCircleError
 
 # Fraction of r_max tolerated (and clamped) beyond the image circle.
 CLAMP_BAND_FRACTION = 1e-3
@@ -84,54 +81,6 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)
     return a
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity set, else the host's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fork_split(child, parent, collect, failure: str):
-    """Run child(out) in a forked process while parent() runs in this one.
-
-    The gate: the platform has os.fork, this process may run on two or
-    more cores and no other Python thread is alive (one could hold a lock
-    that the child would wait on for ever).  When it says no, nothing
-    runs and the result is None, so the caller does all its work in one
-    process.  Otherwise the child writes to `out`, an unnamed binary
-    temporary file, and leaves only through os._exit: 0 once `out` is
-    flushed, 1 if child raised, with no traceback.  This process runs
-    parent() meanwhile and then waits for the child, also when parent()
-    raises, so no child outlives the call.  A child that exited non-zero
-    raises FishropeError "<failure> failed (exit code N)"; one that
-    exited 0 leaves `out` rewound for collect(out).  Returns
-    (parent(), collect(out)).
-    """
-    if not (
-        hasattr(os, "fork") and _usable_cores() >= 2 and threading.active_count() == 1
-    ):
-        return None
-    with tempfile.TemporaryFile() as out:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                child(out)
-                out.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            result = parent()
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:
-            raise FishropeError(f"{failure} failed (exit code {code})")
-        out.seek(0)  # the child moved the shared offset to its end
-        return result, collect(out)
 
 
 @dataclass(frozen=True)

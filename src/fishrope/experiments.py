@@ -26,7 +26,7 @@ Three entry points:
                     a call.  The elementwise camera checks and the
                     rotary checks run in a forked child on a second core
                     while this process runs the rest
-                    (`camera._fork_split`), with the same results as one
+                    (`_parallel.fork_split`), with the same results as one
                     process gives.
 
 Reports serialize deterministically: given equal seeds and configs the
@@ -43,10 +43,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import attention, rope
+from . import _parallel, attention, rope
 from .angular import BevGridSpec, bev_angles, patch_angles
 from .attention import AttentionConfig, ProjectionWeights, TokenGrid
-from .camera import Extrinsics, KannalaBrandtCamera, _fork_split
+from .camera import Extrinsics, KannalaBrandtCamera
 from .errors import ConfigError, EmptyOverlapError
 from .fixtures import (
     downward_extrinsics,
@@ -1220,7 +1220,7 @@ def selfcheck(seed: int = 0) -> SelfCheckReport:
     """Execute every documented invariant with fixed seeds.
 
     The camera and rotary checks run in a forked child, through
-    `camera._fork_split`, while this process runs the others; the child
+    `_parallel.fork_split`, while this process runs the others; the child
     sends its results back pickled.  When the fork gate says no, this
     process runs both shares in turn, the parent's first.  Either way the
     two shares are joined in plan order by one path, and every check
@@ -1233,7 +1233,7 @@ def selfcheck(seed: int = 0) -> SelfCheckReport:
     def share(in_child: bool) -> list[list[CheckResult]]:
         return [check() for child, check in plan if child == in_child]
 
-    split = _fork_split(
+    split = _parallel.fork_split(
         lambda out: pickle.dump(share(True), out),
         lambda: share(False),
         pickle.load,

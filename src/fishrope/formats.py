@@ -18,10 +18,9 @@ Every CSV goes through `_write_csv`: every value as its str (for floats
 that is repr, so float64 round-trips exactly), CSV_BLOCK_ROWS rows at a
 time.  A numeric column's block that repeats its values formats each
 distinct value once; the bytes are those of formatting every value.
-A table of two or more blocks is formatted in two processes through
-`camera._fork_split` (where the platform forks, a second core is usable
-and no other Python thread runs): a forked child writes the second half
-to a temporary file that the parent appends, with the same bytes as one
+A table of two or more blocks is formatted in two processes where
+`_parallel.fork_split` allows: a forked child writes the second half to
+a temporary file that the parent appends, with the same bytes as one
 process writes.  `read_anglemap_csv` splits a body of two or more blocks
 the same way: the child parses the bytes after the first newline past
 the middle and the parent the bytes before it, with the same arrays as
@@ -60,7 +59,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import yaml
 
-from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _fork_split
+from . import _parallel
+from .camera import Extrinsics, InverseLut, KannalaBrandtCamera
 from .errors import ConfigError, FishropeError, FormatError
 
 if TYPE_CHECKING:
@@ -233,7 +233,7 @@ def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> N
     str (for a float that is repr), CSV_BLOCK_ROWS rows at a time; within
     a block, each distinct value of a repeating numeric column is
     formatted once (`_block_strs`).  A table of at least two blocks is
-    split at a block boundary when `camera._fork_split`'s gate allows: a
+    split at a block boundary when `_parallel.fork_split`'s gate allows: a
     forked child formats the second half into its temporary file while
     this process formats the first half, then this process appends the
     child's bytes.  Either way the bytes are the same.
@@ -261,7 +261,7 @@ def _write_csv(path, preamble: list[str], header: list[str], columns: list) -> N
                 fh.flush()
                 shutil.copyfileobj(tail, fh.buffer)
 
-            if _fork_split(
+            if _parallel.fork_split(
                 format_tail,
                 lambda: write_rows(fh.write, 0, half),
                 append,
@@ -361,7 +361,7 @@ def _split_loadtxt(fh) -> np.ndarray | None:
     """The rest of text file fh as np.loadtxt parses it, in two processes; or None.
 
     The rest is cut after the first newline at or past its byte midpoint.
-    Through `camera._fork_split`, a forked child parses the bytes after the
+    Through `_parallel.fork_split`, a forked child parses the bytes after the
     cut and writes (rows, cols) as two int64 values, then its float64
     rows, to its temporary file, while this process parses the bytes before
     it; this process then copies its rows into the result and reads the
@@ -403,7 +403,7 @@ def _split_loadtxt(fh) -> np.ndarray | None:
         return data
 
     try:
-        split = _fork_split(
+        split = _parallel.fork_split(
             parse_tail,
             lambda: halves.append(_loadtxt_range(fd, start, cut)),
             join,
@@ -418,7 +418,7 @@ def read_anglemap_csv(path) -> dict[str, Any]:
     """Parse an angle-map CSV back into arrays (theta, phi, valid) plus metadata.
 
     A body of at least 2 * CSV_BLOCK_ROWS rows by the metadata line is
-    parsed in two processes where `camera._fork_split`'s gate allows (see
+    parsed in two processes where `_parallel.fork_split`'s gate allows (see
     `_split_loadtxt`), with the same bits as one process parses.  Any
     failure there, and every smaller body, is parsed by np.loadtxt in this
     process, which raises the FormatError for a malformed line.  A body

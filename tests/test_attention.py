@@ -28,6 +28,7 @@ from fishrope.angular import BevGridSpec, bev_angles, patch_angles
 from fishrope.experiments import fd_self_attention_jacobian, probe_feature
 from fishrope.fixtures import downward_extrinsics, wide_camera
 from .oracles import dense_cross_attention
+from .test_parallel import _cores
 
 
 def angular_tokens(rng, n, dim, mask=None):
@@ -240,7 +241,7 @@ class TestLogitMatrix:
         # 128 rows of 1024 keys per tile: 16 tiles dealt to 2 workers.  A
         # 1 MiB buffer per worker would add 2 MiB; projections and the key
         # copy take about 1.4 (N_q + N_k) dim float64s
-        monkeypatch.setattr(attention, "_usable_cores", lambda: 2)
+        _cores(monkeypatch, 2)
         n_q, n_k, dim = 2048, 1024, 8
         assert attention.LOGIT_TILE // attention.MAX_TILE_WORKERS // n_k == 128
         rng = np.random.default_rng(30)
@@ -521,10 +522,6 @@ class TestTilePool:
 
     N_QUERIES, N_KEYS = 13, 10
 
-    @staticmethod
-    def _cores(monkeypatch, n):
-        monkeypatch.setattr(attention, "_usable_cores", lambda: n)
-
     def _outputs(self, width):
         rng = np.random.default_rng(40)
         qmask = np.ones(self.N_QUERIES, bool)
@@ -552,9 +549,9 @@ class TestTilePool:
         # interleaves them as often as it can
         monkeypatch.setattr(attention, "MAX_TILE_WORKERS", max_workers)
         monkeypatch.setattr(attention, "LOGIT_TILE", 30 * max_workers)
-        self._cores(monkeypatch, 1)
+        _cores(monkeypatch, 1)
         serial = self._outputs(width)
-        self._cores(monkeypatch, max_workers)
+        _cores(monkeypatch, max_workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -564,10 +561,30 @@ class TestTilePool:
         for a, b in zip(serial, pooled):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("max_workers", [2, 4])
+    def test_threads_that_cannot_start_change_no_bit(self, monkeypatch, max_workers):
+        # the calling thread streams the tiles of every refused worker
+        monkeypatch.setattr(attention, "MAX_TILE_WORKERS", max_workers)
+        monkeypatch.setattr(attention, "LOGIT_TILE", 30 * max_workers)
+        _cores(monkeypatch, 1)
+        serial = self._outputs(1)
+        _cores(monkeypatch, max_workers)
+        starts = []
+
+        def refuse(thread):
+            starts.append(1)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        refused = self._outputs(1)
+        assert len(starts) == 3 * (max_workers - 1)  # argmax, matrix, cross-attention
+        for a, b in zip(serial, refused):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("cores, threads", [(1, 1), (2, 2), (8, 2)])
     def test_each_row_once_on_capped_threads(self, monkeypatch, cores, threads):
         monkeypatch.setattr(attention, "LOGIT_TILE", 60)
-        self._cores(monkeypatch, cores)
+        _cores(monkeypatch, cores)
         rng = np.random.default_rng(42)
         q, k = rng.standard_normal((13, 4)), rng.standard_normal((10, 4))
         seen, idents = np.zeros(13, int), set()
@@ -586,7 +603,7 @@ class TestTilePool:
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # rows 3..5 are the second tile, which worker 1 streams
         monkeypatch.setattr(attention, "LOGIT_TILE", 60)
-        self._cores(monkeypatch, 2)
+        _cores(monkeypatch, 2)
         rng = np.random.default_rng(43)
         q, k = rng.standard_normal((13, 4)), rng.standard_normal((10, 4))
         before = threading.active_count()

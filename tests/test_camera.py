@@ -1,5 +1,4 @@
 import math
-import os
 import re
 import warnings
 
@@ -16,7 +15,7 @@ from fishrope import (
     KannalaBrandtCamera,
     OutOfImageCircleError,
 )
-from fishrope.camera import CLAMP_BAND_FRACTION, _usable_cores
+from fishrope.camera import CLAMP_BAND_FRACTION
 from fishrope.fixtures import downward_extrinsics, fixture_cameras
 
 from .oracles import bisect_theta, poly_radius
@@ -419,17 +418,3 @@ class TestFixedIterationAccuracy:
         assert np.max(np.abs(t5 - theta)) < 1e-5
         assert np.max(np.abs(tc - theta)) < 1e-9
 
-
-class TestUsableCores:
-    """The core count the tile pool and the CSV writer share."""
-
-    def test_affinity_set_when_the_platform_has_one(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _usable_cores() == 3
-
-    @pytest.mark.parametrize("count, cores", [(6, 6), (None, 1)])
-    def test_host_count_without_affinity(self, monkeypatch, count, cores):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert _usable_cores() == cores

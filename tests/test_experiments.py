@@ -42,7 +42,7 @@ from fishrope.formats import dump_report_yaml
 from fishrope.rope import apply_rotary_batch, rotated_logit
 
 from .oracles import argmax_with_random_ties_loop, ranks_of_loop
-from .test_formats import _cores, _count_forks
+from .test_parallel import _cores, _count_forks, _count_starts
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SELFCHECK_YAML = REPO_ROOT / "results" / "selfcheck.yaml"
@@ -597,12 +597,15 @@ class TestForkedSelfCheck:
     def test_child_checks_need_no_extrinsics_lapack_or_threads(self, monkeypatch, seed):
         _cores(monkeypatch, 1)
         report = selfcheck(seed)
+        # the cores a forked child sees, so the tile pool could start threads
+        _cores(monkeypatch, 2)
         monkeypatch.setattr(Extrinsics, "__post_init__", _raise)
         monkeypatch.setattr(np.linalg, "qr", _raise)
         monkeypatch.setattr(np.linalg, "det", _raise)
-        monkeypatch.setattr(threading.Thread, "start", _raise)
+        starts = _count_starts(monkeypatch)
         plan = experiments._selfcheck_plan(seed)
         child = [r for in_child, check in plan if in_child for r in check()]
+        assert starts == []
         child_names = (
             "camera.round_trip.",
             "camera.monotone_radial[",

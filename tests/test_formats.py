@@ -19,7 +19,9 @@ from fishrope import ConfigError, FishropeError, FormatError, patch_angles
 from fishrope.cli import main
 from fishrope.experiments import CheckResult, SelfCheckReport
 from fishrope.fixtures import scene_extrinsics, wide_camera
-from fishrope import camera, formats
+from fishrope import _parallel, formats
+
+from .test_parallel import _cores, _count_forks
 
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -263,23 +265,6 @@ class TestReportsAndTables:
         assert whole[2].decode().splitlines()[2] == "b,0.30000000000000004,2"
 
 
-def _cores(monkeypatch, n):
-    """Make the fork helper's gate, and so the CSV writer, see n usable cores."""
-    monkeypatch.setattr(camera, "_usable_cores", lambda: n)
-
-
-def _count_forks(monkeypatch) -> list:
-    """Record each os.fork call made in this process; the fork still happens."""
-    calls, fork = [], os.fork
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def _reference_csv(header, columns) -> bytes:
     """The header and body rows with each value formatted on its own by str."""
     rows = zip(*[column.tolist() for column in columns])
@@ -357,7 +342,7 @@ class TestSplitWriter:
         monkeypatch.setattr(formats, "CSV_BLOCK_ROWS", 2)
         _cores(monkeypatch, 2)
         read_only = types.SimpleNamespace(TemporaryFile=lambda: open(os.devnull, "rb"))
-        monkeypatch.setattr(camera, "tempfile", read_only)
+        monkeypatch.setattr(_parallel, "tempfile", read_only)
         out = tmp_path / "lut.csv"
         argv = ["lut", "--calib", str(calibration_path), "--resolution", "16", "--out", str(out)]
         assert main(argv) == 1
