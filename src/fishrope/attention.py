@@ -18,12 +18,16 @@ inner products scaled by 1/sqrt(head_dim).  Every kernel over a query
 and a key grid refuses grids from different cameras.  The products come
 from BLAS matmul over query tiles against one C-contiguous copy of the
 keys.  LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the
-working set of all tiles in flight: each holds
+working set of all tiles in flight: each holds at most
 LOGIT_TILE // MAX_TILE_WORKERS logits of whole query rows, and up to
 MAX_TILE_WORKERS threads (the package's own, apart from any BLAS
-threads) stream them at once.  Every tile writes only its own rows and
-the key axis is never split, so no result depends on the worker count
-or the host.
+threads) stream them at once.  Where the product spans more than one
+such tile and head_dim is at most SMALL_GEMM_MAX_DIM, a tile is also
+cut to SMALL_GEMM_MACS multiply-adds, the size under which OpenBLAS
+multiplies without packing its operands, unless that leaves fewer than
+SMALL_GEMM_MIN_ROWS rows.  Every tile writes only its own rows and the
+key axis is never split, so no result depends on the worker count or
+the host.
 logit_matrix and cross_attention scale each tile, and logit_argmax does
 not, because a positive scale cannot reorder a row.  Softmax rows are
 max-subtracted and exclude masked keys entirely (equivalent to -inf
@@ -58,6 +62,14 @@ _ROTARY = ("axial_rope", "fishrope")
 # MAX_TILE_WORKERS tiles of whole query rows; a tile holds at least one row.
 LOGIT_TILE = 1 << 18
 MAX_TILE_WORKERS = 2  # tile-streaming threads; also fixes the tile shape on every host
+# OpenBLAS 0.3.31 runs a GEMM of at most 10**6 multiply-adds (rows x N_k x
+# head_dim) in its small-matrix kernel, which packs neither operand.  Tiles
+# are cut to that size where it pays: at head_dim above 32, with fewer than
+# 4 rows left, or where the whole product is one LOGIT_TILE tile, the cut
+# measured slower than the LOGIT_TILE tile.
+SMALL_GEMM_MACS = 10**6
+SMALL_GEMM_MAX_DIM = 32
+SMALL_GEMM_MIN_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -235,22 +247,39 @@ def _for_each_tile(
     With out, an (N_q, N_k) C-contiguous array, tile is out[rows] and
     holds that tile's products, so no worker buffer is allocated.
     Without it, tile is a buffer that the worker's next tile overwrites.
-    Either way its shape does not depend on how many workers run, so
-    neither does BLAS rounding, which can depend on the shape of a
-    product.  On OpenBLAS 0.3.31 (Haswell kernels, one thread) a one-row
-    tile (gemv) rounds most of its row apart from the same row in a
-    larger tile, and when N_k is not a multiple of 8, tiles of more than
-    about 200 rows round the last N_k mod 8 columns apart from smaller
-    tiles; tiles of 2 to about 200 rows agree.  Every logit consumer goes
+    A tile holds LOGIT_TILE // MAX_TILE_WORKERS logits of whole rows (at
+    least one row, at most N_q).  Where that leaves more than one tile,
+    head_dim <= SMALL_GEMM_MAX_DIM and a cut to SMALL_GEMM_MACS
+    multiply-adds leaves at least SMALL_GEMM_MIN_ROWS rows, the tile is
+    cut: 8 rows of the 9240 x 7472 lift scene at head_dim 16 (17 uncut).
+    A product that fits one tile stays one matmul: cut into 300 and 212
+    rows, the bench's 512 x 208 logit_matrix ran faster in a loop that
+    keeps its operands in cache but slower in the bench itself, which
+    then read 4 % slower per op.  The tile shape does not depend on how
+    many workers run, so neither does BLAS rounding, which can depend on
+    the shape of a product.  On OpenBLAS 0.3.31 (the SkylakeX core on an
+    AVX-512 Xeon, one thread) the matmuls of that lift scene take 62 ms
+    in 8-row tiles, 98 in 9-row tiles, just above the small-matrix
+    limit, and 85 in 17-row tiles; 8- and 17-row tiles give the same
+    bits there.  Its Haswell and Prescott cores round the
+    last row of every 17-row tile apart from the same row in an 8-row
+    tile, but move no pick: every pick of the experiments clears its
+    rounding margin (tests/test_margins.py).  Every logit consumer goes
     through here, so dense and streamed callers stay bit-identical.
     Tiles are dealt round-robin to one worker per usable core, at most
     MAX_TILE_WORKERS, run by `_parallel.fan_out` with the calling thread
-    as worker 0.  Workers share only the read-only q and keys, and fn
-    must write only its own rows.
+    as worker 0.  A cut product spans at least two uncut tiles, so at
+    MAX_TILE_WORKERS = 2 the cut starts no thread that they would not.
+    Workers share only the read-only q and keys, and fn must write only
+    its own rows.
     """
     n_q, n_k = len(q), len(k)
     k_t = np.ascontiguousarray(k.T)
     step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
+    dim = q.shape[1]
+    small = SMALL_GEMM_MACS // max(1, n_k * dim)
+    if step < n_q and dim <= SMALL_GEMM_MAX_DIM and small >= SMALL_GEMM_MIN_ROWS:
+        step = min(step, small)
     starts = range(0, n_q, step)
     n_workers = max(1, min(_parallel.usable_cores(), MAX_TILE_WORKERS, len(starts)))
     if out is None:
@@ -303,7 +332,7 @@ def logit_argmax(
     """
     q, k = _projected_qk(queries, keys, weights, config)
     chosen = np.empty(len(q), dtype=np.intp)
-    _for_each_tile(q, k, lambda rows, t: np.argmax(t, axis=-1, out=chosen[rows]))
+    _for_each_tile(q, k, lambda rows, t: t.argmax(-1, out=chosen[rows]))
     return chosen
 
 

@@ -28,7 +28,7 @@ from fishrope.angular import BevGridSpec, bev_angles, patch_angles
 from fishrope.experiments import fd_self_attention_jacobian, probe_feature
 from fishrope.fixtures import downward_extrinsics, wide_camera
 from .oracles import dense_cross_attention
-from .test_parallel import _cores
+from .test_parallel import _cores, _count_starts
 
 
 def angular_tokens(rng, n, dim, mask=None):
@@ -238,9 +238,10 @@ class TestLogitMatrix:
         assert shifted[0, 0] == pytest.approx(-2.5583523483751707, abs=1e-9)
 
     def test_tiles_land_in_the_result(self, monkeypatch):
-        # 128 rows of 1024 keys per tile: 16 tiles dealt to 2 workers.  A
-        # 1 MiB buffer per worker would add 2 MiB; projections and the key
-        # copy take about 1.4 (N_q + N_k) dim float64s
+        # 128 rows of 1024 keys per uncut tile, cut to the 122 rows of
+        # SMALL_GEMM_MACS at dim 8: 17 tiles dealt to 2 workers.  A 1 MiB
+        # buffer per worker would add 2 MiB; projections and the key copy
+        # take about 1.4 (N_q + N_k) dim float64s
         _cores(monkeypatch, 2)
         n_q, n_k, dim = 2048, 1024, 8
         assert attention.LOGIT_TILE // attention.MAX_TILE_WORKERS // n_k == 128
@@ -599,6 +600,38 @@ class TestTilePool:
         attention._for_each_tile(q, k, record)
         np.testing.assert_array_equal(seen, 1)
         assert len(idents) == threads
+
+    @pytest.mark.parametrize(
+        "n_q, n_k, dim, rows, threads",
+        [
+            (9240, 7472, 16, 8, 2),  # the scaled lift scene: cut from 17 rows
+            (1024, 208, 16, 300, 2),  # two 630-row tiles: cut
+            (512, 208, 16, 512, 1),  # the bench, one tile: uncut
+            (9240, 208, 64, 630, 2),  # head_dim above SMALL_GEMM_MAX_DIM: uncut
+            (1000, 29850, 16, 4, 2),  # a cut would leave 2 rows: uncut
+        ],
+    )
+    def test_tile_rows_on_the_traffic_shapes(self, monkeypatch, n_q, n_k, dim, rows, threads):
+        # only a product of two or more uncut tiles is cut, so no call
+        # starts a thread that LOGIT_TILE-row tiles would not have started;
+        # in the cut tiles the matmul stays in OpenBLAS's small-matrix kernel
+        _cores(monkeypatch, 2)
+        starts = _count_starts(monkeypatch)
+        seen, idents = [], set()
+
+        def record(_, tile):
+            seen.append(tile.shape[0])
+            idents.add(threading.get_ident())
+
+        attention._for_each_tile(np.zeros((n_q, dim)), np.zeros((n_k, dim)), record)
+        uncut = min(n_q, attention.LOGIT_TILE // attention.MAX_TILE_WORKERS // n_k)
+        whole, ragged = divmod(n_q, rows)
+        assert sorted(seen, reverse=True) == [rows] * whole + [ragged] * (ragged > 0)
+        assert len(idents) == threads == min(2, -(-n_q // uncut))
+        assert len(starts) == threads - 1
+        if rows < uncut:
+            assert rows * n_k * dim <= attention.SMALL_GEMM_MACS
+            assert rows >= attention.SMALL_GEMM_MIN_ROWS
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # rows 3..5 are the second tile, which worker 1 streams

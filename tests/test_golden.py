@@ -81,26 +81,51 @@ def _openblas_picks_its_kernel_at_run_time() -> bool:
     )
 
 
-@pytest.mark.skipif(
+def _cli_under_kernel(coretype, argv):
+    """Run `python -m fishrope.cli argv` with OpenBLAS forced to one core type."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "fishrope.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+_KERNEL_AT_RUN_TIME = pytest.mark.skipif(
     not _openblas_picks_its_kernel_at_run_time(),
     reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH",
 )
+
+
+@_KERNEL_AT_RUN_TIME
 @pytest.mark.parametrize("experiment", ["bench", "lift"])
 def test_default_report_bytes_hold_under_a_kernel_without_fma(tmp_path, experiment):
     # bench and lift report argmax-based scores only, so the BLAS kernel's
     # rounding must not reach their bytes.  Prescott is OpenBLAS's oldest
     # x86-64 kernel and has no FMA.  selfcheck is left out: two of its
     # values differ under such kernels today.
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [sys.executable, "-m", "fishrope.cli", *_default_argv(experiment, tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert result.returncode == 0, result.stderr
+    _cli_under_kernel("Prescott", _default_argv(experiment, tmp_path))
     _assert_matches_results(tmp_path, experiment)
+
+
+@_KERNEL_AT_RUN_TIME
+def test_default_and_scaled_report_bytes_hold_under_a_kernel_without_small_gemm(tmp_path):
+    # Haswell has FMA but no small-matrix GEMM path, so it rounds the cut
+    # logit tiles the way it rounds every other product; the default and
+    # scaled report bytes must hold under it too
+    for experiment in ("bench", "lift"):
+        out_dir = tmp_path / experiment
+        out_dir.mkdir()
+        _cli_under_kernel("Haswell", _default_argv(experiment, out_dir))
+        _assert_matches_results(out_dir, experiment)
+    argv, expected = _scaled_lift()
+    out = tmp_path / "scaled" / "lift.yaml"
+    out.parent.mkdir()
+    _cli_under_kernel("Haswell", argv + ["--out", str(out)])
+    _assert_matches_digests(out, expected)
 
 
 # sha256 of the CSV artifacts at the benchmark's sizes, and of the default
@@ -133,18 +158,29 @@ def test_selfcheck_checks_match_benchmark_expectation():
     assert checks == _expected()["selfcheck"]["checks"]
 
 
-def test_scaled_lift_matches_benchmark_digests(tmp_path):
-    # the benchmark's lift_scaled op at its first checker origin, where
-    # logit_argmax streams about 264 logit tiles per encoding
+def _scaled_lift():
+    """The benchmark's lift_scaled op at its first checker origin: argv and digests."""
     workloads = _load_script("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
     origin = workloads.CHECKER_ORIGINS[0]
-    out = tmp_path / "lift.yaml"
     argv = ["lift", "--calib", str(REPO_ROOT / workloads.CALIBRATION), "--patch-size", "8"]
     argv += ["--resolution", "0.25", "--checker-origin", repr(origin[0]), repr(origin[1])]
+    return argv, _expected()["lift_scaled"][workloads.origin_key(origin)]
+
+
+def _assert_matches_digests(out, expected):
+    """out and the CSV beside it have the sha256 digests recorded in expected."""
+    for suffix, path in (("yaml", out), ("csv", out.with_name(out.name + ".csv"))):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == expected[f"{suffix}_sha256"], suffix
+
+
+def test_scaled_lift_matches_benchmark_digests(tmp_path):
+    # the benchmark's lift_scaled op at its first checker origin, where
+    # logit_argmax streams 1155 logit tiles of 8 rows per encoding
+    argv, expected = _scaled_lift()
+    out = tmp_path / "lift.yaml"
     assert cli.main(argv + ["--out", str(out)]) == 0
-    expected = _expected()["lift_scaled"][workloads.origin_key(origin)]
-    for suffix, path in (("yaml", out), ("csv", tmp_path / "lift.yaml.csv")):
-        assert workloads.sha256(path) == expected[f"{suffix}_sha256"], suffix
+    _assert_matches_digests(out, expected)
 
 
 @pytest.mark.parametrize("seed", sorted(_expected()["retrieval"], key=int))
@@ -152,6 +188,4 @@ def test_bench_matches_benchmark_digests(tmp_path, seed):
     # the benchmark's retrieval op: the default bench at one recorded seed
     out = tmp_path / "bench.yaml"
     assert cli.main(["bench", "--calib", str(CALIBRATION), "--seed", seed, "--out", str(out)]) == 0
-    expected = _expected()["retrieval"][seed]
-    for suffix, path in (("yaml", out), ("csv", tmp_path / "bench.yaml.csv")):
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[f"{suffix}_sha256"], suffix
+    _assert_matches_digests(out, _expected()["retrieval"][seed])
