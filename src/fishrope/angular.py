@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _normalize_phi, _readonly
+from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _azimuth, _readonly
 from .errors import ConfigError
 
 # Most cells a BEV or patch grid may hold (a 4096 x 4096 grid).  The lift's
@@ -133,9 +133,7 @@ def patch_angles(
 
     theta = np.full_like(r, np.nan)
     theta[valid] = lut.lookup(r[valid])
-    phi = _normalize_phi(np.arctan2(dv, du))
-    phi = np.where(r == 0.0, 0.0, phi)
-    phi = np.where(valid, phi, np.nan)
+    phi = np.where(valid, _azimuth(dv, du, r), np.nan)
 
     return PatchGrid(
         patch_size=patch_size,

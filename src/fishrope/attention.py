@@ -17,8 +17,9 @@ projections and rotations all have head_dim entries, and logits are
 inner products scaled by 1/sqrt(head_dim).  Every kernel over a query
 and a key grid refuses grids from different cameras.  The products come
 from BLAS matmul over query tiles against one C-contiguous copy of the
-keys.  LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the
-working set of all tiles in flight: each holds at most
+keys, which starts on a 64-byte line as the tile buffers do.
+LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the working
+set of all tiles in flight: each holds at most
 LOGIT_TILE // MAX_TILE_WORKERS logits of whole query rows, and up to
 MAX_TILE_WORKERS threads (the package's own, apart from any BLAS
 threads) stream them at once.  Where the product spans more than one
@@ -239,6 +240,18 @@ def _projected_qk(
     return q, k
 
 
+def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float64 array whose data starts on a 64-byte line.
+
+    16 or 48 bytes past a line, where malloc can put it, k^T slowed the
+    lift scene's 8-row tile matmuls by 15-20 % (OpenBLAS 0.3.31, SkylakeX).
+    """
+    size = shape[0] * shape[1] * 8
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(np.float64).reshape(shape)
+
+
 def _for_each_tile(
     q: np.ndarray, k: np.ndarray, fn, out: np.ndarray | None = None
 ) -> None:
@@ -265,7 +278,9 @@ def _for_each_tile(
     last row of every 17-row tile apart from the same row in an 8-row
     tile, but move no pick: every pick of the experiments clears its
     rounding margin (tests/test_margins.py).  Every logit consumer goes
-    through here, so dense and streamed callers stay bit-identical.
+    through here, so dense and streamed callers stay bit-identical, save
+    self_attention_jacobian: only the gradient check uses it, and it forms
+    its own dense q @ k.T from the rotated projections it differentiates.
     Tiles are dealt round-robin to one worker per usable core, at most
     MAX_TILE_WORKERS, run by `_parallel.fan_out` with the calling thread
     as worker 0.  A cut product spans at least two uncut tiles, so at
@@ -274,7 +289,8 @@ def _for_each_tile(
     its own rows.
     """
     n_q, n_k = len(q), len(k)
-    k_t = np.ascontiguousarray(k.T)
+    k_t = _aligned_empty((k.shape[1], n_k))
+    k_t[...] = k.T
     step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
     dim = q.shape[1]
     small = SMALL_GEMM_MACS // max(1, n_k * dim)
@@ -283,7 +299,7 @@ def _for_each_tile(
     starts = range(0, n_q, step)
     n_workers = max(1, min(_parallel.usable_cores(), MAX_TILE_WORKERS, len(starts)))
     if out is None:
-        bufs = [np.empty((step, n_k)) for _ in range(n_workers)]
+        bufs = [_aligned_empty((step, n_k)) for _ in range(n_workers)]
 
     def work(w: int) -> None:
         for start in starts[w::n_workers]:

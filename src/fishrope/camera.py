@@ -51,9 +51,10 @@ DEFAULT_LUT_RESOLUTION = 4096
 MAX_LUT_RESOLUTION = 2**22
 
 
-def _normalize_phi(phi):
-    """Map azimuth onto the half-open interval [-pi, pi)."""
-    return np.where(phi >= math.pi, phi - 2.0 * math.pi, phi)
+def _azimuth(y, x, radius):
+    """phi = atan2(y, x) on [-pi, pi), and 0 on the axis, where radius is 0."""
+    phi = np.arctan2(y, x)
+    return np.where(radius == 0.0, 0.0, np.where(phi >= math.pi, phi - 2.0 * math.pi, phi))
 
 
 def _clamped_radius(r, r_max: float) -> np.ndarray:
@@ -249,7 +250,7 @@ class KannalaBrandtCamera:
         du = u - cx
         dv = v - cy
         r = np.hypot(du, dv)
-        phi = np.where(r == 0.0, 0.0, _normalize_phi(np.arctan2(dv, du)))
+        phi = _azimuth(dv, du, r)
         return self.radius_to_theta(r, iterations), phi
 
     def build_lut(self, resolution: int = DEFAULT_LUT_RESOLUTION) -> "InverseLut":
@@ -433,6 +434,5 @@ class Extrinsics:
         in_front = z > 0.0
         rho = np.hypot(x, y)
         theta = np.where(in_front, np.arctan2(rho, z), np.nan)
-        phi = _normalize_phi(np.arctan2(y, x))
-        phi = np.where(in_front, np.where(rho == 0.0, 0.0, phi), np.nan)
+        phi = np.where(in_front, _azimuth(y, x, rho), np.nan)
         return theta, phi, in_front

@@ -76,6 +76,8 @@ MAX_BENCH_QUERIES = 2**16
 # ru_maxrss (Linux x86-64, numpy 2.4.6, one BLAS thread).
 MAX_BENCH_LOGITS = 2**24
 
+_FD_STEP = 1e-5  # feature step of fd_self_attention_jacobian's central differences
+
 # Fixed scoring constants; every report records them in its `config` block.
 PERIPHERY_BAND = (0.7, 0.98)  # bench periphery query radii, as fractions of r_max
 WRAP_MARGIN = 0.2  # |phi| distance from the +/-pi seam of the bench's seam queries
@@ -314,12 +316,20 @@ def _select(
     return chosen, ranks
 
 
-def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
-    """Run the angular-retrieval benchmark; see the module docstring.
+def _config_block(config, **constants) -> dict:
+    """A report's `config` block: every field of config but its camera, and constants."""
+    block = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "camera"}
+    return {**block, **constants}
 
-    Deterministic for a fixed config: query draws and tie-breaking use
-    seeds derived from config.seed.  With return_detail=True also returns
-    per-encoding logits and chosen indices for cross-checking.
+
+def _bench_inputs(config: RetrievalBenchConfig):
+    """The bench's keys and its two query sets, each with its ground truth.
+
+    Returns (key_coords, key_px, query_sets, wrap_mask).  query_sets
+    holds (coords, px, truth) for the uniform queries, then the periphery
+    queries, drawn in that order from one generator seeded with
+    config.seed; truth is each query's great-circle nearest key.
+    wrap_mask flags the uniform queries within WRAP_MARGIN of the seam.
     """
     camera = config.camera
     lut = camera.build_lut()
@@ -335,97 +345,82 @@ def retrieval_bench(config: RetrievalBenchConfig, return_detail: bool = False):
             f"is above the limit of {MAX_BENCH_LOGITS} logits"
         )
 
-    offset = 0.05 * camera.r_max
-    extent_ratio = camera.angular_extent_ratio(offset)
-    degenerate = extent_ratio <= 1.5
-
     rng = np.random.default_rng(config.seed)
     cx, cy = camera.principal_point
+    key_dirs = ray_directions(key_coords)
 
-    def draw(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def draw(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi = rng.uniform(-math.pi, math.pi, len(radii))
         px = np.stack([cx + radii * np.cos(phi), cy + radii * np.sin(phi)], axis=-1)
         coords = np.stack([lut.lookup(radii), phi], axis=-1)
-        return coords, px
+        return coords, px, np.argmax(ray_directions(coords) @ key_dirs.T, axis=1)
 
-    uniform_r = camera.r_max * np.sqrt(rng.uniform(0.0, 1.0, config.n_queries))
-    uniform_coords, uniform_px = draw(uniform_r)
+    uniform = draw(camera.r_max * np.sqrt(rng.uniform(0.0, 1.0, config.n_queries)))
     lo, hi = PERIPHERY_BAND
-    peri_r = camera.r_max * rng.uniform(lo, hi, config.n_queries)
-    peri_coords, peri_px = draw(peri_r)
+    periphery = draw(camera.r_max * rng.uniform(lo, hi, config.n_queries))
+    wrap_mask = np.abs(np.abs(uniform[0][:, 1]) - math.pi) < WRAP_MARGIN
+    return key_coords, key_px, (uniform, periphery), wrap_mask
 
-    key_dirs = ray_directions(key_coords)
-    truth_uniform = np.argmax(ray_directions(uniform_coords) @ key_dirs.T, axis=1)
-    truth_peri = np.argmax(ray_directions(peri_coords) @ key_dirs.T, axis=1)
-    wrap_mask = np.abs(np.abs(uniform_coords[:, 1]) - math.pi) < WRAP_MARGIN
+
+def _bench_logits(config, encoding: str, key_coords, key_px, coords, px) -> np.ndarray:
+    """One encoding's bench logits of the queries at (coords, px) against the keys."""
+    def tokens(at, at_px):
+        return _probe_tokens(encoding, at, at_px, config.camera, config.feature_dim)
 
     weights = ProjectionWeights.identity(config.feature_dim)
+    att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
+    return attention.logit_matrix(tokens(coords, px), tokens(key_coords, key_px), weights, att)
+
+
+def retrieval_bench(config: RetrievalBenchConfig) -> BenchReport:
+    """Run the angular-retrieval benchmark; see the module docstring.
+
+    Deterministic for a fixed config: query draws and tie-breaking use
+    seeds derived from config.seed.  No logit matrix outlives the next
+    one: each is freed once its successor exists.
+    """
+    camera = config.camera
+    key_coords, key_px, query_sets, wrap_mask = _bench_inputs(config)
+    n_keys = key_coords.shape[0]
+    extent_ratio = camera.angular_extent_ratio(0.05 * camera.r_max)
 
     scores = []
-    detail: dict[str, dict] = {}
     for idx, encoding in enumerate(config.encodings):
-        att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
-        keys = _probe_tokens(encoding, key_coords, key_px, camera, config.feature_dim)
         enc_rng = np.random.default_rng([config.seed, 1000 + idx])
         perm = enc_rng.permutation(n_keys)
         t0 = time.perf_counter()
-        per_set = {}
-        for set_name, coords, px, truth in (
-            ("uniform", uniform_coords, uniform_px, truth_uniform),
-            ("periphery", peri_coords, peri_px, truth_peri),
-        ):
-            queries = _probe_tokens(encoding, coords, px, camera, config.feature_dim)
-            logits = attention.logit_matrix(queries, keys, weights, att)
+        picked = []  # (hits, mean rank) of each query set
+        for coords, px, truth in query_sets:
+            # Rebinding frees each matrix once the next exists; a del right
+            # after _select doubled the page faults of a default op (384 -> 768).
+            logits = _bench_logits(config, encoding, key_coords, key_px, coords, px)
             chosen, ranks = _select(logits, truth, perm, enc_rng)
-            per_set[set_name] = {
-                "logits": logits,
-                "chosen": chosen,
-                "truth": truth,
-                "accuracy": float(np.mean(chosen == truth)),
-                "mean_rank": float(np.mean(ranks)),
-            }
+            picked.append((chosen == truth, float(np.mean(ranks))))
         runtime = time.perf_counter() - t0
-        wrap_acc = None
-        if np.any(wrap_mask):
-            u = per_set["uniform"]
-            wrap_acc = float(np.mean(u["chosen"][wrap_mask] == u["truth"][wrap_mask]))
+        (hits, mean_rank), (periphery_hits, periphery_mean_rank) = picked
         scores.append(
             EncodingScore(
                 encoding=encoding,
-                top1_accuracy=per_set["uniform"]["accuracy"],
-                mean_rank=per_set["uniform"]["mean_rank"],
-                periphery_accuracy=per_set["periphery"]["accuracy"],
-                periphery_mean_rank=per_set["periphery"]["mean_rank"],
-                wrap_accuracy=wrap_acc,
+                top1_accuracy=float(np.mean(hits)),
+                mean_rank=mean_rank,
+                periphery_accuracy=float(np.mean(periphery_hits)),
+                periphery_mean_rank=periphery_mean_rank,
+                wrap_accuracy=float(np.mean(hits[wrap_mask])) if np.any(wrap_mask) else None,
                 runtime_s=runtime,
             )
         )
-        if return_detail:
-            detail[encoding] = per_set
 
-    report = BenchReport(
-        config_summary={
-            "seed": config.seed,
-            "patch_size": config.patch_size,
-            "n_queries": config.n_queries,
-            "feature_dim": config.feature_dim,
-            "base": rope.DEFAULT_BASE,
-            "periphery_band": list(PERIPHERY_BAND),
-            "wrap_margin": WRAP_MARGIN,
-            "encodings": list(config.encodings),
-        },
+    return BenchReport(
+        config_summary=_config_block(
+            config, base=rope.DEFAULT_BASE, periphery_band=PERIPHERY_BAND, wrap_margin=WRAP_MARGIN
+        ),
         camera_fingerprint=camera.fingerprint,
         extent_ratio=float(extent_ratio),
-        degenerate_camera=bool(degenerate),
+        degenerate_camera=bool(extent_ratio <= 1.5),
         n_keys=n_keys,
         wrap_query_count=int(np.count_nonzero(wrap_mask)),
         scores=tuple(scores),
     )
-    if return_detail:
-        detail["query_coords"] = {"uniform": uniform_coords, "periphery": peri_coords}
-        detail["key_coords"] = key_coords
-        return report, detail
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +620,12 @@ def bev_roundtrip(
         )
 
     return LiftReport(
-        config_summary={
-            "extent": list(config.extent),
-            "resolution": config.resolution,
-            "patch_size": config.patch_size,
-            "feature_dim": config.feature_dim,
-            "base": rope.DEFAULT_BASE,
-            "encodings": list(config.encodings),
-            "peripheral_fraction": PERIPHERAL_FRACTION,
-            "seed": config.seed,
-            "pattern": repr(pattern),
-        },
+        config_summary=_config_block(
+            config,
+            base=rope.DEFAULT_BASE,
+            peripheral_fraction=PERIPHERAL_FRACTION,
+            pattern=repr(pattern),
+        ),
         camera_fingerprint=camera.fingerprint,
         n_visible=bev.n_visible,
         n_keys=n_keys,
@@ -1072,10 +1062,7 @@ def check_stability(seed: int = 0) -> list[CheckResult]:
 
 
 def fd_self_attention_jacobian(
-    tokens: TokenGrid,
-    weights: ProjectionWeights,
-    config: AttentionConfig,
-    step: float = 1e-5,
+    tokens: TokenGrid, weights: ProjectionWeights, config: AttentionConfig
 ) -> np.ndarray:
     """Central finite-difference Jacobian of self_attention w.r.t. features."""
     n, d = tokens.n_tokens, config.head_dim
@@ -1085,7 +1072,7 @@ def fd_self_attention_jacobian(
         m, j = divmod(col, d)
         for sign in (+1.0, -1.0):
             bumped = base.copy()
-            bumped[m, j] += sign * step
+            bumped[m, j] += sign * _FD_STEP
             out = attention.self_attention(
                 TokenGrid(
                     features=bumped,
@@ -1096,7 +1083,7 @@ def fd_self_attention_jacobian(
                 weights,
                 config,
             )
-            jac[:, col] += sign * out.reshape(-1) / (2.0 * step)
+            jac[:, col] += sign * out.reshape(-1) / (2.0 * _FD_STEP)
     return jac
 
 
@@ -1145,10 +1132,8 @@ def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
         seed=seed,
         encodings=("fishrope",),
     )
-    _, detail = retrieval_bench(config, return_detail=True)
-    logits = detail["fishrope"]["uniform"]["logits"]
-    query_coords = detail["query_coords"]["uniform"]
-    key_coords = detail["key_coords"]
+    key_coords, key_px, ((query_coords, query_px, _), _), _ = _bench_inputs(config)
+    logits = _bench_logits(config, "fishrope", key_coords, key_px, query_coords, query_px)
     probe = probe_feature(config.feature_dim)
     rcfg = RotaryConfig(dim=config.feature_dim)
     tau = 1.0 / math.sqrt(config.feature_dim)

@@ -152,10 +152,8 @@ class TestRetrievalBench:
         config = RetrievalBenchConfig(
             camera=linear_camera(), patch_size=50, n_queries=16, encodings=("fishrope",)
         )
-        _, detail = retrieval_bench(config, return_detail=True)
-        logits = detail["fishrope"]["uniform"]["logits"]
-        qc = detail["query_coords"]["uniform"]
-        kc = detail["key_coords"]
+        kc, key_px, ((qc, query_px, _), _), _ = experiments._bench_inputs(config)
+        logits = experiments._bench_logits(config, "fishrope", kc, key_px, qc, query_px)
         probe = probe_feature(config.feature_dim)
         rcfg = RotaryConfig(dim=config.feature_dim)
         tau = 1.0 / math.sqrt(config.feature_dim)
@@ -384,9 +382,12 @@ def test_report_config_names_every_setting():
         wide_camera(), scene_extrinsics(), scene_pattern(),
         LiftConfig(extent=(16.0, 16.0), resolution=1.0, patch_size=64),
     )
-    for config, report in ((RetrievalBenchConfig, bench), (LiftConfig, lift)):
+    for config, report, constants in (
+        (RetrievalBenchConfig, bench, {"base", "periphery_band", "wrap_margin"}),
+        (LiftConfig, lift, {"base", "peripheral_fraction", "pattern"}),
+    ):
         names = {f.name for f in dataclasses.fields(config)} - {"camera"}
-        assert names <= set(report.as_dict()["config"]), config
+        assert set(report.as_dict()["config"]) == names | constants, config
 
 
 def test_settable_fields_are_pinned():

@@ -7,9 +7,9 @@ recorded, and every row's pick must clear its rounding margin
 (tests/margins.py): the top key leads the runner-up, and in `bench` the
 target leads or trails every other key, by more than any two summation
 orders of q.k can put them apart.  Only `none`, whose probe products are
-small integers and so exact, may tie.  The check needs no particular
-BLAS, so it runs on every host; the bench's ground truth, a K = 3
-product of ray directions, is not covered.
+small integers and so exact, may tie.  The bench's ground truth, the
+argmax of a K = 3 product of ray directions, clears its margin too.  The
+check needs no particular BLAS, so it runs on every host.
 """
 
 import dataclasses
@@ -43,14 +43,21 @@ def test_bench_picks_and_target_ranks_clear_their_margins(monkeypatch, seed):
     calls = _recorded_products(monkeypatch)
     camera, _ = formats.load_calibration(CALIBRATION_FILE)
     config = experiments.RetrievalBenchConfig(camera=camera, seed=seed)
-    _, detail = experiments.retrieval_bench(config, return_detail=True)
-    sets = [(e, s) for e in config.encodings for s in ("uniform", "periphery")]
+    key_coords, _, query_sets, _ = experiments._bench_inputs(config)
+    truths = dict(zip(("uniform", "periphery"), (truth for _, _, truth in query_sets)))
+    key_dirs = experiments.ray_directions(key_coords)
+    for query_set, (coords, _, truth) in zip(truths, query_sets):
+        # the ground truth is itself a pick, of the nearest key direction
+        query_dirs = experiments.ray_directions(coords)
+        assert unsafe_rows(query_dirs, key_dirs).size == 0, (query_set, "truth")
+        assert np.array_equal(np.argmax(query_dirs @ key_dirs.T, axis=1), truth)
+    experiments.retrieval_bench(config)
+    sets = [(e, s) for e in config.encodings for s in truths]
     assert len(calls) == len(sets) == 8
     for (encoding, query_set), (q, k) in zip(sets, calls):
         assert exact_products(q, k) == (encoding == "none"), encoding
-        truth = detail[encoding][query_set]["truth"]
         assert unsafe_rows(q, k).size == 0, (encoding, query_set)
-        assert unsafe_rows(q, k, truth).size == 0, (encoding, query_set, "ranks")
+        assert unsafe_rows(q, k, truths[query_set]).size == 0, (encoding, query_set, "ranks")
 
 
 @pytest.mark.parametrize("scene", ["default", "scaled"])

@@ -1,5 +1,9 @@
-"""The package imports lazily: a module runs only when a command uses it."""
+"""The package imports lazily: a module runs only when a command uses it.
 
+Every name the benchmark's trace wraps exists in the package.
+"""
+
+import importlib
 import subprocess
 import sys
 import textwrap
@@ -7,6 +11,9 @@ import textwrap
 import pytest
 
 import fishrope
+
+from .conftest import REPO_ROOT
+from .test_golden import _load_script
 
 # Modules that only angles, selfcheck, bench and lift use.
 _EXPERIMENT_MODULES = ("experiments", "attention", "rope", "angular", "fixtures")
@@ -54,3 +61,19 @@ def test_cli_project_runs_no_experiment_module(calibration_path):
         """
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_name_the_trace_wraps_exists():
+    # perfbench/spans.py skips a name it cannot find, so a rename would
+    # drop its span from a traced run without an error; only the scalar
+    # rope functions, which the package no longer has, may be missing
+    spans = _load_script("perfbench_spans", REPO_ROOT / "perfbench" / "spans.py")
+    missing = {
+        (module, name)
+        for module, name in spans._module_functions()
+        if not hasattr(importlib.import_module(f"fishrope.{module}"), name)
+    }
+    assert missing <= {("rope", name) for name in spans.SCALAR_ROPE}, missing
+    camera = importlib.import_module("fishrope.camera")
+    for cls, method, _ in spans._METHODS:
+        assert method in vars(getattr(camera, cls)), (cls, method)
