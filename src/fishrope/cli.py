@@ -1,8 +1,15 @@
 """Command-line front end.
 
 Subcommands: angles, lut, project, unproject, selfcheck, bench, lift.
-Global flags --calib/--out/--format/--seed may appear before or after
-the subcommand.  Exit codes form a stable contract:
+Every flag follows its subcommand, and each subcommand takes only the
+shared flags its handler reads:
+
+    --calib   every subcommand but selfcheck (required)
+    --out     angles, lut, bench, lift (required); selfcheck (optional)
+    --format  angles, lut
+    --seed    selfcheck, bench, lift
+
+Exit codes form a stable contract:
 
     0  success
     1  runtime failure (including selfcheck failures)
@@ -42,43 +49,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--calib", help="calibration file (YAML)")
-    common.add_argument("--out", help="output path")
-    common.add_argument(
-        "--format", choices=("csv", "bin"), default="csv", help="artifact format"
-    )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
+# The flags several subcommands share, declared on each one that reads them.
+_SHARED_FLAGS = {
+    "--calib": {"required": True, "help": "calibration file (YAML)"},
+    "--out": {"required": True, "help": "output path"},
+    "--format": {"choices": ("csv", "bin"), "default": "csv", "help": "artifact format"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed"},
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fishrope",
         description="Fisheye camera geometry, angular rotary embeddings, BEV lifting.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("angles", parents=[common], help="emit a patch angle map")
+    def command(name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
+
+    p = command("angles", "emit a patch angle map", "--calib", "--out", "--format")
     p.add_argument("--patch-size", type=int, default=14)
 
-    p = sub.add_parser("lut", parents=[common], help="emit an inverse lookup table")
+    p = command("lut", "emit an inverse lookup table", "--calib", "--out", "--format")
     p.add_argument("--resolution", type=int, default=DEFAULT_LUT_RESOLUTION)
 
-    p = sub.add_parser("project", parents=[common], help="project (theta, phi) to pixels")
+    p = command("project", "project (theta, phi) to pixels", "--calib")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--phi", type=float, required=True)
 
-    p = sub.add_parser("unproject", parents=[common], help="invert pixels to (theta, phi)")
+    p = command("unproject", "invert pixels to (theta, phi)", "--calib")
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     p.add_argument("--iterations", type=int, default=DEFAULT_NEWTON_ITERATIONS)
 
-    p = sub.add_parser("selfcheck", parents=[common], help="run every invariant check")
+    p = command("selfcheck", "run every invariant check", "--seed")
+    p.add_argument("--out", help="report path; without it no report is written")
 
     # bench and lift flags default to None: an unset flag takes the
     # RetrievalBenchConfig, LiftConfig or fixture scene value when the
     # command builds its config, so building the parser loads no experiment.
-    p = sub.add_parser("bench", parents=[common], help="run the retrieval benchmark")
+    p = command("bench", "run the retrieval benchmark", "--calib", "--out", "--seed")
     p.add_argument("--patch-size", type=int)
     p.add_argument("--n-queries", type=int)
     p.add_argument("--dim", type=int)
@@ -90,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of none,sinusoidal,axial_rope,fishrope",
     )
 
-    p = sub.add_parser("lift", parents=[common], help="run the BEV round-trip")
+    p = command("lift", "run the BEV round-trip", "--calib", "--out", "--seed")
     p.add_argument("--patch-size", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--extent", type=float, nargs=2)
@@ -114,65 +128,48 @@ def _given(**fields) -> dict:
     }
 
 
-def _require_calibration(args, need_extrinsics: bool = False):
-    if not args.calib:
-        raise ConfigError("this subcommand requires --calib")
-    camera, extrinsics = formats.load_calibration(args.calib)
-    if need_extrinsics and extrinsics is None:
-        raise ConfigError("calibration file lacks the extrinsics block required here")
-    return camera, extrinsics
-
-
-def _require_out(args) -> str:
-    if not args.out:
-        raise ConfigError("this subcommand requires --out")
-    return args.out
-
-
 def _cmd_angles(args) -> int:
-    camera, _ = _require_calibration(args)
-    out = _require_out(args)
+    camera, _ = formats.load_calibration(args.calib)
     grid = angular.patch_angles(camera, args.patch_size)
     if grid.n_valid == 0:
         raise EmptyOverlapError("no patch centers fall inside the image circle")
     if args.format == "bin":
-        formats.write_anglemap_bin(out, grid)
+        formats.write_anglemap_bin(args.out, grid)
     else:
-        formats.write_anglemap_csv(out, grid)
+        formats.write_anglemap_csv(args.out, grid)
     theta = grid.coords[..., 0][grid.valid_mask]
     frac = grid.n_valid / (grid.grid_dims[0] * grid.grid_dims[1])
     print(
         f"angle map: grid {grid.grid_dims[0]}x{grid.grid_dims[1]} "
         f"theta range [{theta.min():.6f}, {theta.max():.6f}] "
-        f"valid fraction {frac:.4f} -> {out}"
+        f"valid fraction {frac:.4f} -> {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_lut(args) -> int:
-    camera, _ = _require_calibration(args)
-    out = _require_out(args)
+    camera, _ = formats.load_calibration(args.calib)
     lut = camera.build_lut(args.resolution)
     if args.format == "bin":
-        formats.write_lut_bin(out, lut)
+        formats.write_lut_bin(args.out, lut)
     else:
-        formats.write_lut_csv(out, lut)
+        formats.write_lut_csv(args.out, lut)
     print(
         f"lut: {lut.resolution} entries, r_max {lut.r_max:.6f} px, "
-        f"theta_max {lut.theta_max:.6f} rad -> {out}"
+        f"theta_max {lut.theta_max:.6f} rad -> {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_project(args) -> int:
-    camera, _ = _require_calibration(args)
+    camera, _ = formats.load_calibration(args.calib)
     u, v = camera.project(args.theta, args.phi)
     print(f"{float(u)!r} {float(v)!r}")
     return EXIT_OK
 
 
 def _cmd_unproject(args) -> int:
-    camera, _ = _require_calibration(args)
+    camera, _ = formats.load_calibration(args.calib)
     theta, phi = camera.unproject_newton(args.u, args.v, iterations=args.iterations)
     print(f"{float(theta)!r} {float(phi)!r}")
     return EXIT_OK
@@ -194,8 +191,7 @@ def _parse_encodings(raw: str) -> tuple[str, ...]:
 
 
 def _cmd_bench(args) -> int:
-    camera, _ = _require_calibration(args)
-    out = _require_out(args)
+    camera, _ = formats.load_calibration(args.calib)
     config = experiments.RetrievalBenchConfig(
         camera=camera,
         seed=args.seed,
@@ -207,9 +203,9 @@ def _cmd_bench(args) -> int:
         ),
     )
     report = experiments.retrieval_bench(config)
-    formats.write_report_yaml(out, report.as_dict())
+    formats.write_report_yaml(args.out, report.as_dict())
     header, rows = report.csv_rows()
-    formats.write_csv_table(out + ".csv", header, rows)
+    formats.write_csv_table(args.out + ".csv", header, rows)
     for score in report.scores:
         print(
             f"bench[{score.encoding}] top1={score.top1_accuracy:.4f} "
@@ -218,13 +214,14 @@ def _cmd_bench(args) -> int:
         )
     if report.degenerate_camera:
         print("warning: camera distortion is negligible (extent ratio <= 1.5)")
-    print(f"report -> {out}")
+    print(f"report -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_lift(args) -> int:
-    camera, extrinsics = _require_calibration(args, need_extrinsics=True)
-    out = _require_out(args)
+    camera, extrinsics = formats.load_calibration(args.calib)
+    if extrinsics is None:
+        raise ConfigError("calibration file lacks the extrinsics block required here")
     config = experiments.LiftConfig(
         seed=args.seed,
         **_given(
@@ -238,15 +235,15 @@ def _cmd_lift(args) -> int:
         fixtures.scene_pattern(), **_given(square=args.checker, origin=args.checker_origin)
     )
     report = experiments.bev_roundtrip(camera, extrinsics, pattern, config)
-    formats.write_report_yaml(out, report.as_dict())
+    formats.write_report_yaml(args.out, report.as_dict())
     header, rows = report.csv_rows()
-    formats.write_csv_table(out + ".csv", header, rows)
+    formats.write_csv_table(args.out + ".csv", header, rows)
     for score in report.scores:
         print(
             f"lift[{score.encoding}] overall={score.overall_accuracy:.4f} "
             f"peripheral={score.peripheral_accuracy:.4f} ({score.runtime_s:.2f}s)"
         )
-    print(f"report -> {out} (visible cells: {report.n_visible}, keys: {report.n_keys})")
+    print(f"report -> {args.out} (visible cells: {report.n_visible}, keys: {report.n_keys})")
     return EXIT_OK
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import math
@@ -45,6 +46,32 @@ def _assert_lines(text, lines):
     assert len(got) == len(lines), got
     for line, want in zip(got, lines):
         assert re.fullmatch(re.escape(want).replace(re.escape("<t>"), r"\d+\.\d\d"), line), line
+
+
+# Every option each subcommand takes, in declaration order; the top-level
+# parser takes -h alone, so every flag follows its subcommand.
+_OPTIONS = {
+    "angles": ["--calib", "--out", "--format", "--patch-size"],
+    "lut": ["--calib", "--out", "--format", "--resolution"],
+    "project": ["--calib", "--theta", "--phi"],
+    "unproject": ["--calib", "--u", "--v", "--iterations"],
+    "selfcheck": ["--seed", "--out"],
+    "bench": ["--calib", "--out", "--seed", "--patch-size", "--n-queries", "--dim",
+              "--encodings"],
+    "lift": ["--calib", "--out", "--seed", "--patch-size", "--dim", "--extent",
+             "--resolution", "--checker", "--checker-origin"],
+}
+
+
+def _taken(command, values) -> list[str]:
+    """Each flag of values that command takes, followed by its value."""
+    return [token for flag, value in values.items() if flag in _OPTIONS[command]
+            for token in (flag, value)]
+
+
+def _with_calib_and_out(argv, calib, out) -> list[str]:
+    """argv followed by --calib and --out, each only where its command takes it."""
+    return argv + _taken(argv[0], {"--calib": calib, "--out": str(out)})
 
 
 class TestAngles:
@@ -256,6 +283,20 @@ class TestBenchAndLift:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.yaml.csv").read_bytes() == (tmp_path / "b.yaml.csv").read_bytes()
 
+    def test_lift_seed_is_only_recorded(self, calib, tmp_path):
+        # lift draws nothing at random, so its seed moves no byte but its own
+        args = ["lift", "--calib", calib, "--extent", "20", "20", "--resolution", "1",
+                "--patch-size", "32"]
+        a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        assert main(args + ["--seed", "0", "--out", str(a)]) == 0
+        assert main(args + ["--seed", "5", "--out", str(b)]) == 0
+        assert (tmp_path / "a.yaml.csv").read_bytes() == (tmp_path / "b.yaml.csv").read_bytes()
+        lines_a, lines_b = a.read_text().splitlines(), b.read_text().splitlines()
+        assert len(lines_a) == len(lines_b)
+        assert [(x, y) for x, y in zip(lines_a, lines_b) if x != y] == [
+            ("  seed: 0", "  seed: 5")
+        ]
+
     def test_lift_requires_extrinsics(self, tmp_path):
         stripped = tmp_path / "noext.yaml"
         formats.save_calibration(stripped, wide_camera())
@@ -266,16 +307,14 @@ class TestBenchAndLift:
 # `--help` of the two experiment commands, at 80 columns.  Their flags'
 # defaults come from the configs when the command runs, not from the parser.
 _BENCH_HELP = """\
-usage: fishrope bench [-h] [--calib CALIB] [--out OUT] [--format {csv,bin}]
-                      [--seed SEED] [--patch-size PATCH_SIZE]
-                      [--n-queries N_QUERIES] [--dim DIM]
-                      [--encodings ENCODINGS]
+usage: fishrope bench [-h] --calib CALIB --out OUT [--seed SEED]
+                      [--patch-size PATCH_SIZE] [--n-queries N_QUERIES]
+                      [--dim DIM] [--encodings ENCODINGS]
 
 options:
   -h, --help            show this help message and exit
   --calib CALIB         calibration file (YAML)
   --out OUT             output path
-  --format {csv,bin}    artifact format
   --seed SEED           RNG seed
   --patch-size PATCH_SIZE
   --n-queries N_QUERIES
@@ -285,8 +324,8 @@ options:
                         none,sinusoidal,axial_rope,fishrope
 """
 _LIFT_HELP = """\
-usage: fishrope lift [-h] [--calib CALIB] [--out OUT] [--format {csv,bin}]
-                     [--seed SEED] [--patch-size PATCH_SIZE] [--dim DIM]
+usage: fishrope lift [-h] --calib CALIB --out OUT [--seed SEED]
+                     [--patch-size PATCH_SIZE] [--dim DIM]
                      [--extent EXTENT EXTENT] [--resolution RESOLUTION]
                      [--checker CHECKER]
                      [--checker-origin CHECKER_ORIGIN CHECKER_ORIGIN]
@@ -295,7 +334,6 @@ options:
   -h, --help            show this help message and exit
   --calib CALIB         calibration file (YAML)
   --out OUT             output path
-  --format {csv,bin}    artifact format
   --seed SEED           RNG seed
   --patch-size PATCH_SIZE
   --dim DIM
@@ -308,7 +346,9 @@ options:
 
 
 class TestHelp:
-    @pytest.mark.parametrize("command, expected", [("bench", _BENCH_HELP), ("lift", _LIFT_HELP)])
+    @pytest.mark.parametrize(
+        "command, expected", [("bench", _BENCH_HELP), ("lift", _LIFT_HELP)], ids=["bench", "lift"]
+    )
     def test_text_is_pinned(self, monkeypatch, capsys, command, expected):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exit_info:
@@ -318,6 +358,62 @@ class TestHelp:
 
     def test_bench_help_lists_every_encoding(self):
         assert ",".join(ENCODINGS) in _BENCH_HELP.split()
+
+
+_SHARED = ("--calib", "--out", "--format", "--seed")
+# The further arguments each subcommand cannot run without.
+_REQUIRED = {
+    "angles": [], "lut": [], "project": ["--theta", "0.5", "--phi", "0"],
+    "unproject": ["--u", "512", "--v", "512"], "selfcheck": [], "bench": [], "lift": [],
+}
+
+
+def _shared_values(calib, out) -> dict:
+    return dict(zip(_SHARED, (calib, str(out), "bin", "3")))
+
+
+def _option_strings(parser) -> list[str]:
+    return [option for action in parser._actions for option in action.option_strings]
+
+
+class TestSharedFlags:
+    """Each subcommand takes only the shared flags its handler reads."""
+
+    def test_options_of_every_parser_are_pinned(self):
+        parser = _build_parser()
+        assert _option_strings(parser) == ["-h", "--help"]
+        (commands,) = [
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert list(commands) == list(_OPTIONS)
+        for name, sub in commands.items():
+            assert _option_strings(sub) == ["-h", "--help", *_OPTIONS[name]], name
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c in _OPTIONS for f in _SHARED if f in _OPTIONS[c]]
+    )
+    def test_shared_flag_before_the_subcommand(self, calib, tmp_path, capsys, command, flag):
+        # a shared flag once parsed here too, and the subcommand's default then
+        # replaced it: `--seed 3 selfcheck` ran seed 0 and exited 0
+        values = _shared_values(calib, tmp_path / "r.out")
+        value = values.pop(flag)
+        argv = [flag, value, command, *_REQUIRED[command], *_taken(command, values)]
+        message = f"argument command: invalid choice: {value!r}"
+        TestInputContract._exits_2_with_one_line(argv, tmp_path / "r.out", capsys, message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c in _OPTIONS for f in _SHARED if f not in _OPTIONS[c]]
+    )
+    def test_shared_flag_the_command_does_not_read(self, calib, tmp_path, capsys, command,
+                                                   flag):
+        # each once parsed and was ignored, as in `project --out` or `bench --format`
+        values = _shared_values(calib, tmp_path / "r.out")
+        argv = [command, *_REQUIRED[command], *_taken(command, values), flag, values[flag]]
+        message = f"unrecognized arguments: {flag} {values[flag]}"
+        TestInputContract._exits_2_with_one_line(argv, tmp_path / "r.out", capsys, message)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInputContract:
@@ -365,7 +461,7 @@ class TestInputContract:
     )
     def test_flag_above_ceiling(self, calib, tmp_path, capsys, argv, limit):
         out = tmp_path / "r.out"
-        argv = argv + [str(limit + 1), "--calib", calib, "--out", str(out)]
+        argv = _with_calib_and_out(argv + [str(limit + 1)], calib, out)
         self._exits_2_with_one_line(argv, out, capsys, f"above the limit of {limit}")
 
     @pytest.mark.parametrize(
@@ -450,7 +546,7 @@ class TestInputContract:
     def test_no_silent_result(self, calib, tmp_path, capsys, argv, message):
         # each once exited 0 with a meaningless pixel or score; numpy may not warn either
         out = tmp_path / "r.yaml"
-        argv = argv + ["--calib", calib, "--out", str(out)]
+        argv = _with_calib_and_out(argv, calib, out)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             self._exits_2_with_one_line(argv, out, capsys, message)
@@ -459,7 +555,7 @@ class TestInputContract:
     def test_negative_seed(self, calib, tmp_path, capsys, command):
         # bench and selfcheck once ended in numpy's traceback, lift in exit 0
         out = tmp_path / "r.yaml"
-        argv = [command, "--seed", "-1", "--calib", calib, "--out", str(out)]
+        argv = _with_calib_and_out([command, "--seed", "-1"], calib, out)
         self._exits_2_with_one_line(argv, out, capsys, "seed must be >= 0, got -1")
 
     @pytest.mark.parametrize(
@@ -467,8 +563,12 @@ class TestInputContract:
         [
             (["bench", "--patch-size", "abc"], "invalid int value: 'abc'"),
             ([], "the following arguments are required: command"),
+            (["project", "--theta", "0", "--phi", "0"],
+             "the following arguments are required: --calib"),
+            (["lift", "--calib", "absent.yaml"], "the following arguments are required: --out"),
+            (["angles"], "the following arguments are required: --calib, --out"),
         ],
-        ids=["bad-int", "no-argv"],
+        ids=["bad-int", "no-argv", "no-calib", "no-out", "neither"],
     )
     def test_parse_error(self, tmp_path, capsys, argv, message):
         # argparse used to print a usage block and raise SystemExit
@@ -481,7 +581,7 @@ class TestInputContract:
         float(token)
         parser = _build_parser()
         assert parser._negative_number_matcher.match(token)
-        args = parser.parse_args(["project", "--theta", "0", "--phi", token])
+        args = parser.parse_args(["project", "--calib", "c.yaml", "--theta", "0", "--phi", token])
         assert args.phi == float(token) or math.isnan(args.phi)
 
     def test_scalar_calibration_coeffs(self, calib, tmp_path, capsys):
@@ -632,10 +732,12 @@ _FUZZED_EXPERIMENT_ARGV = st.one_of(
 def _keeps_the_exit_contract(calib, tmp_path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--calib", calib, "--out", str(tmp_path / "artifact")])
+        code = main(_with_calib_and_out(argv, calib, tmp_path / "artifact"))
     err = err.getvalue()
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, (argv, err)
+    # a flag the harness added wrongly would stop every example at the parser
+    assert "unrecognized arguments" not in err, (argv, err)
     if code != 0:
         assert err.count("\n") == 1, (argv, err)
 

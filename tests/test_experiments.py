@@ -23,7 +23,7 @@ from fishrope import (
     retrieval_bench,
     selfcheck,
 )
-from fishrope import experiments
+from fishrope import angular, experiments
 from fishrope.cli import main
 from fishrope.experiments import (
     check_relative_identity,
@@ -427,6 +427,16 @@ class TestSelfCheck:
         results = check_relative_identity(seed=0, n_draws=200, relative_fn=corrupted)
         assert not results[0].passed
         assert results[0].measured > results[0].tolerance
+
+    def test_out_of_range_patch_angles_fail_angle_ranges(self, monkeypatch):
+        # every valid patch gets phi = pi, outside [-pi, pi): PatchGrid refuses
+        # each grid, and the check reports that instead of raising
+        monkeypatch.setattr(angular, "_azimuth", lambda y, x, radius: np.pi)
+        results = experiments.check_angle_ranges()
+        assert [(r.name, r.passed, r.measured) for r in results] == [
+            (f"angular.angle_ranges[{name}]", False, 1.0) for name in ("linear", "k2", "wide")
+        ]
+        assert all(r.line().startswith("FAIL ") for r in results)
 
     def test_relative_identity_counts_every_draw_across_ragged_blocks(self):
         block = experiments.ROPE_CHECK_BLOCK

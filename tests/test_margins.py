@@ -7,7 +7,10 @@ recorded, and every row's pick must clear its rounding margin
 (tests/margins.py): the top key leads the runner-up, and in `bench` the
 target leads or trails every other key, by more than any two summation
 orders of q.k can put them apart.  Only `none`, whose probe products are
-small integers and so exact, may tie.  The bench's ground truth, the
+small integers and so exact, may tie.  The checker origin moves the
+labels alone, never the (q, k), so the scaled scene's margins at its
+first origin hold at all eight benchmark origins; two origins of the
+default `lift` record identical products.  The bench's ground truth, the
 argmax of a K = 3 product of ray directions, clears its margin too.  The
 check needs no particular BLAS, so it runs on every host.
 """
@@ -74,6 +77,18 @@ def test_lift_picks_clear_their_margins(monkeypatch, scene):
     for encoding, (q, k) in zip(config.encodings, calls):
         assert not exact_products(q, k)
         assert unsafe_rows(q, k).size == 0, encoding
+
+
+def test_lift_products_do_not_depend_on_the_checker_origin(monkeypatch):
+    calls = _recorded_products(monkeypatch)
+    camera, extrinsics = formats.load_calibration(CALIBRATION_FILE)
+    workloads = _load_script("perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    for origin in (workloads.CHECKER_ORIGINS[0], workloads.CHECKER_ORIGINS[-1]):
+        pattern = dataclasses.replace(fixtures.scene_pattern(), origin=origin)
+        experiments.bev_roundtrip(camera, extrinsics, pattern, experiments.LiftConfig())
+    assert len(calls) == 4
+    for (q_a, k_a), (q_b, k_b) in zip(calls[:2], calls[2:]):
+        assert np.array_equal(q_a, q_b) and np.array_equal(k_a, k_b)
 
 
 def test_a_near_tie_is_unsafe_and_an_exact_tie_safe():
