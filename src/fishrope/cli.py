@@ -9,6 +9,10 @@ shared flags its handler reads:
     --format  angles, lut
     --seed    selfcheck, bench, lift
 
+A call builds only the parser of the command its first token names; a
+first token that names no command (none, -h, an unknown command, a
+flag) builds all seven, so help and parse errors list every command.
+
 Exit codes form a stable contract:
 
     0  success
@@ -58,61 +62,72 @@ _SHARED_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, given the command line's first token.
+
+    When first names a command, the parser holds that command's
+    subparser alone: parsing never reaches the others, and building them
+    was most of a call's parse time.  Any other first token (none, -h,
+    an unknown command, a flag) gets all seven, so that help and error
+    messages list every command.
+    """
+    only = first if first in _COMMANDS else None
     parser = _Parser(
         prog="fishrope",
         description="Fisheye camera geometry, angular rotary embeddings, BEV lifting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+    def command(name: str, help: str, *shared: str) -> argparse.ArgumentParser | None:
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help)
         for flag in shared:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = command("angles", "emit a patch angle map", "--calib", "--out", "--format")
-    p.add_argument("--patch-size", type=int, default=14)
+    if p := command("angles", "emit a patch angle map", "--calib", "--out", "--format"):
+        p.add_argument("--patch-size", type=int, default=14)
 
-    p = command("lut", "emit an inverse lookup table", "--calib", "--out", "--format")
-    p.add_argument("--resolution", type=int, default=DEFAULT_LUT_RESOLUTION)
+    if p := command("lut", "emit an inverse lookup table", "--calib", "--out", "--format"):
+        p.add_argument("--resolution", type=int, default=DEFAULT_LUT_RESOLUTION)
 
-    p = command("project", "project (theta, phi) to pixels", "--calib")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--phi", type=float, required=True)
+    if p := command("project", "project (theta, phi) to pixels", "--calib"):
+        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--phi", type=float, required=True)
 
-    p = command("unproject", "invert pixels to (theta, phi)", "--calib")
-    p.add_argument("--u", type=float, required=True)
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--iterations", type=int, default=DEFAULT_NEWTON_ITERATIONS)
+    if p := command("unproject", "invert pixels to (theta, phi)", "--calib"):
+        p.add_argument("--u", type=float, required=True)
+        p.add_argument("--v", type=float, required=True)
+        p.add_argument("--iterations", type=int, default=DEFAULT_NEWTON_ITERATIONS)
 
-    p = command("selfcheck", "run every invariant check", "--seed")
-    p.add_argument("--out", help="report path; without it no report is written")
+    if p := command("selfcheck", "run every invariant check", "--seed"):
+        p.add_argument("--out", help="report path; without it no report is written")
 
     # bench and lift flags default to None: an unset flag takes the
     # RetrievalBenchConfig, LiftConfig or fixture scene value when the
     # command builds its config, so building the parser loads no experiment.
-    p = command("bench", "run the retrieval benchmark", "--calib", "--out", "--seed")
-    p.add_argument("--patch-size", type=int)
-    p.add_argument("--n-queries", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument(
-        "--encodings",
-        type=_parse_encodings,
-        # rope.ENCODINGS, written out so that the parser does not load rope;
-        # tests/test_cli.py pins the two equal.
-        help="comma-separated subset of none,sinusoidal,axial_rope,fishrope",
-    )
+    if p := command("bench", "run the retrieval benchmark", "--calib", "--out", "--seed"):
+        p.add_argument("--patch-size", type=int)
+        p.add_argument("--n-queries", type=int)
+        p.add_argument("--dim", type=int)
+        p.add_argument(
+            "--encodings",
+            type=_parse_encodings,
+            # rope.ENCODINGS, written out so that the parser does not load rope;
+            # tests/test_cli.py pins the two equal.
+            help="comma-separated subset of none,sinusoidal,axial_rope,fishrope",
+        )
 
-    p = command("lift", "run the BEV round-trip", "--calib", "--out", "--seed")
-    p.add_argument("--patch-size", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--extent", type=float, nargs=2)
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--checker", type=float, help="checker square size, m")
-    p.add_argument(
-        "--checker-origin", type=float, nargs=2, help="checker square corner anchor, m"
-    )
+    if p := command("lift", "run the BEV round-trip", "--calib", "--out", "--seed"):
+        p.add_argument("--patch-size", type=int)
+        p.add_argument("--dim", type=int)
+        p.add_argument("--extent", type=float, nargs=2)
+        p.add_argument("--resolution", type=float)
+        p.add_argument("--checker", type=float, help="checker square size, m")
+        p.add_argument(
+            "--checker-origin", type=float, nargs=2, help="checker square corner anchor, m"
+        )
     return parser
 
 
@@ -259,8 +274,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -270,14 +270,17 @@ def _select(
     the loop in tests/oracles.py: checked on numpy 2.4.6, and
     TestSelection repeats the check on whatever numpy runs the suite.  A
     row holding NaN has no peak equal to its max: it takes column 0 and
-    draws nothing.
+    draws nothing.  A row whose every key ties, as every row does under
+    `none`, takes its draw as its pick.
 
     ranks orders each row's keys by descending logit, keys level with
-    the target by perm, as a lexsort by (-logit, perm) does for a finite
-    target.  A target at its row's peak ranks 1, plus the peak-tied keys
-    that perm puts ahead of it.  Only rows whose target is below the peak
-    pay for the > and == comparisons; a NaN target is one of them and
-    ranks 1, since nothing compares above or level with it.  The
+    the target by perm, a permutation of the column indices, as a
+    lexsort by (-logit, perm) does for a finite target.  A target at its
+    row's peak ranks 1, plus the peak-tied keys that perm puts ahead of
+    it: perm[target] of them in a row whose every key ties, a count over
+    the peak keys in a partly tied row.  Only rows whose target is below
+    the peak pay for the > and == comparisons; a NaN target is one of
+    them and ranks 1, since nothing compares above or level with it.  The
     comparisons run over the whole matrix when such rows are most of it,
     as under `sinusoidal`, and over the gathered rows otherwise.  Their
     perm comparison runs only when one of those rows holds another logit
@@ -297,13 +300,21 @@ def _select(
     if np.count_nonzero(is_peak) > np.count_nonzero(has_peak):
         counts = np.count_nonzero(is_peak, axis=1)
         tied = np.flatnonzero(counts > 1)
-        tied_counts, tied_peaks = counts[tied], is_peak[tied]
-        first = np.cumsum(tied_counts) - tied_counts
-        picks = np.flatnonzero(tied_peaks)[first + rng.integers(tied_counts)]
-        chosen[tied] = picks % n_cols
+        tied_counts = counts[tied]
+        draws = rng.integers(tied_counts)
+        # A row whose every key sits at its peak picks its draw, and perm
+        # alone ranks its target.
+        all_tied = tied_counts == n_cols
+        full, partial = tied[all_tied], tied[~all_tied]
+        chosen[full] = draws[all_tied]
+        ranks[full] += perm[targets[full]]
+        partial_counts, partial_peaks = tied_counts[~all_tied], is_peak[partial]
+        first = np.cumsum(partial_counts) - partial_counts
+        picks = np.flatnonzero(partial_peaks)[first + draws[~all_tied]]
+        chosen[partial] = picks % n_cols
         # A tied row whose target is below its peak is ranked again below.
-        tied_peaks &= perm < perm[targets[tied], None]
-        ranks[tied] += np.count_nonzero(tied_peaks, axis=1)
+        partial_peaks &= perm < perm[targets[partial], None]
+        ranks[partial] += np.count_nonzero(partial_peaks, axis=1)
     if below.size:
         sub = slice(None) if 2 * below.size > n_rows else below
         part, level_of = rows[sub], target[sub, None]

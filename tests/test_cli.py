@@ -304,8 +304,59 @@ class TestBenchAndLift:
         assert code == 2
 
 
-# `--help` of the two experiment commands, at 80 columns.  Their flags'
-# defaults come from the configs when the command runs, not from the parser.
+# `--help` of every command and of `fishrope` itself, at 80 columns.  The
+# experiment commands' flag defaults come from the configs when the command
+# runs, not from the parser.
+_ANGLES_HELP = """\
+usage: fishrope angles [-h] --calib CALIB --out OUT [--format {csv,bin}]
+                       [--patch-size PATCH_SIZE]
+
+options:
+  -h, --help            show this help message and exit
+  --calib CALIB         calibration file (YAML)
+  --out OUT             output path
+  --format {csv,bin}    artifact format
+  --patch-size PATCH_SIZE
+"""
+_LUT_HELP = """\
+usage: fishrope lut [-h] --calib CALIB --out OUT [--format {csv,bin}]
+                    [--resolution RESOLUTION]
+
+options:
+  -h, --help            show this help message and exit
+  --calib CALIB         calibration file (YAML)
+  --out OUT             output path
+  --format {csv,bin}    artifact format
+  --resolution RESOLUTION
+"""
+_PROJECT_HELP = """\
+usage: fishrope project [-h] --calib CALIB --theta THETA --phi PHI
+
+options:
+  -h, --help     show this help message and exit
+  --calib CALIB  calibration file (YAML)
+  --theta THETA
+  --phi PHI
+"""
+_UNPROJECT_HELP = """\
+usage: fishrope unproject [-h] --calib CALIB --u U --v V
+                          [--iterations ITERATIONS]
+
+options:
+  -h, --help            show this help message and exit
+  --calib CALIB         calibration file (YAML)
+  --u U
+  --v V
+  --iterations ITERATIONS
+"""
+_SELFCHECK_HELP = """\
+usage: fishrope selfcheck [-h] [--seed SEED] [--out OUT]
+
+options:
+  -h, --help   show this help message and exit
+  --seed SEED  RNG seed
+  --out OUT    report path; without it no report is written
+"""
 _BENCH_HELP = """\
 usage: fishrope bench [-h] --calib CALIB --out OUT [--seed SEED]
                       [--patch-size PATCH_SIZE] [--n-queries N_QUERIES]
@@ -345,10 +396,33 @@ options:
 """
 
 
+_TOP_HELP = """\
+usage: fishrope [-h] {angles,lut,project,unproject,selfcheck,bench,lift} ...
+
+Fisheye camera geometry, angular rotary embeddings, BEV lifting.
+
+positional arguments:
+  {angles,lut,project,unproject,selfcheck,bench,lift}
+    angles              emit a patch angle map
+    lut                 emit an inverse lookup table
+    project             project (theta, phi) to pixels
+    unproject           invert pixels to (theta, phi)
+    selfcheck           run every invariant check
+    bench               run the retrieval benchmark
+    lift                run the BEV round-trip
+
+options:
+  -h, --help            show this help message and exit
+"""
+_HELP = {
+    "angles": _ANGLES_HELP, "lut": _LUT_HELP, "project": _PROJECT_HELP,
+    "unproject": _UNPROJECT_HELP, "selfcheck": _SELFCHECK_HELP, "bench": _BENCH_HELP,
+    "lift": _LIFT_HELP,
+}
+
+
 class TestHelp:
-    @pytest.mark.parametrize(
-        "command, expected", [("bench", _BENCH_HELP), ("lift", _LIFT_HELP)], ids=["bench", "lift"]
-    )
+    @pytest.mark.parametrize("command, expected", list(_HELP.items()), ids=list(_HELP))
     def test_text_is_pinned(self, monkeypatch, capsys, command, expected):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exit_info:
@@ -356,8 +430,66 @@ class TestHelp:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-h", "bench"]])
+    def test_top_level_text_is_pinned(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == _TOP_HELP
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'angles', "
+                        "'lut', 'project', 'unproject', 'selfcheck', 'bench', 'lift')"),
+            (["--seed", "3", "selfcheck"],
+             "argument command: invalid choice: '3' (choose from 'angles', 'lut', "
+             "'project', 'unproject', 'selfcheck', 'bench', 'lift')"),
+        ],
+        ids=["no-command", "unknown-command", "flag-before-command"],
+    )
+    def test_command_error_is_pinned(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bench_help_lists_every_encoding(self):
         assert ",".join(ENCODINGS) in _BENCH_HELP.split()
+
+
+def _built_subparsers(monkeypatch) -> list[str]:
+    """The names of the subparsers built from now on, in build order."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return built
+
+
+class TestParserBuild:
+    """A call builds its own command's parser alone; the others cost time unread."""
+
+    def test_bench_call_builds_one_subparser(self, calib, tmp_path, monkeypatch):
+        built = _built_subparsers(monkeypatch)
+        assert main(["bench", "--calib", calib, "--out", str(tmp_path / "b.yaml")]) == 0
+        assert built == ["bench"]
+
+    @pytest.mark.parametrize("command", list(_OPTIONS))
+    def test_help_builds_one_subparser(self, monkeypatch, command):
+        built = _built_subparsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert built == [command]
+
+    def test_parser_without_a_command_holds_all_seven(self, monkeypatch):
+        built = _built_subparsers(monkeypatch)
+        _build_parser()
+        assert built == list(_OPTIONS)
 
 
 _SHARED = ("--calib", "--out", "--format", "--seed")

@@ -225,10 +225,12 @@ class TestSelection:
         "rows",
         [
             np.full((512, 208), 0.25),  # what `none` gives: every key ties
+            # every key ties within its row, at a level of the row's own
+            np.repeat(np.random.default_rng(27).standard_normal((300, 1)), 208, axis=1),
             np.array([[1.0, 3.0, 3.0, 0.0, 1.0, 0.0]]),  # every logit ties one other
             np.array([[2.0], [2.0], [-1.0]]),
         ],
-        ids=["all_equal", "one_row", "one_column"],
+        ids=["all_equal", "level_per_row", "one_row", "one_column"],
     )
     def test_edge_shapes_match_loops(self, rows):
         targets, perm = _targets_and_perm(np.random.default_rng(17), rows)
@@ -279,6 +281,38 @@ class TestSelection:
         assert fast[nan_row] == 0
         # The NaN never ranks ahead of a finite target, as under lexsort.
         assert np.array_equal(ranks, ranks_of_loop(rows, targets, perm))
+
+    @pytest.mark.parametrize("n_below", [5, 30], ids=["gathered", "whole_matrix"])
+    def test_fully_tied_rows_among_partial_nan_and_below_peak_rows(self, n_below):
+        # every fifth row ties all its keys; the coarse rows between have
+        # single and tied peaks, n_below of them with the target at the
+        # minimum, and row 2 holds a NaN
+        rng = np.random.default_rng(29)
+        rows = rng.integers(0, 3, (48, 10)).astype(float)
+        full = np.arange(0, 48, 5)
+        rows[full] = rng.standard_normal((full.size, 1))
+        counts = np.count_nonzero(rows == rows.max(axis=1, keepdims=True), axis=1)
+        targets = np.argmax(rows, axis=1)
+        below = np.flatnonzero(counts < rows.shape[1])[:n_below]
+        targets[below] = np.argmin(rows[below], axis=1)
+        nan_row = 2
+        rows[nan_row, 4] = np.nan
+        perm = rng.permutation(rows.shape[1])
+        fine = np.arange(len(rows)) != nan_row
+        at_peak = rows[np.arange(len(rows)), targets] == rows.max(axis=1)
+        partly_tied = (counts > 1) & (counts < rows.shape[1]) & fine
+        assert np.any(at_peak & partly_tied) and np.any(~at_peak & partly_tied)
+        assert np.any(at_peak & (counts == 1))
+        assert (2 * np.count_nonzero(~at_peak) > len(rows)) == (n_below == 30)
+        fast_rng, loop_rng = np.random.default_rng(30), np.random.default_rng(30)
+        chosen, ranks = experiments._select(rows, targets, perm, fast_rng)
+        # The loop oracle has no peak to index in the NaN row; equal states
+        # show that row took no draw.
+        assert np.array_equal(chosen[fine], argmax_with_random_ties_loop(rows[fine], loop_rng))
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert chosen[nan_row] == 0
+        assert np.array_equal(ranks, ranks_of_loop(rows, targets, perm))
+        assert np.array_equal(ranks[full], 1 + perm[targets[full]])
 
     def test_nan_target_keeps_other_rows_tie_break(self):
         # Row 0's NaN target equals nothing; row 1's target ties one other key.
