@@ -472,24 +472,45 @@ def _built_subparsers(monkeypatch) -> list[str]:
 
 
 class TestParserBuild:
-    """A call builds its own command's parser alone; the others cost time unread."""
+    """One parser, built on the first call, serves every call in the process."""
 
-    def test_bench_call_builds_one_subparser(self, calib, tmp_path, monkeypatch):
+    def test_several_calls_build_the_parser_once(self, calib, tmp_path, monkeypatch):
+        _build_parser.cache_clear()
         built = _built_subparsers(monkeypatch)
         assert main(["bench", "--calib", calib, "--out", str(tmp_path / "b.yaml")]) == 0
-        assert built == ["bench"]
-
-    @pytest.mark.parametrize("command", list(_OPTIONS))
-    def test_help_builds_one_subparser(self, monkeypatch, command):
-        built = _built_subparsers(monkeypatch)
+        assert main(["bogus"]) == 2
         with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert built == [command]
-
-    def test_parser_without_a_command_holds_all_seven(self, monkeypatch):
-        built = _built_subparsers(monkeypatch)
-        _build_parser()
+            main(["lut", "--help"])
+        assert main(["unproject", "--calib", calib, "--u", "512", "--v", "512"]) == 0
         assert built == list(_OPTIONS)
+
+    @pytest.mark.parametrize("first", ["parse-error", "help", "success"])
+    def test_a_call_leaves_the_parser_as_a_fresh_one(self, calib, monkeypatch, capsys, first):
+        # argparse stores nothing on the parser during a parse, so each call
+        # after the first answers as it would on a parser of its own
+        monkeypatch.setenv("COLUMNS", "80")
+        project = ["project", "--calib", calib, "--theta", "0.5", "--phi"]
+        calls = {
+            "parse-error": project + ["x"],
+            "help": ["bench", "--help"],
+            "success": project + ["0.25"],
+        }
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exit_info:
+                code = f"exit {exit_info.code}"
+            return code, capsys.readouterr()
+
+        fresh = []
+        for argv in calls.values():
+            _build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _ in fresh] == [2, "exit 0", 0]
+        _build_parser.cache_clear()
+        run(calls[first])
+        assert [run(argv) for argv in calls.values()] == fresh
 
 
 _SHARED = ("--calib", "--out", "--format", "--seed")

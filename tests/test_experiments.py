@@ -23,7 +23,8 @@ from fishrope import (
     retrieval_bench,
     selfcheck,
 )
-from fishrope import angular, experiments
+from fishrope import angular, experiments, rope
+from fishrope.camera import DEFAULT_LUT_RESOLUTION, InverseLut, KannalaBrandtCamera
 from fishrope.cli import main
 from fishrope.experiments import (
     check_relative_identity,
@@ -453,12 +454,13 @@ class TestSelfCheck:
         assert report.all_passed, f"failing checks: {failures}"
         assert len(report.results) >= 40
 
-    def test_corrupted_rotation_sign_fails_identity_check(self):
+    def test_corrupted_rotation_sign_fails_identity_check(self, monkeypatch):
         # mutation fixture: negating the relative rotation must be caught
         def corrupted(q, k, angles):
             return rotated_logit(q, k, -angles)
 
-        results = check_relative_identity(seed=0, n_draws=200, relative_fn=corrupted)
+        monkeypatch.setattr(rope, "rotated_logit", corrupted)
+        results = check_relative_identity(seed=0)
         assert not results[0].passed
         assert results[0].measured > results[0].tolerance
 
@@ -472,20 +474,23 @@ class TestSelfCheck:
         ]
         assert all(r.line().startswith("FAIL ") for r in results)
 
-    def test_relative_identity_counts_every_draw_across_ragged_blocks(self):
-        block = experiments.ROPE_CHECK_BLOCK
-        for n_draws in (2 * block + 7, 10000):
-            calls = []
+    def test_relative_identity_counts_every_draw_across_ragged_blocks(self, monkeypatch):
+        calls = []
 
-            def counting(q, k, angles):
-                calls.append((len(q), q.shape[1]))
-                assert k.shape == q.shape and angles.shape == (len(q), q.shape[1] // 2)
-                return rotated_logit(q, k, angles)
+        def counting(q, k, angles):
+            calls.append((len(q), q.shape[1]))
+            assert k.shape == q.shape and angles.shape == (len(q), q.shape[1] // 2)
+            return rotated_logit(q, k, angles)
 
-            results = check_relative_identity(seed=3, n_draws=n_draws, relative_fn=counting)
+        monkeypatch.setattr(rope, "rotated_logit", counting)
+        # 10000 draws fill the default blocks of 50 exactly; blocks of 64 leave 16
+        for block in (experiments.ROPE_CHECK_BLOCK, 64):
+            monkeypatch.setattr(experiments, "ROPE_CHECK_BLOCK", block)
+            calls.clear()
+            results = check_relative_identity(seed=3)
             assert results[0].passed
-            assert sum(rows for rows, _ in calls) == n_draws
-            assert results[0].note == f"{n_draws} random draws"
+            assert sum(rows for rows, _ in calls) == 10000
+            assert results[0].note == "10000 random draws"
             # one call per dim, holding every block of that dim
             dims = [dim for _, dim in calls]
             assert len(dims) == len(set(dims))
@@ -705,6 +710,30 @@ class TestForkedSelfCheck:
         assert list(tmp_path.iterdir()) == [out]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_refused_lut_fails_lut_monotone(self, monkeypatch, capsys, cores):
+        # InverseLut refuses a table with a flat step; the check reports FAIL
+        # for each camera instead of raising, in the child as in one process
+        _cores(monkeypatch, cores)
+        build_lut = KannalaBrandtCamera.build_lut
+
+        def flat_step(camera, resolution=DEFAULT_LUT_RESOLUTION):
+            lut = build_lut(camera, resolution)
+            if resolution != 1024:
+                return lut
+            entries = lut.entries.copy()
+            entries[2] = entries[1]
+            return InverseLut(entries, lut.r_max, lut.theta_max)
+
+        monkeypatch.setattr(KannalaBrandtCamera, "build_lut", flat_step)
+        assert main(["selfcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("PASS ")] == [
+            f"FAIL camera.lut_monotone[{name}]: measured=nan tolerance=0.000e+00 "
+            "(minimum LUT entry gap; must be positive)"
+            for name in ("linear", "k2", "wide")
+        ] + ["selfcheck: FAILURES PRESENT"]
 
     def test_parent_check_that_raises_still_reaps_the_child(self, monkeypatch):
         _cores(monkeypatch, 2)

@@ -1,4 +1,5 @@
 import errno
+import importlib.util
 import io
 import math
 import os
@@ -123,6 +124,18 @@ class TestCalibration:
         cam, ext = formats.load_calibration(calibration_path)
         assert cam == wide_camera()
         np.testing.assert_allclose(ext.rotation, scene_extrinsics().rotation, atol=1e-15)
+
+    def test_script_regenerates_the_repo_fixture_exactly(self, calibration_path, tmp_path,
+                                                        monkeypatch, capsys):
+        path = REPO_ROOT / "scripts" / "make_fixture_camera.py"
+        spec = importlib.util.spec_from_file_location("make_fixture_camera", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "synthetic_fisheye.yaml"
+        monkeypatch.setattr(script, "OUT", out)
+        assert script.main() == 0
+        assert capsys.readouterr().out.endswith(f"wrote {out}\n")
+        assert out.read_bytes() == calibration_path.read_bytes()
 
 
 class TestAngleMaps:
