@@ -15,9 +15,14 @@ The two rotary encodings are one kernel fed different coords, through
 RotaryConfig(dim=head_dim).  The kernels are single-head: features,
 projections and rotations all have head_dim entries, and logits are
 inner products scaled by 1/sqrt(head_dim).  Every kernel over a query
-and a key grid refuses grids from different cameras.  The products come
-from BLAS matmul over query tiles against one C-contiguous copy of the
-keys, which starts on a 64-byte line as the tile buffers do.
+and a key grid refuses grids from different cameras.  A product with at
+most camera.FIXED_ORDER_OUTPUTS (4096) outputs runs as np.einsum, whose
+summation order numpy fixes, so its bits do not depend on the BLAS
+kernel: the projections through camera._matmul, the logits through a
+gate decided once per call for all its tiles, and every product of
+self_attention_jacobian.  Larger products run in BLAS matmul, the
+logits over query tiles against one C-contiguous copy of the keys,
+which starts on a 64-byte line as the tile buffers do.
 LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the working
 set of all tiles in flight: each holds at most
 LOGIT_TILE // MAX_TILE_WORKERS logits of whole query rows, and up to
@@ -47,13 +52,13 @@ shared between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import _parallel, rope
 from .angular import BevGrid, PatchGrid
-from .camera import _readonly
+from .camera import FIXED_ORDER_OUTPUTS, _matmul, _readonly
 from .errors import ConfigError, EmptyAttentionError, ShapeError
 from .rope import ENCODINGS, RotaryConfig
 
@@ -232,8 +237,8 @@ def _projected_qk(
         raise ShapeError(
             f"weights dim {weights.dim} does not match head_dim {config.head_dim}"
         )
-    q = _embed(queries, config) @ weights.wq.T
-    k = _embed(keys, config) @ weights.wk.T
+    q = _matmul(_embed(queries, config), weights.wq.T)
+    k = _matmul(_embed(keys, config), weights.wk.T)
     if config.encoding in _ROTARY:
         q = rope.apply_rotary_batch(q, queries.coords, config.rotary)
         k = rope.apply_rotary_batch(k, keys.coords, config.rotary)
@@ -281,6 +286,12 @@ def _for_each_tile(
     through here, so dense and streamed callers stay bit-identical, save
     self_attention_jacobian: only the gradient check uses it, and it forms
     its own dense q @ k.T from the rotated projections it differentiates.
+    A product of at most FIXED_ORDER_OUTPUTS logits, such as those of
+    selfcheck's attention checks, is formed by np.einsum in numpy's
+    fixed summation order in every tile, larger ones by BLAS matmul: the
+    gate is decided once for the call.  OpenBLAS 0.3.31's kernels with
+    FMA (SkylakeX, Haswell) and without (Sandybridge, Prescott) round
+    small products apart; einsum gives the same bits under each.
     Tiles are dealt round-robin to one worker per usable core, at most
     MAX_TILE_WORKERS, run by `_parallel.fan_out` with the calling thread
     as worker 0.  A cut product spans at least two uncut tiles, so at
@@ -300,13 +311,17 @@ def _for_each_tile(
     n_workers = max(1, min(_parallel.usable_cores(), MAX_TILE_WORKERS, len(starts)))
     if out is None:
         bufs = [_aligned_empty((step, n_k)) for _ in range(n_workers)]
+    if n_q * n_k <= FIXED_ORDER_OUTPUTS:
+        product = partial(np.einsum, "qc,ck->qk")
+    else:
+        product = np.matmul
 
     def work(w: int) -> None:
         for start in starts[w::n_workers]:
             stop = min(start + step, n_q)
             rows = slice(start, stop)
             tile = bufs[w][: stop - start] if out is None else out[rows]
-            fn(rows, np.matmul(q[rows], k_t, out=tile))
+            fn(rows, product(q[rows], k_t, out=tile))
 
     _parallel.fan_out(work, n_workers)
 
@@ -400,7 +415,7 @@ def cross_attention(
     flags = queries.mask & bool(np.any(keys.mask))
     if not np.any(flags):
         return np.zeros((queries.n_tokens, config.head_dim)), flags
-    v = _embed(keys, config) @ weights.wv.T
+    v = _matmul(_embed(keys, config), weights.wv.T)
     out = np.empty((queries.n_tokens, config.head_dim))
 
     def attend(rows: slice, tile: np.ndarray) -> None:
@@ -434,14 +449,14 @@ def self_attention_jacobian(
         rot = rot.reshape(-1, d, d).swapaxes(1, 2)
     else:
         rot = np.broadcast_to(np.eye(d), (len(valid), d, d))
-    bq = rot @ weights.wq  # bq[i] = A_i Wq
-    bk = rot @ weights.wk
+    bq = _matmul(rot, weights.wq)  # bq[i] = A_i Wq
+    bk = _matmul(rot, weights.wk)
     q = np.einsum("nij,nj->ni", bq, x)
     k = np.einsum("nij,nj->ni", bk, x)
-    v = x @ weights.wv.T
+    v = _matmul(x, weights.wv.T)
     tau = config.scale
-    attn = _masked_softmax(tau * (q @ k.T), np.ones(len(valid), bool))
-    out = attn @ v
+    attn = _masked_softmax(tau * _matmul(q, k.T), np.ones(len(valid), bool))
+    out = _matmul(attn, v)
 
     # d logit_ij / d x_m = [m == i] gq[i, j] + [m == j] gk[i, j], and
     # d a_ij / d x_m = a_ij * (d logit_ij / d x_m - sum_l a_il d logit_il / d x_m),

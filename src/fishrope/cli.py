@@ -25,8 +25,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import re
 import sys
+
+# BLAS runs on one thread unless the caller set a count: beside the tile
+# threads (attention.MAX_TILE_WORKERS) more BLAS threads only slow the
+# scaled lift.  The BLAS library reads these when numpy first loads, which
+# the camera import below does, so a caller that loaded numpy earlier keeps
+# its own setting.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 # angular, experiments and fixtures load lazily (see fishrope/__init__.py):
 # only the commands that use them touch them, so the others never run them.

@@ -20,14 +20,21 @@ Three entry points:
 
   selfcheck         executes every documented invariant with fixed seeds
                     and reports measured values against tolerances.  The
-                    rotary checks gather the blocks of each dim into one
-                    kernel call: every draw carries its own
-                    plane angles, so draws under different configs share
-                    a call.  The elementwise camera checks and the
-                    rotary checks run in a forked child on a second core
-                    while this process runs the rest
-                    (`_parallel.fork_split`), with the same results as one
-                    process gives.
+                    rotary checks draw each dim's samples once, as whole
+                    arrays, and form every row's plane angles from its
+                    config's frequency table, so rows under different
+                    configs share one kernel call.  The elementwise
+                    camera checks and the rotary checks run in a forked
+                    child on a second core while this process runs the
+                    rest (`_parallel.fork_split`), with the same results
+                    as one process gives.  Every matrix product behind
+                    a measured value has at most
+                    camera.FIXED_ORDER_OUTPUTS outputs and runs in
+                    numpy's fixed summation order; the rest (the lift
+                    check's tiles, the bench's ground truth) feed argmax
+                    picks only, which clear any kernel's rounding
+                    (tests/test_margins.py).  So the report is the same
+                    bytes under every BLAS kernel.
 
 Reports serialize deterministically: given equal seeds and configs the
 emitted documents are byte-identical.  Wall-clock timings are kept out
@@ -46,7 +53,7 @@ import numpy as np
 from . import _parallel, attention, rope
 from .angular import BevGridSpec, bev_angles, patch_angles
 from .attention import AttentionConfig, ProjectionWeights, TokenGrid
-from .camera import Extrinsics, KannalaBrandtCamera
+from .camera import Extrinsics, KannalaBrandtCamera, _matmul
 from .errors import ConfigError, EmptyOverlapError
 from .fixtures import (
     downward_extrinsics,
@@ -58,12 +65,6 @@ from .fixtures import (
 from .rope import ENCODINGS, RotaryConfig
 
 REPORT_FORMAT_VERSION = 1
-
-# Draws per block in the rotary property checks.  A block draws one config
-# and its rows in turn.  Each dim's blocks are then evaluated in one call;
-# at the default draw counts that is at most 10200 rows (the self-logit
-# check's 200 x 51 at dim 16), a few MiB.
-ROPE_CHECK_BLOCK = 50
 
 # Ceilings on the experiment sizes a user can ask for, well above the
 # defaults (16 and 512), so a mistyped value is a config error rather than
@@ -763,28 +764,40 @@ def check_paraxial() -> list[CheckResult]:
     return out
 
 
+def _rotations(normals: np.ndarray) -> np.ndarray:
+    """Proper rotations (n, 3, 3) from normals (n, 3, 3), in elementwise numpy only.
+
+    Gram-Schmidt turns the first two columns into the first two axes and
+    their cross product is the third, so det is +1 without a sign flip.
+    Every sum runs in an order numpy fixes, so the bits do not depend on
+    the LAPACK and BLAS kernels that np.linalg.qr would call.
+    """
+    a, b = normals[..., 0], normals[..., 1]
+    x = a / np.sqrt(np.einsum("ni,ni->n", a, a))[:, None]
+    b = b - np.einsum("ni,ni->n", x, b)[:, None] * x
+    y = b / np.sqrt(np.einsum("ni,ni->n", b, b))[:, None]
+    return np.stack([x, y, np.cross(x, y)], axis=-1)
+
+
 def check_extrinsic_composition(seed: int = 0) -> list[CheckResult]:
-    """Composition of random rigid transforms stays orthonormal within 1e-9."""
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for _ in range(64):
-        a = _random_extrinsics(rng)
-        b = _random_extrinsics(rng)
-        c = a.compose(b)
-        err = max(
-            float(np.max(np.abs(c.rotation.T @ c.rotation - np.eye(3)))),
-            abs(float(np.linalg.det(c.rotation)) - 1.0),
-        )
-        worst = max(worst, err)
+    """Composition of 64 random rigid transform pairs stays orthonormal within 1e-9.
+
+    Each transform takes 12 normals in draw order, a 3 x 3 matrix and
+    then its translation; `_rotations` turns the matrix into a rotation.
+    Each composed rotation R gives max |R^T R - I| and |det R - 1|, with
+    det R the triple product of its columns, all in fixed-order sums.
+    """
+    draws = np.random.default_rng([seed, 2]).standard_normal((128, 12))
+    rotations = _rotations(draws[:, :9].reshape(128, 3, 3))
+    poses = [Extrinsics(rotation=r, translation=t) for r, t in zip(rotations, draws[:, 9:])]
+    composed = np.stack([a.compose(b).rotation for a, b in zip(poses[::2], poses[1::2])])
+    cols = composed.swapaxes(1, 2)
+    det = np.einsum("ni,ni->n", cols[:, 0], np.cross(cols[:, 1], cols[:, 2]))
+    worst = max(
+        float(np.max(np.abs(_matmul(cols, composed) - np.eye(3)))),
+        float(np.max(np.abs(det - 1.0))),
+    )
     return [CheckResult.below("camera.extrinsic_composition", worst, 1e-9)]
-
-
-def _random_extrinsics(rng: np.random.Generator) -> Extrinsics:
-    # Orthonormalize a random matrix into a proper rotation.
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return Extrinsics(rotation=q, translation=rng.standard_normal(3))
 
 
 def check_radial_symmetry(seed: int = 0) -> list[CheckResult]:
@@ -849,25 +862,18 @@ def check_bev_projection_consistency() -> list[CheckResult]:
     ]
 
 
-def _blocks(n: int):
-    """Row counts of consecutive rotary-check blocks covering n draws."""
-    for start in range(0, n, ROPE_CHECK_BLOCK):
-        yield min(ROPE_CHECK_BLOCK, n - start)
+def _plane_freqs(dim: int, theta_dims: np.ndarray, bases: np.ndarray):
+    """Plane frequencies (n, dim/2) and phi-plane flags of n configs of one dim.
 
-
-def _gathered(blocks, evaluate) -> list:
-    """evaluate(*arrays) once per dim, over every block of that dim.
-
-    blocks yields (dim, arrays) one block at a time and draws the block
-    when asked, so the draws keep their order.  arrays hold one row per
-    draw, plane angles included, so blocks of one dim under different
-    configs join row-wise into one call.  Returns evaluate's results in
-    the order the dims first appear.
+    Row i holds RotaryConfig(dim, theta_dims[i], bases[i]).plane_freqs,
+    the same bits, and where its plane_axis reads phi.
     """
-    pending: dict[int, list] = {}
-    for dim, arrays in blocks:
-        pending.setdefault(dim, []).append(arrays)
-    return [evaluate(*(np.concatenate(part) for part in zip(*held))) for held in pending.values()]
+    planes = np.arange(dim // 2)
+    half = theta_dims[:, None] // 2
+    phi = planes >= half
+    index = np.where(phi, planes - half, planes)
+    sub_dims = np.where(phi, dim - 2 * half, 2 * half)
+    return bases[:, None] ** (-2.0 * index / sub_dims), phi
 
 
 def _rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -875,126 +881,101 @@ def _rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return rope.rotate_planes(x, angles, np.empty_like(x))
 
 
-# Choices the rotary checks draw from, one rng.integers(len(...)) per draw:
-# the stream np.random.Generator.choice draws from a list, at a fifth of
-# its cost.
-_NORM_CONFIGS = tuple(RotaryConfig(dim=dim) for dim in (4, 8, 16, 32))
+# In the rotary checks each drawn config rotates the _CONFIG_DRAWS rows
+# drawn under it.  A check draws once per dim, as whole arrays: the
+# configs of that dim, then all their rows.
+_CONFIG_DRAWS = 50
+_NORM_DIMS = (4, 8, 16, 32)
 _IDENTITY_DIMS = (4, 8, 16)
 _COMPOSITION_DIMS = (2, 4, 8, 16)
 
 
+def _configs_per_dim(rng: np.random.Generator, n_configs: int, dims: tuple) -> list:
+    """(dim, configs of that dim) for each of dims, from n_configs uniform picks."""
+    counts = np.bincount(rng.integers(len(dims), size=n_configs), minlength=len(dims))
+    return [(dim, int(n)) for dim, n in zip(dims, counts) if n]
+
+
 def check_norm_preservation(seed: int = 0) -> list[CheckResult]:
-    """Rotation keeps every row's norm.
-
-    Each block draws its dim, rows and coordinates in turn; the blocks
-    of each dim rotate together through `_gathered`.
-    """
+    """Rotation keeps every row's norm over 2000 rows of 40 default configs."""
     rng = np.random.default_rng([seed, 4])
-
-    def blocks():
-        for rows in _blocks(2000):
-            config = _NORM_CONFIGS[rng.integers(len(_NORM_CONFIGS))]
-            x = rng.standard_normal((rows, config.dim))
-            yield config.dim, (x, config.plane_angles(_sample_coords(rng, rows, 2.0)))
-
-    def gap(x, angles) -> float:
-        y = _rotate(x, angles)
-        return float(np.max(np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))))
-
-    worst = max(_gathered(blocks(), gap), default=0.0)
+    worst = 0.0
+    for dim, n in _configs_per_dim(rng, 40, _NORM_DIMS):
+        rows = n * _CONFIG_DRAWS
+        x = rng.standard_normal((rows, dim))
+        y = _rotate(x, RotaryConfig(dim=dim).plane_angles(_sample_coords(rng, rows, 2.0)))
+        gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
+        worst = max(worst, float(np.max(gap)))
     return [CheckResult.below("rope.norm_preservation", worst, 1e-12)]
 
 
 def check_relative_identity(seed: int = 0) -> list[CheckResult]:
     """Absolute-form logit equals the relative form over 10000 random draws.
 
-    Each block draws a RotaryConfig (dim, theta split and base) and its
-    rows, and forms the plane angles of coord_m, coord_n and their
-    difference under that config; the blocks of each dim are evaluated
-    together through `_gathered`.  rope.rotated_logit(q, k, angles) is
-    called once per dim with (rows, dim) q and k and the (rows, dim/2)
-    angles of coord_n - coord_m, and gives each row's relative-form
-    logit.
+    200 configs each draw a dim, then per dim a theta split and a base
+    for each of its configs, and 50 rows per config of q, k, coord_m and
+    coord_n.  Each row's plane angles come from its config's frequency
+    table.  rope.rotated_logit(q, k, angles) is called once per dim with
+    (rows, dim) q and k and the (rows, dim/2) angles of coord_n -
+    coord_m, and gives each row's relative-form logit.
     """
     rng = np.random.default_rng([seed, 5])
-
-    def blocks():
-        for rows in _blocks(10000):
-            dim = _IDENTITY_DIMS[rng.integers(len(_IDENTITY_DIMS))]
-            splits = range(0, dim + 1, 2)
-            config = RotaryConfig(
-                dim=dim,
-                theta_dims=splits[rng.integers(len(splits))],
-                base=float(rng.uniform(2.0, 10000.0)),
-            )
-            q = rng.standard_normal((rows, dim))
-            k = rng.standard_normal((rows, dim))
-            cm = _sample_coords(rng, rows, 2.0)
-            cn = _sample_coords(rng, rows, 2.0)
-            angles = (config.plane_angles(c) for c in (cm, cn, cn - cm))
-            yield dim, (q, k, *angles)
-
-    def gap(q, k, at_m, at_n, between) -> float:
+    worst = 0.0
+    for dim, n in _configs_per_dim(rng, 200, _IDENTITY_DIMS):
+        theta_dims = 2 * rng.integers(dim // 2 + 1, size=n)
+        freqs, phi = (
+            np.repeat(a, _CONFIG_DRAWS, axis=0)
+            for a in _plane_freqs(dim, theta_dims, rng.uniform(2.0, 10000.0, n))
+        )
+        rows = n * _CONFIG_DRAWS
+        q = rng.standard_normal((rows, dim))
+        k = rng.standard_normal((rows, dim))
+        cm = _sample_coords(rng, rows, 2.0)
+        cn = _sample_coords(rng, rows, 2.0)
+        at_m, at_n, between = (
+            np.where(phi, c[:, 1:], c[:, :1]) * freqs for c in (cm, cn, cn - cm)
+        )
         absolute = np.sum(_rotate(q, at_m) * _rotate(k, at_n), axis=1)
-        return float(np.max(np.abs(absolute - rope.rotated_logit(q, k, between))))
-
-    worst = max(_gathered(blocks(), gap), default=0.0)
+        worst = max(worst, float(np.max(np.abs(absolute - rope.rotated_logit(q, k, between)))))
     return [CheckResult.below("rope.relative_identity", worst, 1e-12, "10000 random draws")]
 
 
 def check_rotation_composition(seed: int = 0) -> list[CheckResult]:
     """rotate(rotate(x, a), b - a) equals rotate(x, b) for every schedule.
 
-    Each block draws one schedule and forms its angles through a
-    theta-only RotaryConfig, whose theta schedule is that schedule; the
-    blocks of each dim are evaluated together through `_gathered`.
+    40 theta-only configs each draw a dim, then per dim a base for each
+    of its configs and 50 rows per config of x, a and b.
     """
     rng = np.random.default_rng([seed, 6])
-
-    def blocks():
-        for rows in _blocks(2000):
-            dim = _COMPOSITION_DIMS[rng.integers(len(_COMPOSITION_DIMS))]
-            config = RotaryConfig(dim=dim, theta_dims=dim, base=float(rng.uniform(2.0, 10000.0)))
-            x = rng.standard_normal((rows, dim))
-            a = rng.uniform(-6.0, 6.0, rows)
-            b = rng.uniform(-6.0, 6.0, rows)
-            angles = (
-                config.plane_angles(np.stack([angle, np.zeros(rows)], -1))
-                for angle in (a, b - a, b)
-            )
-            yield dim, (x, *angles)
-
-    def gap(x, at_a, a_to_b, at_b) -> float:
+    worst = 0.0
+    for dim, n in _configs_per_dim(rng, 40, _COMPOSITION_DIMS):
+        freqs, _ = _plane_freqs(dim, np.full(n, dim), rng.uniform(2.0, 10000.0, n))
+        freqs = np.repeat(freqs, _CONFIG_DRAWS, axis=0)
+        rows = n * _CONFIG_DRAWS
+        x = rng.standard_normal((rows, dim))
+        a = rng.uniform(-6.0, 6.0, rows)
+        b = rng.uniform(-6.0, 6.0, rows)
+        at_a, a_to_b, at_b = (angle[:, None] * freqs for angle in (a, b - a, b))
         via = _rotate(_rotate(x, at_a), a_to_b)
-        return float(np.max(np.abs(via - _rotate(x, at_b))))
-
-    worst = max(_gathered(blocks(), gap), default=0.0)
+        worst = max(worst, float(np.max(np.abs(via - _rotate(x, at_b)))))
     return [CheckResult.below("rope.rotation_composition", worst, 1e-12)]
 
 
 def check_self_logit_max(seed: int = 0) -> list[CheckResult]:
     """With q = k and nonzero pairs, the logit peaks at zero separation.
 
-    Each of the 200 draws is one q and 51 separations, the first zero:
-    a block of 51 rows for `_gathered`.  `rope.rotated_logit` adds each
-    logit over dims left to right, so the margin is the same bit for bit
-    as one call per draw.
+    200 draws of q, then 50 separations for each, as whole arrays.  The
+    logits of every q at zero and at its 50 separations come from one
+    `rope.rotated_logit` call, which adds each logit over dims left to
+    right.
     """
     rng = np.random.default_rng([seed, 7])
-    config = RotaryConfig(dim=16)
-
-    def blocks():
-        for _ in range(200):
-            q = rng.standard_normal(16)
-            deltas = np.zeros((51, 2))
-            deltas[1:] = rng.uniform(-3.0, 3.0, (50, 2))
-            yield 16, (np.broadcast_to(q, (51, 16)), config.plane_angles(deltas))
-
-    def margin(q, angles) -> float:
-        logits = rope.rotated_logit(q, q, angles).reshape(-1, 51)
-        return float(np.min(logits[:, :1] - logits[:, 1:]))
-
-    worst = min(_gathered(blocks(), margin))
+    q = rng.standard_normal((200, 16))
+    deltas = np.zeros((200, 51, 2))
+    deltas[:, 1:] = rng.uniform(-3.0, 3.0, (200, 50, 2))
+    q = np.broadcast_to(q[:, None], (200, 51, 16))
+    logits = rope.rotated_logit(q, q, RotaryConfig(dim=16).plane_angles(deltas))
+    worst = float(np.min(logits[:, :1] - logits[:, 1:]))
     return [
         CheckResult(
             name="rope.self_logit_max",

@@ -381,14 +381,16 @@ class TestCrossAttention:
         config = AttentionConfig(head_dim=dim, encoding=encoding)
         out, flags = cross_attention(queries, keys, weights, config)
         logits = logit_matrix(queries, keys, weights, config)
-        values = attention._embed(keys, config) @ weights.wv.T
+        # built through the kernel's own product, which at these sizes runs
+        # in numpy's fixed summation order, not in BLAS
+        values = attention._matmul(attention._embed(keys, config), weights.wv.T)
         # the oracle takes a leading heads axis; the kernels have one head
         expected = dense_cross_attention(logits[None], kmask, values[None], flags)
         np.testing.assert_array_equal(flags, qmask)
         np.testing.assert_array_equal(out, expected)
         self_out = self_attention(queries, weights, config)
         logits = logit_matrix(queries, queries, weights, config)
-        values = attention._embed(queries, config) @ weights.wv.T
+        values = attention._matmul(attention._embed(queries, config), weights.wv.T)
         expected = dense_cross_attention(logits[None], qmask, values[None], qmask)
         np.testing.assert_array_equal(self_out, expected)
 
@@ -635,20 +637,54 @@ class TestTilePool:
 
     def test_keys_and_buffers_start_on_a_cache_line(self, monkeypatch):
         # where malloc put the key copy moved the scaled lift's matmuls by
-        # 15-20 %; without out, each tile starts its worker's buffer
+        # 15-20 %; without out, each tile starts its worker's buffer.  4100
+        # queries put every product above FIXED_ORDER_OUTPUTS, so in BLAS
         _cores(monkeypatch, 1)
-        matmul, seen = np.matmul, set()
+        matmul, seen = np.matmul, []
 
         def record(a, b, out):
-            seen.add((b.ctypes.data % 64, out.ctypes.data % 64))
+            seen.append((b.ctypes.data % 64, out.ctypes.data % 64))
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", record)
         rng = np.random.default_rng(44)
         for n_k in (1, 3, 10, 13):
-            q, k = rng.standard_normal((9, 4)), rng.standard_normal((n_k, 4))
+            q, k = rng.standard_normal((4100, 4)), rng.standard_normal((n_k, 4))
             attention._for_each_tile(q, k, lambda rows, tile: None)
-        assert seen == {(0, 0)}
+        assert seen == [(0, 0)] * 4
+
+    @pytest.mark.parametrize("n_q, n_k, path", [(64, 64, "einsum"), (17, 241, "matmul")])
+    def test_products_up_to_4096_outputs_take_einsum(self, monkeypatch, n_q, n_k, path):
+        # 4096 outputs run in numpy's fixed summation order, one more in BLAS.
+        # The tile gate counts the whole product once per call, so every tile
+        # takes one path (LOGIT_TILE 80 cuts 64 x 64 into 64 one-row tiles);
+        # _matmul, for the projections, gates each product it is given
+        assert attention.FIXED_ORDER_OUTPUTS == 4096 == 64 * 64 == 17 * 241 - 1
+        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
+        calls = {"einsum": 0, "matmul": 0}
+        for name in calls:
+
+            def spy(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, spy)
+        rng = np.random.default_rng(45)
+        q, k = rng.standard_normal((n_q, 8)), rng.standard_normal((n_k, 8))
+        other = "matmul" if path == "einsum" else "einsum"
+        logits, tiles = np.empty((n_q, n_k)), []
+
+        def keep(rows, tile):
+            logits[rows] = tile
+            tiles.append(rows)
+
+        attention._for_each_tile(q, k, keep)
+        assert calls == {path: len(tiles), other: 0}
+        calls.update(einsum=0, matmul=0)
+        product = attention._matmul(q, k.T)
+        assert calls == {path: 1, other: 0}
+        # the tile shape sets the summation order, so the bits may differ
+        np.testing.assert_allclose(product, logits, rtol=0, atol=1e-13)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # rows 3..5 are the second tile, which worker 1 streams

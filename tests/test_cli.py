@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -951,6 +952,49 @@ class TestSelfcheckCommand:
         assert "PASS camera.round_trip.converged.theta[linear]" in stdout
         assert "all passed" in stdout
         assert out.exists()
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints the thread count of numpy's bundled OpenBLAS after `first` runs,
+# then the three variables; exits 3 where that OpenBLAS cannot be asked.
+_BLAS_THREADS = """
+import ctypes, glob, os, sys
+{first}
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*"))
+try:
+    count = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+except (IndexError, OSError, AttributeError):
+    sys.exit(3)
+print(count(), *(os.environ.get(name) for name in {names}))
+"""
+
+
+def test_cli_pins_blas_to_one_thread():
+    # the CLI sets one BLAS thread before numpy loads, unless the caller set
+    # a count; a caller who loaded numpy first keeps the library's default
+    env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+
+    def threads(first):
+        script = _BLAS_THREADS.format(first=first, names=_THREAD_VARS)
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        if run.returncode == 3:
+            pytest.skip("numpy's OpenBLAS has no scipy_openblas_get_num_threads64_")
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()
+
+    default = threads("pass")[0]
+    assert threads("import fishrope.cli") == ["1", "1", "1", "1"]
+    assert threads("import numpy, fishrope.cli")[0] == default
+    env["OPENBLAS_NUM_THREADS"] = default
+    assert threads("import fishrope.cli") == [default, default, "1", "1"]
 
 
 def test_module_entrypoint_smoke(calib, tmp_path):

@@ -40,9 +40,16 @@ from fishrope.fixtures import (
     wide_camera,
 )
 from fishrope.formats import dump_report_yaml
-from fishrope.rope import apply_rotary_batch, rotated_logit
+from fishrope.rope import rotated_logit
 
-from .oracles import argmax_with_random_ties_loop, ranks_of_loop
+from .oracles import (
+    argmax_with_random_ties_loop,
+    norm_preservation_loop,
+    ranks_of_loop,
+    relative_identity_loop,
+    rotation_composition_loop,
+    self_logit_margin_loop,
+)
 from .test_parallel import _cores, _count_forks, _count_starts
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -474,7 +481,7 @@ class TestSelfCheck:
         ]
         assert all(r.line().startswith("FAIL ") for r in results)
 
-    def test_relative_identity_counts_every_draw_across_ragged_blocks(self, monkeypatch):
+    def test_relative_identity_counts_every_draw(self, monkeypatch):
         calls = []
 
         def counting(q, k, angles):
@@ -483,90 +490,27 @@ class TestSelfCheck:
             return rotated_logit(q, k, angles)
 
         monkeypatch.setattr(rope, "rotated_logit", counting)
-        # 10000 draws fill the default blocks of 50 exactly; blocks of 64 leave 16
-        for block in (experiments.ROPE_CHECK_BLOCK, 64):
-            monkeypatch.setattr(experiments, "ROPE_CHECK_BLOCK", block)
-            calls.clear()
-            results = check_relative_identity(seed=3)
-            assert results[0].passed
-            assert sum(rows for rows, _ in calls) == 10000
-            assert results[0].note == "10000 random draws"
-            # one call per dim, holding every block of that dim
-            dims = [dim for _, dim in calls]
-            assert len(dims) == len(set(dims))
+        results = check_relative_identity(seed=3)
+        assert results[0].passed
+        assert results[0].note == "10000 random draws"
+        assert sum(rows for rows, _ in calls) == 10000
+        # one call per dim, holding every draw of that dim
+        dims = [dim for _, dim in calls]
+        assert len(dims) == len(set(dims))
 
     @pytest.mark.parametrize("seed", range(16))
     def test_gathered_rotary_checks_equal_their_per_block_loops(self, seed):
-        # The per-block loops the checks ran before they gathered their draws.
-        # At seeds 2 and 3 a pairwise sum over dims moves the self-logit margin.
-        block = experiments.ROPE_CHECK_BLOCK
-        rng = np.random.default_rng([seed, 4])
-        worst = 0.0
-        for _ in range(2000 // block):
-            config = RotaryConfig(dim=int(rng.choice([4, 8, 16, 32])))
-            x = rng.standard_normal((block, config.dim))
-            theta = rng.uniform(0.0, 2.0, block)
-            phi = rng.uniform(-math.pi, math.pi, block)
-            y = apply_rotary_batch(x, np.stack([theta, phi], axis=-1), config)
-            gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
-            worst = max(worst, float(np.max(gap)))
-        assert experiments.check_norm_preservation(seed)[0].measured == worst
-
-        rng = np.random.default_rng([seed, 5])
-        worst = 0.0
-        for _ in range(10000 // block):
-            dim = int(rng.choice([4, 8, 16]))
-            theta_dims = int(rng.choice([d for d in range(0, dim + 1, 2)]))
-            config = RotaryConfig(dim, theta_dims, float(rng.uniform(2.0, 10000.0)))
-            q = rng.standard_normal((block, dim))
-            k = rng.standard_normal((block, dim))
-            cm = np.stack([rng.uniform(0.0, 2.0, block), rng.uniform(-math.pi, math.pi, block)], -1)
-            cn = np.stack([rng.uniform(0.0, 2.0, block), rng.uniform(-math.pi, math.pi, block)], -1)
-            absolute = np.sum(
-                apply_rotary_batch(q, cm, config) * apply_rotary_batch(k, cn, config), axis=1
-            )
-            relative = relative_logit(q, k, (cn[:, 0] - cm[:, 0], cn[:, 1] - cm[:, 1]), config)
-            worst = max(worst, float(np.max(np.abs(absolute - relative))))
-        assert experiments.check_relative_identity(seed)[0].measured == worst
-
-        rng = np.random.default_rng([seed, 6])
-        worst = 0.0
-        for _ in range(2000 // block):
-            dim = 2 * int(rng.choice([1, 2, 4, 8]))
-            config = RotaryConfig(dim, dim, float(rng.uniform(2.0, 10000.0)))
-            x = rng.standard_normal((block, dim))
-            a = rng.uniform(-6.0, 6.0, block)
-            b = rng.uniform(-6.0, 6.0, block)
-
-            def rotate(v, angle):
-                return apply_rotary_batch(v, np.stack([angle, np.zeros(block)], -1), config)
-
-            via = rotate(rotate(x, a), b - a)
-            worst = max(worst, float(np.max(np.abs(via - rotate(x, b)))))
-        assert experiments.check_rotation_composition(seed)[0].measured == worst
-
-        rng = np.random.default_rng([seed, 7])
-        margin = math.inf
-        for _ in range(200):
-            q = rng.standard_normal(16)
-            deltas = np.concatenate([np.zeros((1, 2)), rng.uniform(-3.0, 3.0, (50, 2))])
-            logits = relative_logit(q, q, (deltas[:, 0], deltas[:, 1]), RotaryConfig(dim=16))
-            margin = min(margin, float(np.min(logits[0] - logits[1:])))
+        # each check draws per dim as whole arrays; the oracles redraw the
+        # same arrays and evaluate each block of one config's rows through
+        # RotaryConfig, apply_rotary_batch and relative_logit
+        for check, loop in (
+            (experiments.check_norm_preservation, norm_preservation_loop),
+            (experiments.check_relative_identity, relative_identity_loop),
+            (experiments.check_rotation_composition, rotation_composition_loop),
+        ):
+            assert check(seed)[0].measured == loop(seed), check.__name__
+        margin = self_logit_margin_loop(seed)
         assert experiments.check_self_logit_max(seed)[0].measured == -margin
-
-    def test_indexed_integers_draw_the_choice_stream(self):
-        # the rotary checks index a tuple by rng.integers(n) where they drew
-        # rng.choice from a list; both must leave the same values and state
-        options = [(4, 8, 16, 32), (4, 8, 16), (1, 2, 4, 8)] + [
-            tuple(range(0, dim + 1, 2)) for dim in (4, 8, 16)
-        ]
-        chosen, indexed = np.random.default_rng(11), np.random.default_rng(11)
-        for i in range(2000):
-            pick = options[i % len(options)]
-            assert pick[indexed.integers(len(pick))] == int(chosen.choice(list(pick)))
-            chosen.standard_normal(3)  # the draws between the picks
-            indexed.standard_normal(3)
-        assert indexed.random() == chosen.random()
 
     @pytest.mark.parametrize("seed", range(16))
     def test_rotary_checks_pass_for_benchmark_seeds(self, seed):

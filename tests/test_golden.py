@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from fishrope import cli, experiments
+from fishrope import cli, experiments, formats
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALIBRATION = REPO_ROOT / "calibrations" / "synthetic_fisheye.yaml"
@@ -101,14 +101,59 @@ _KERNEL_AT_RUN_TIME = pytest.mark.skipif(
 
 
 @_KERNEL_AT_RUN_TIME
-@pytest.mark.parametrize("experiment", ["bench", "lift"])
+@pytest.mark.parametrize("experiment", ["bench", "lift", "selfcheck"])
 def test_default_report_bytes_hold_under_a_kernel_without_fma(tmp_path, experiment):
-    # bench and lift report argmax-based scores only, so the BLAS kernel's
-    # rounding must not reach their bytes.  Prescott is OpenBLAS's oldest
-    # x86-64 kernel and has no FMA.  selfcheck is left out: two of its
-    # values differ under such kernels today.
+    # bench and lift report argmax-based scores only, whose picks clear the
+    # BLAS kernel's rounding; selfcheck's products of up to
+    # FIXED_ORDER_OUTPUTS outputs run in numpy's fixed order, not in BLAS.
+    # Prescott is OpenBLAS's oldest x86-64 kernel and has no FMA.
     _cli_under_kernel("Prescott", _default_argv(experiment, tmp_path))
     _assert_matches_results(tmp_path, experiment)
+
+
+_SELFCHECK_DIGESTS = """
+import hashlib
+from fishrope import experiments, formats
+for seed in range(16):
+    text = formats.dump_report_yaml(experiments.selfcheck(seed).as_dict())
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+
+@_KERNEL_AT_RUN_TIME
+def test_selfcheck_digests_hold_under_every_kernel():
+    # the benchmark's 16 selfcheck seeds under each non-default kernel: with
+    # FMA and without (Haswell; Sandybridge, Prescott), small-matrix path or
+    # not.  One subprocess per kernel, all running while this process
+    # computes its own digests.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    runs = {
+        kernel: subprocess.Popen(
+            [sys.executable, "-c", _SELFCHECK_DIGESTS],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(env, OPENBLAS_CORETYPE=kernel),
+        )
+        for kernel in ("Haswell", "Sandybridge", "Prescott")
+    }
+    try:
+        here = [
+            hashlib.sha256(
+                formats.dump_report_yaml(experiments.selfcheck(seed).as_dict()).encode()
+            ).hexdigest()
+            for seed in range(16)
+        ]
+        for kernel, run in runs.items():
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err
+            assert out.split() == here, kernel
+    finally:
+        for run in runs.values():
+            if run.poll() is None:
+                run.kill()
+            run.communicate()
 
 
 @_KERNEL_AT_RUN_TIME
