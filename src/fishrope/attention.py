@@ -34,16 +34,19 @@ multiplies without packing its operands, unless that leaves fewer than
 SMALL_GEMM_MIN_ROWS rows.  Every tile writes only its own rows and the
 key axis is never split, so no result depends on the worker count or
 the host.
-logit_matrix and cross_attention scale each tile, and logit_argmax does
-not, because a positive scale cannot reorder a row.  Softmax rows are
-max-subtracted and exclude masked keys entirely (equivalent to -inf
-logits), so weights over valid keys always sum to 1.  cross_attention
-(and so self_attention) and logit_argmax run the exact softmax, the
-value product or the row argmax tile by tile in one buffer per worker,
-so memory stays bounded by about LOGIT_TILE logits instead of growing
-with N_q x N_k.  Only logit_matrix and self_attention_jacobian, whose
-results are that large, hold all the logits at once; logit_matrix
-writes each tile straight into its rows of the result, with no buffer.
+_fill_logits (and so logit_matrix) and cross_attention scale each
+tile, and logit_argmax does not, because a positive scale cannot
+reorder a row.  Softmax rows are max-subtracted and exclude masked keys
+entirely (equivalent to -inf logits), so weights over valid keys always
+sum to 1.  cross_attention (and so self_attention) and logit_argmax run
+the exact softmax, the value product or the row argmax tile by tile in
+one buffer per worker, so memory stays bounded by about LOGIT_TILE
+logits instead of growing with N_q x N_k.  Only an (N_q, N_k) array
+that its caller asked for holds all the logits at once: _fill_logits
+writes each tile straight into its rows of the caller's array, with no
+buffer, logit_matrix passes it a new one, and the retrieval bench one
+array that it reuses for every product.  self_attention_jacobian, whose
+result is larger still, forms its own dense logits.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -237,12 +240,20 @@ def _projected_qk(
         raise ShapeError(
             f"weights dim {weights.dim} does not match head_dim {config.head_dim}"
         )
-    q = _matmul(_embed(queries, config), weights.wq.T)
-    k = _matmul(_embed(keys, config), weights.wk.T)
+    return _projected(queries, weights.wq, config), _projected(keys, weights.wk, config)
+
+
+def _projected(grid: TokenGrid, weight: np.ndarray, config: AttentionConfig) -> np.ndarray:
+    """One side's encoded, projected and rotated vectors, (N, head_dim).
+
+    A rotary logit turns each token by its own coords only, so a side's
+    vectors do not depend on the grid they meet: a caller that scores
+    several query grids against one key grid can project the keys once.
+    """
+    x = _matmul(_embed(grid, config), weight.T)
     if config.encoding in _ROTARY:
-        q = rope.apply_rotary_batch(q, queries.coords, config.rotary)
-        k = rope.apply_rotary_batch(k, keys.coords, config.rotary)
-    return q, k
+        x = rope.apply_rotary_batch(x, grid.coords, config.rotary)
+    return x
 
 
 def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
@@ -271,7 +282,7 @@ def _for_each_tile(
     multiply-adds leaves at least SMALL_GEMM_MIN_ROWS rows, the tile is
     cut: 8 rows of the 9240 x 7472 lift scene at head_dim 16 (17 uncut).
     A product that fits one tile stays one matmul: cut into 300 and 212
-    rows, the bench's 512 x 208 logit_matrix ran faster in a loop that
+    rows, the bench's 512 x 208 logit product ran faster in a loop that
     keeps its operands in cache but slower in the bench itself, which
     then read 4 % slower per op.  The tile shape does not depend on how
     many workers run, so neither does BLAS rounding, which can depend on
@@ -340,9 +351,18 @@ def logit_matrix(
     properties.
     """
     q, k = _projected_qk(queries, keys, weights, config)
-    logits = np.empty((len(q), len(k)))
-    _for_each_tile(q, k, lambda rows, t: np.multiply(t, config.scale, out=t), out=logits)
-    return logits
+    return _fill_logits(q, k, config.scale, np.empty((len(q), len(k))))
+
+
+def _fill_logits(q: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """Write the logits scale * q @ k^T into out, an (N_q, N_k) C-contiguous array.
+
+    Each tile's products land in their rows of out and are scaled there,
+    so a caller that reuses out across products allocates nothing here
+    but the key copy.  Returns out.
+    """
+    _for_each_tile(q, k, lambda rows, t: np.multiply(t, scale, out=t), out=out)
+    return out
 
 
 def logit_argmax(

@@ -71,13 +71,13 @@ REPORT_FORMAT_VERSION = 1
 # a huge allocation or a run that does not end.
 MAX_FEATURE_DIM = 1024
 MAX_BENCH_QUERIES = 2**16
-# The bench holds dense n_queries x n_keys float64 logits for both query sets
-# plus their temporaries; this caps those logits only, not the key-side token
-# arrays, which grow with n_keys x feature_dim.  In-process `cli.main` runs
-# peaked at 474 MiB ru_maxrss just under the cap with few keys (`bench
-# --patch-size 16 --n-queries 5336`, 3144 keys) and at 657 MiB with many
-# (`--patch-size 1 --n-queries 20`, 805 368 keys, 16.1 M pairs) (Linux x86-64,
-# numpy 2.4.6, one BLAS thread).
+# The bench holds one dense n_queries x n_keys float64 logit buffer, which
+# every product overwrites, plus _select's temporaries; this caps those
+# logits only, not the key-side token arrays, which grow with n_keys x
+# feature_dim.  In-process `cli.main` runs peaked at 218 MiB ru_maxrss just
+# under the cap with few keys (`bench --patch-size 16 --n-queries 5336`, 3144
+# keys) and at 534 MiB with many (`--patch-size 1 --n-queries 20`, 805 368
+# keys, 16.1 M pairs) (Linux x86-64, numpy 2.4.6, one BLAS thread).
 MAX_BENCH_LOGITS = 2**24
 
 _FD_STEP = 1e-5  # feature step of fd_self_attention_jacobian's central differences
@@ -377,27 +377,42 @@ def _bench_inputs(config: RetrievalBenchConfig):
     return key_coords, key_px, (uniform, periphery), wrap_mask
 
 
-def _bench_logits(config, encoding: str, key_coords, key_px, coords, px) -> np.ndarray:
-    """One encoding's bench logits of the queries at (coords, px) against the keys."""
+def _bench_logits(config, encoding: str, key_coords, key_px, query_sets, out: np.ndarray):
+    """Yield one encoding's bench logits of each query set, each filled into out.
+
+    The keys are built, projected and rotated once, since a rotary logit
+    turns each key by its own coords only; every query set's logits then
+    overwrite out, an (n_queries, n_keys) array, so a caller must consume
+    each fill before asking for the next.
+    """
+    weights = ProjectionWeights.identity(config.feature_dim)
+    att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
+
     def tokens(at, at_px):
         return _probe_tokens(encoding, at, at_px, config.camera, config.feature_dim)
 
-    weights = ProjectionWeights.identity(config.feature_dim)
-    att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
-    return attention.logit_matrix(tokens(coords, px), tokens(key_coords, key_px), weights, att)
+    k = attention._projected(tokens(key_coords, key_px), weights.wk, att)
+    for coords, px, _ in query_sets:
+        q = attention._projected(tokens(coords, px), weights.wq, att)
+        yield attention._fill_logits(q, k, att.scale, out)
 
 
 def retrieval_bench(config: RetrievalBenchConfig) -> BenchReport:
     """Run the angular-retrieval benchmark; see the module docstring.
 
     Deterministic for a fixed config: query draws and tie-breaking use
-    seeds derived from config.seed.  No logit matrix outlives the next
-    one: each is freed once its successor exists.
+    seeds derived from config.seed.  Every (encoding, query set) product
+    is filled into one (n_queries, n_keys) logit buffer, allocated once
+    per call, and _select consumes each fill before the next one.
     """
     camera = config.camera
     key_coords, key_px, query_sets, wrap_mask = _bench_inputs(config)
     n_keys = key_coords.shape[0]
     extent_ratio = camera.angular_extent_ratio(0.05 * camera.r_max)
+    # One buffer for all 2 x len(encodings) products: a fresh result per
+    # product faulted its pages in each time (384 page faults per default
+    # op; none with the buffer reused).
+    logits = np.empty((config.n_queries, n_keys))
 
     scores = []
     for idx, encoding in enumerate(config.encodings):
@@ -405,11 +420,9 @@ def retrieval_bench(config: RetrievalBenchConfig) -> BenchReport:
         perm = enc_rng.permutation(n_keys)
         t0 = time.perf_counter()
         picked = []  # (hits, mean rank) of each query set
-        for coords, px, truth in query_sets:
-            # Rebinding frees each matrix once the next exists; a del right
-            # after _select doubled the page faults of a default op (384 -> 768).
-            logits = _bench_logits(config, encoding, key_coords, key_px, coords, px)
-            chosen, ranks = _select(logits, truth, perm, enc_rng)
+        fills = _bench_logits(config, encoding, key_coords, key_px, query_sets, logits)
+        for (_, _, truth), filled in zip(query_sets, fills):
+            chosen, ranks = _select(filled, truth, perm, enc_rng)
             picked.append((chosen == truth, float(np.mean(ranks))))
         runtime = time.perf_counter() - t0
         (hits, mean_rank), (periphery_hits, periphery_mean_rank) = picked
@@ -1122,8 +1135,10 @@ def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
         seed=seed,
         encodings=("fishrope",),
     )
-    key_coords, key_px, ((query_coords, query_px, _), _), _ = _bench_inputs(config)
-    logits = _bench_logits(config, "fishrope", key_coords, key_px, query_coords, query_px)
+    key_coords, key_px, query_sets, _ = _bench_inputs(config)
+    query_coords = query_sets[0][0]
+    logits = np.empty((config.n_queries, len(key_coords)))
+    next(_bench_logits(config, "fishrope", key_coords, key_px, query_sets, logits))
     probe = probe_feature(config.feature_dim)
     rcfg = RotaryConfig(dim=config.feature_dim)
     tau = 1.0 / math.sqrt(config.feature_dim)

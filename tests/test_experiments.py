@@ -16,6 +16,7 @@ from fishrope import (
     EmptyOverlapError,
     Extrinsics,
     LiftConfig,
+    ProjectionWeights,
     RetrievalBenchConfig,
     RotaryConfig,
     bev_roundtrip,
@@ -23,7 +24,7 @@ from fishrope import (
     retrieval_bench,
     selfcheck,
 )
-from fishrope import angular, experiments, rope
+from fishrope import angular, attention, experiments, formats, rope
 from fishrope.camera import DEFAULT_LUT_RESOLUTION, InverseLut, KannalaBrandtCamera
 from fishrope.cli import main
 from fishrope.experiments import (
@@ -42,6 +43,7 @@ from fishrope.fixtures import (
 from fishrope.formats import dump_report_yaml
 from fishrope.rope import rotated_logit
 
+from .conftest import CALIBRATION_FILE
 from .oracles import (
     argmax_with_random_ties_loop,
     norm_preservation_loop,
@@ -160,8 +162,10 @@ class TestRetrievalBench:
         config = RetrievalBenchConfig(
             camera=linear_camera(), patch_size=50, n_queries=16, encodings=("fishrope",)
         )
-        kc, key_px, ((qc, query_px, _), _), _ = experiments._bench_inputs(config)
-        logits = experiments._bench_logits(config, "fishrope", kc, key_px, qc, query_px)
+        kc, key_px, query_sets, _ = experiments._bench_inputs(config)
+        qc = query_sets[0][0]
+        out = np.empty((config.n_queries, len(kc)))
+        logits = next(experiments._bench_logits(config, "fishrope", kc, key_px, query_sets, out))
         probe = probe_feature(config.feature_dim)
         rcfg = RotaryConfig(dim=config.feature_dim)
         tau = 1.0 / math.sqrt(config.feature_dim)
@@ -181,6 +185,34 @@ class TestRetrievalBench:
         np.testing.assert_array_equal(
             np.argsort(-logits, axis=1), np.argsort(-recomputed, axis=1)
         )
+
+    @pytest.mark.parametrize("seed", [0, 7, 15])
+    def test_bench_products_equal_fresh_logit_matrices(self, monkeypatch, seed):
+        # the bench projects each encoding's keys once and fills one reused
+        # buffer; every fill equals logit_matrix over freshly built grids
+        fills, tiles = [], attention._for_each_tile
+
+        def record(q, k, fn, out=None):
+            tiles(q, k, fn, out)
+            fills.append((out, out.copy()))  # the next fill overwrites out
+
+        monkeypatch.setattr(attention, "_for_each_tile", record)
+        camera, _ = formats.load_calibration(CALIBRATION_FILE)
+        config = RetrievalBenchConfig(camera=camera, seed=seed)
+        retrieval_bench(config)
+        monkeypatch.undo()
+        assert len(fills) == 8
+        assert all(out is fills[0][0] for out, _ in fills)
+        key_coords, key_px, query_sets, _ = experiments._bench_inputs(config)
+        weights = ProjectionWeights.identity(config.feature_dim)
+        products = [(e, s) for e in config.encodings for s in query_sets]
+        for (encoding, (coords, px, _)), (_, filled) in zip(products, fills):
+            def tokens(at, at_px):
+                return experiments._probe_tokens(encoding, at, at_px, camera, config.feature_dim)
+
+            att = AttentionConfig(head_dim=config.feature_dim, encoding=encoding)
+            queries, keys = tokens(coords, px), tokens(key_coords, key_px)
+            assert np.array_equal(filled, attention.logit_matrix(queries, keys, weights, att))
 
     def test_validation(self):
         with pytest.raises(ConfigError):

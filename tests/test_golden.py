@@ -10,7 +10,7 @@ the scaled `lift` report and of the default `bench` report at every
 benchmark seed, must equal the ones the benchmark checks its ops against
 in perfbench/expected.json.  The angle-map and LUT CSVs at the
 benchmark's sizes are pinned by digest, the LUT's equal to the
-benchmark's.
+benchmark's, and so is the bench report at one and at 4096 queries.
 """
 
 import hashlib
@@ -192,6 +192,25 @@ def test_artifact_csv_bytes_hold(tmp_path, name):
     argv = command.split() + ["--format", "csv", "--calib", str(CALIBRATION), "--out", str(out)]
     assert cli.main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the bench report and CSV at the edge sizes of its one logit
+# buffer: a one-row product, and 4096 rows cut into 14 tiles, which two
+# threads write where two cores are usable.
+EDGE_BENCH_SHA256 = {
+    1: {"yaml_sha256": "0e24c2bc60edd99cbb3a9d1a4fadb0e98ffb43adf8d924108f6e585b03ca3035",
+        "csv_sha256": "152eaa9532f3d25734ecb4bdf4272de4c9b68d05e064b68b87eb6b60d5abc5a3"},
+    4096: {"yaml_sha256": "20910c013b4566dad14a57123b9ed9c72b48ec2e3454afb0e8f4dc0c60c058cc",
+           "csv_sha256": "1b7022f1bf9d218bd8a75a764754239a63592d5d0e93919dde99192b37873504"},
+}
+
+
+@pytest.mark.parametrize("n_queries", EDGE_BENCH_SHA256)
+def test_edge_size_bench_bytes_hold(tmp_path, n_queries):
+    out = tmp_path / "bench.yaml"
+    argv = ["bench", "--calib", str(CALIBRATION), "--out", str(out)]
+    assert cli.main(argv + ["--n-queries", str(n_queries)]) == 0
+    _assert_matches_digests(out, EDGE_BENCH_SHA256[n_queries])
 
 
 def test_lut_csv_pin_is_the_benchmark_digest():
