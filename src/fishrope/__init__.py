@@ -52,8 +52,8 @@ _EXPORTS = {
     "rope": ("ENCODINGS", "RotaryConfig", "relative_logit"),
 }
 
-# Every module but cli.  A module added to the package joins this list.
-_LAZY_MODULES = (*_EXPORTS, "formats", "fixtures", "_parallel")
+# Every module but cli (tests/test_package.py checks it).
+_LAZY_MODULES = (*_EXPORTS, "formats", "fixtures", "_parallel", "_products")
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,12 +1,13 @@
 """The package's cores, forked children and threads, in one place.
 
 usable_cores is the one core count: fork_split's gate reads it, and so
-does attention's tile pool, which sizes its workers by it and runs them
-through fan_out.  Callers reach every name here as `_parallel.<name>` at
-use time, so patching one attribute of this module governs both.  No
-result depends on any of it: a closed gate, a fork that cannot start and
-a thread that cannot start each leave the work to the calling process or
-thread, which gives the same bytes.
+does the logit tile pool of `_products.for_each_tile`, which sizes its
+workers by it and runs them through fan_out.  Callers reach every name
+here as `_parallel.<name>` at use time, so patching one attribute of
+this module governs both.  No result depends on any of it: a closed
+gate, a fork that cannot start and a thread that cannot start each
+leave the work to the calling process or thread, which gives the same
+bytes.
 """
 
 from __future__ import annotations

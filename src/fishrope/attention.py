@@ -15,38 +15,25 @@ The two rotary encodings are one kernel fed different coords, through
 RotaryConfig(dim=head_dim).  The kernels are single-head: features,
 projections and rotations all have head_dim entries, and logits are
 inner products scaled by 1/sqrt(head_dim).  Every kernel over a query
-and a key grid refuses grids from different cameras.  A product with at
-most camera.FIXED_ORDER_OUTPUTS (4096) outputs runs as np.einsum, whose
-summation order numpy fixes, so its bits do not depend on the BLAS
-kernel: the projections through camera._matmul, the logits through a
-gate decided once per call for all its tiles, and every product of
-self_attention_jacobian.  Larger products run in BLAS matmul, the
-logits over query tiles against one C-contiguous copy of the keys,
-which starts on a 64-byte line as the tile buffers do.
-LOGIT_TILE logits (2 MiB of float64, one per-core L2) is the working
-set of all tiles in flight: each holds at most
-LOGIT_TILE // MAX_TILE_WORKERS logits of whole query rows, and up to
-MAX_TILE_WORKERS threads (the package's own, apart from any BLAS
-threads) stream them at once.  Where the product spans more than one
-such tile and head_dim is at most SMALL_GEMM_MAX_DIM, a tile is also
-cut to SMALL_GEMM_MACS multiply-adds, the size under which OpenBLAS
-multiplies without packing its operands, unless that leaves fewer than
-SMALL_GEMM_MIN_ROWS rows.  Every tile writes only its own rows and the
-key axis is never split, so no result depends on the worker count or
-the host.
+and a key grid refuses grids from different cameras.  Products go
+through `_products`, whose docstring holds the gate and tile rules: the
+projections and the Jacobian's matrix products through
+`_products.matmul`, the logits through `_products.for_each_tile`.
 _fill_logits (and so logit_matrix) and cross_attention scale each
 tile, and logit_argmax does not, because a positive scale cannot
 reorder a row.  Softmax rows are max-subtracted and exclude masked keys
 entirely (equivalent to -inf logits), so weights over valid keys always
 sum to 1.  cross_attention (and so self_attention) and logit_argmax run
 the exact softmax, the value product or the row argmax tile by tile in
-one buffer per worker, so memory stays bounded by about LOGIT_TILE
-logits instead of growing with N_q x N_k.  Only an (N_q, N_k) array
-that its caller asked for holds all the logits at once: _fill_logits
-writes each tile straight into its rows of the caller's array, with no
-buffer, logit_matrix passes it a new one, and the retrieval bench one
-array that it reuses for every product.  self_attention_jacobian, whose
-result is larger still, forms its own dense logits.
+one buffer per worker, so memory stays bounded by about
+_products.LOGIT_TILE logits instead of growing with N_q x N_k.  Only an
+(N_q, N_k) array that its caller asked for holds all the logits at
+once: _fill_logits writes each tile straight into its rows of the
+caller's array, with no buffer, logit_matrix passes it a new one, and
+the retrieval bench one array that it reuses for every product.
+self_attention_jacobian, whose result is larger still, forms its own
+dense logits; every other consumer goes through the tiles, so dense and
+streamed results are bit-identical.
 
 Everything here is a pure function of immutable inputs; no state is
 shared between calls.
@@ -55,30 +42,17 @@ shared between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from . import _parallel, rope
+from . import _products, rope
 from .angular import BevGrid, PatchGrid
-from .camera import FIXED_ORDER_OUTPUTS, _matmul, _readonly
+from .camera import _readonly
 from .errors import ConfigError, EmptyAttentionError, ShapeError
 from .rope import ENCODINGS, RotaryConfig
 
 _ROTARY = ("axial_rope", "fishrope")
-
-# Logits in flight (2 MiB of float64, one per-core L2), split into
-# MAX_TILE_WORKERS tiles of whole query rows; a tile holds at least one row.
-LOGIT_TILE = 1 << 18
-MAX_TILE_WORKERS = 2  # tile-streaming threads; also fixes the tile shape on every host
-# OpenBLAS 0.3.31 runs a GEMM of at most 10**6 multiply-adds (rows x N_k x
-# head_dim) in its small-matrix kernel, which packs neither operand.  Tiles
-# are cut to that size where it pays: at head_dim above 32, with fewer than
-# 4 rows left, or where the whole product is one LOGIT_TILE tile, the cut
-# measured slower than the LOGIT_TILE tile.
-SMALL_GEMM_MACS = 10**6
-SMALL_GEMM_MAX_DIM = 32
-SMALL_GEMM_MIN_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -250,91 +224,10 @@ def _projected(grid: TokenGrid, weight: np.ndarray, config: AttentionConfig) -> 
     vectors do not depend on the grid they meet: a caller that scores
     several query grids against one key grid can project the keys once.
     """
-    x = _matmul(_embed(grid, config), weight.T)
+    x = _products.matmul(_embed(grid, config), weight.T)
     if config.encoding in _ROTARY:
         x = rope.apply_rotary_batch(x, grid.coords, config.rotary)
     return x
-
-
-def _aligned_empty(shape: tuple[int, int]) -> np.ndarray:
-    """An uninitialised float64 array whose data starts on a 64-byte line.
-
-    16 or 48 bytes past a line, where malloc can put it, k^T slowed the
-    lift scene's 8-row tile matmuls by 15-20 % (OpenBLAS 0.3.31, SkylakeX).
-    """
-    size = shape[0] * shape[1] * 8
-    raw = np.empty(size + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start : start + size].view(np.float64).reshape(shape)
-
-
-def _for_each_tile(
-    q: np.ndarray, k: np.ndarray, fn, out: np.ndarray | None = None
-) -> None:
-    """Call fn(rows, tile) on every query tile of the unscaled logits q @ k^T.
-
-    With out, an (N_q, N_k) C-contiguous array, tile is out[rows] and
-    holds that tile's products, so no worker buffer is allocated.
-    Without it, tile is a buffer that the worker's next tile overwrites.
-    A tile holds LOGIT_TILE // MAX_TILE_WORKERS logits of whole rows (at
-    least one row, at most N_q).  Where that leaves more than one tile,
-    head_dim <= SMALL_GEMM_MAX_DIM and a cut to SMALL_GEMM_MACS
-    multiply-adds leaves at least SMALL_GEMM_MIN_ROWS rows, the tile is
-    cut: 8 rows of the 9240 x 7472 lift scene at head_dim 16 (17 uncut).
-    A product that fits one tile stays one matmul: cut into 300 and 212
-    rows, the bench's 512 x 208 logit product ran faster in a loop that
-    keeps its operands in cache but slower in the bench itself, which
-    then read 4 % slower per op.  The tile shape does not depend on how
-    many workers run, so neither does BLAS rounding, which can depend on
-    the shape of a product.  On OpenBLAS 0.3.31 (the SkylakeX core on an
-    AVX-512 Xeon, one thread) the matmuls of that lift scene take 62 ms
-    in 8-row tiles, 98 in 9-row tiles, just above the small-matrix
-    limit, and 85 in 17-row tiles; 8- and 17-row tiles give the same
-    bits there.  Its Haswell and Prescott cores round the
-    last row of every 17-row tile apart from the same row in an 8-row
-    tile, but move no pick: every pick of the experiments clears its
-    rounding margin (tests/test_margins.py).  Every logit consumer goes
-    through here, so dense and streamed callers stay bit-identical, save
-    self_attention_jacobian: only the gradient check uses it, and it forms
-    its own dense q @ k.T from the rotated projections it differentiates.
-    A product of at most FIXED_ORDER_OUTPUTS logits, such as those of
-    selfcheck's attention checks, is formed by np.einsum in numpy's
-    fixed summation order in every tile, larger ones by BLAS matmul: the
-    gate is decided once for the call.  OpenBLAS 0.3.31's kernels with
-    FMA (SkylakeX, Haswell) and without (Sandybridge, Prescott) round
-    small products apart; einsum gives the same bits under each.
-    Tiles are dealt round-robin to one worker per usable core, at most
-    MAX_TILE_WORKERS, run by `_parallel.fan_out` with the calling thread
-    as worker 0.  A cut product spans at least two uncut tiles, so at
-    MAX_TILE_WORKERS = 2 the cut starts no thread that they would not.
-    Workers share only the read-only q and keys, and fn must write only
-    its own rows.
-    """
-    n_q, n_k = len(q), len(k)
-    k_t = _aligned_empty((k.shape[1], n_k))
-    k_t[...] = k.T
-    step = max(1, min(n_q, LOGIT_TILE // MAX_TILE_WORKERS // max(1, n_k)))
-    dim = q.shape[1]
-    small = SMALL_GEMM_MACS // max(1, n_k * dim)
-    if step < n_q and dim <= SMALL_GEMM_MAX_DIM and small >= SMALL_GEMM_MIN_ROWS:
-        step = min(step, small)
-    starts = range(0, n_q, step)
-    n_workers = max(1, min(_parallel.usable_cores(), MAX_TILE_WORKERS, len(starts)))
-    if out is None:
-        bufs = [_aligned_empty((step, n_k)) for _ in range(n_workers)]
-    if n_q * n_k <= FIXED_ORDER_OUTPUTS:
-        product = partial(np.einsum, "qc,ck->qk")
-    else:
-        product = np.matmul
-
-    def work(w: int) -> None:
-        for start in starts[w::n_workers]:
-            stop = min(start + step, n_q)
-            rows = slice(start, stop)
-            tile = bufs[w][: stop - start] if out is None else out[rows]
-            fn(rows, product(q[rows], k_t, out=tile))
-
-    _parallel.fan_out(work, n_workers)
 
 
 def logit_matrix(
@@ -361,7 +254,7 @@ def _fill_logits(q: np.ndarray, k: np.ndarray, scale: float, out: np.ndarray) ->
     so a caller that reuses out across products allocates nothing here
     but the key copy.  Returns out.
     """
-    _for_each_tile(q, k, lambda rows, t: np.multiply(t, scale, out=t), out=out)
+    _products.for_each_tile(q, k, lambda rows, t: np.multiply(t, scale, out=t), out=out)
     return out
 
 
@@ -374,8 +267,8 @@ def logit_argmax(
     """Row argmax of the logits, (N_q,).
 
     Ranks the unscaled products q.k, first-occurrence ties included, and
-    streams over query tiles, so memory stays bounded by about LOGIT_TILE
-    logits whatever N_q is.  It equals
+    streams over query tiles, so memory stays bounded by about
+    _products.LOGIT_TILE logits whatever N_q is.  It equals
     np.argmax(logit_matrix(...), axis=-1) bit for bit when 1/sqrt(head_dim)
     is a power of two (head_dim 4, 16, 64, 256; subnormal logits aside).
     Otherwise it can differ only where a row's top products round to one
@@ -383,7 +276,7 @@ def logit_argmax(
     """
     q, k = _projected_qk(queries, keys, weights, config)
     chosen = np.empty(len(q), dtype=np.intp)
-    _for_each_tile(q, k, lambda rows, t: t.argmax(-1, out=chosen[rows]))
+    _products.for_each_tile(q, k, lambda rows, t: t.argmax(-1, out=chosen[rows]))
     return chosen
 
 
@@ -428,14 +321,14 @@ def cross_attention(
     one angular space.  Returns (outputs, flags); a query that is masked
     out, or that faces no valid key, yields a zero row and a False flag.
     Softmax and the value product run per tile of whole query rows, so
-    memory stays bounded by about LOGIT_TILE logits (at least one row of
-    N_k per worker).
+    memory stays bounded by about _products.LOGIT_TILE logits (at least
+    one row of N_k per worker).
     """
     q, k = _projected_qk(queries, keys, weights, config)
     flags = queries.mask & bool(np.any(keys.mask))
     if not np.any(flags):
         return np.zeros((queries.n_tokens, config.head_dim)), flags
-    v = _matmul(_embed(keys, config), weights.wv.T)
+    v = _products.matmul(_embed(keys, config), weights.wv.T)
     out = np.empty((queries.n_tokens, config.head_dim))
 
     def attend(rows: slice, tile: np.ndarray) -> None:
@@ -443,7 +336,7 @@ def cross_attention(
         attn = _masked_softmax(tile, keys.mask)
         out[rows] = np.einsum("qk,kd->qd", attn, v)
 
-    _for_each_tile(q, k, attend)
+    _products.for_each_tile(q, k, attend)
     return np.where(flags[:, None], out, 0.0), flags
 
 
@@ -469,14 +362,14 @@ def self_attention_jacobian(
         rot = rot.reshape(-1, d, d).swapaxes(1, 2)
     else:
         rot = np.broadcast_to(np.eye(d), (len(valid), d, d))
-    bq = _matmul(rot, weights.wq)  # bq[i] = A_i Wq
-    bk = _matmul(rot, weights.wk)
+    bq = _products.matmul(rot, weights.wq)  # bq[i] = A_i Wq
+    bk = _products.matmul(rot, weights.wk)
     q = np.einsum("nij,nj->ni", bq, x)
     k = np.einsum("nij,nj->ni", bk, x)
-    v = _matmul(x, weights.wv.T)
+    v = _products.matmul(x, weights.wv.T)
     tau = config.scale
-    attn = _masked_softmax(tau * _matmul(q, k.T), np.ones(len(valid), bool))
-    out = _matmul(attn, v)
+    attn = _masked_softmax(tau * _products.matmul(q, k.T), np.ones(len(valid), bool))
+    out = _products.matmul(attn, v)
 
     # d logit_ij / d x_m = [m == i] gq[i, j] + [m == j] gk[i, j], and
     # d a_ij / d x_m = a_ij * (d logit_ij / d x_m - sum_l a_il d logit_il / d x_m),

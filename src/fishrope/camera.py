@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _products
 from .errors import ConfigError, DomainError, OutOfImageCircleError
 
 # Fraction of r_max tolerated (and clamped) beyond the image circle.
@@ -49,12 +50,6 @@ MAX_NEWTON_ITERATIONS = 1000
 DEFAULT_LUT_RESOLUTION = 4096
 # Largest LUT (32 MiB of entries), 64 times the benchmark's 65536.
 MAX_LUT_RESOLUTION = 2**22
-
-# A product with at most this many outputs runs as np.einsum without
-# `optimize`, in a summation order numpy's own code fixes, and not in BLAS,
-# whose kernels round apart (with FMA or without, small-matrix path or not).
-# Larger products stay in BLAS, where their speed is.
-FIXED_ORDER_OUTPUTS = 4096
 
 
 def _azimuth(y, x, radius):
@@ -82,13 +77,6 @@ def _clamped_radius(r, r_max: float) -> np.ndarray:
                 f"{what} {float(r[bad].flat[0])} (r_max={r_max}, clamp limit={limit})"
             )
     return np.minimum(r, r_max)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, where b stacks no more matrices than a; FIXED_ORDER_OUTPUTS picks the path."""
-    if math.prod(a.shape[:-1]) * b.shape[-1] <= FIXED_ORDER_OUTPUTS:
-        return np.einsum("...ij,...jk->...ik", a, b)
-    return np.matmul(a, b)
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -431,7 +419,7 @@ class Extrinsics:
     def compose(self, inner: "Extrinsics") -> "Extrinsics":
         """Rigid composition: (self o inner)(p) = self(inner(p))."""
         return Extrinsics(
-            rotation=_matmul(self.rotation, inner.rotation),
+            rotation=_products.matmul(self.rotation, inner.rotation),
             translation=self.rotation @ inner.translation + self.translation,
         )
 

@@ -30,7 +30,7 @@ import re
 import sys
 
 # BLAS runs on one thread unless the caller set a count: beside the tile
-# threads (attention.MAX_TILE_WORKERS) more BLAS threads only slow the
+# threads (_products.MAX_TILE_WORKERS) more BLAS threads only slow the
 # scaled lift.  The BLAS library reads these when numpy first loads, which
 # the camera import below does, so a caller that loaded numpy earlier keeps
 # its own setting.

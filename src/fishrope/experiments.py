@@ -28,11 +28,10 @@ Three entry points:
                     child on a second core while this process runs the
                     rest (`_parallel.fork_split`), with the same results
                     as one process gives.  Every matrix product behind
-                    a measured value has at most
-                    camera.FIXED_ORDER_OUTPUTS outputs and runs in
-                    numpy's fixed summation order; the rest (the lift
-                    check's tiles, the bench's ground truth) feed argmax
-                    picks only, which clear any kernel's rounding
+                    a measured value is small enough for `_products`'
+                    fixed-order gate; the rest (the lift check's tiles,
+                    the bench's ground truth) feed argmax picks only,
+                    which clear any kernel's rounding
                     (tests/test_margins.py).  So the report is the same
                     bytes under every BLAS kernel.
 
@@ -50,10 +49,10 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import _parallel, attention, rope
+from . import _parallel, _products, attention, rope
 from .angular import BevGridSpec, bev_angles, patch_angles
 from .attention import AttentionConfig, ProjectionWeights, TokenGrid
-from .camera import Extrinsics, KannalaBrandtCamera, _matmul
+from .camera import Extrinsics, KannalaBrandtCamera
 from .errors import ConfigError, EmptyOverlapError
 from .fixtures import (
     downward_extrinsics,
@@ -62,7 +61,7 @@ from .fixtures import (
     scene_extrinsics,
     wide_camera,
 )
-from .rope import ENCODINGS, RotaryConfig
+from .rope import ENCODINGS, RotaryConfig, rotate_planes
 
 REPORT_FORMAT_VERSION = 1
 
@@ -807,7 +806,7 @@ def check_extrinsic_composition(seed: int = 0) -> list[CheckResult]:
     cols = composed.swapaxes(1, 2)
     det = np.einsum("ni,ni->n", cols[:, 0], np.cross(cols[:, 1], cols[:, 2]))
     worst = max(
-        float(np.max(np.abs(_matmul(cols, composed) - np.eye(3)))),
+        float(np.max(np.abs(_products.matmul(cols, composed) - np.eye(3)))),
         float(np.max(np.abs(det - 1.0))),
     )
     return [CheckResult.below("camera.extrinsic_composition", worst, 1e-9)]
@@ -889,11 +888,6 @@ def _plane_freqs(dim: int, theta_dims: np.ndarray, bases: np.ndarray):
     return bases[:, None] ** (-2.0 * index / sub_dims), phi
 
 
-def _rotate(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """x rotated by its plane angles (consumed) into a new array."""
-    return rope.rotate_planes(x, angles, np.empty_like(x))
-
-
 # In the rotary checks each drawn config rotates the _CONFIG_DRAWS rows
 # drawn under it.  A check draws once per dim, as whole arrays: the
 # configs of that dim, then all their rows.
@@ -916,7 +910,7 @@ def check_norm_preservation(seed: int = 0) -> list[CheckResult]:
     for dim, n in _configs_per_dim(rng, 40, _NORM_DIMS):
         rows = n * _CONFIG_DRAWS
         x = rng.standard_normal((rows, dim))
-        y = _rotate(x, RotaryConfig(dim=dim).plane_angles(_sample_coords(rng, rows, 2.0)))
+        y = rotate_planes(x, RotaryConfig(dim=dim).plane_angles(_sample_coords(rng, rows, 2.0)))
         gap = np.abs(np.linalg.norm(y, axis=1) - np.linalg.norm(x, axis=1))
         worst = max(worst, float(np.max(gap)))
     return [CheckResult.below("rope.norm_preservation", worst, 1e-12)]
@@ -948,7 +942,7 @@ def check_relative_identity(seed: int = 0) -> list[CheckResult]:
         at_m, at_n, between = (
             np.where(phi, c[:, 1:], c[:, :1]) * freqs for c in (cm, cn, cn - cm)
         )
-        absolute = np.sum(_rotate(q, at_m) * _rotate(k, at_n), axis=1)
+        absolute = np.sum(rotate_planes(q, at_m) * rotate_planes(k, at_n), axis=1)
         worst = max(worst, float(np.max(np.abs(absolute - rope.rotated_logit(q, k, between)))))
     return [CheckResult.below("rope.relative_identity", worst, 1e-12, "10000 random draws")]
 
@@ -969,8 +963,8 @@ def check_rotation_composition(seed: int = 0) -> list[CheckResult]:
         a = rng.uniform(-6.0, 6.0, rows)
         b = rng.uniform(-6.0, 6.0, rows)
         at_a, a_to_b, at_b = (angle[:, None] * freqs for angle in (a, b - a, b))
-        via = _rotate(_rotate(x, at_a), a_to_b)
-        worst = max(worst, float(np.max(np.abs(via - _rotate(x, at_b)))))
+        via = rotate_planes(rotate_planes(x, at_a), a_to_b)
+        worst = max(worst, float(np.max(np.abs(via - rotate_planes(x, at_b)))))
     return [CheckResult.below("rope.rotation_composition", worst, 1e-12)]
 
 

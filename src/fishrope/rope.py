@@ -16,11 +16,11 @@ planes by that row's own plane angles, ROTARY_TILE angles at a time.  A
 RotaryConfig caches the frequency of every plane (`plane_freqs`, the
 theta planes first) and the position column each plane reads
 (`plane_axis`), so `plane_angles` forms positions[:, plane_axis] *
-plane_freqs; `apply_rotary_batch` does that a tile at a time and hands
-the tile to the kernel.  The products are the ones a per-subspace loop
-would form, so the result is the same bit for bit.  Since the angles
-carry the config, rows of one dim under different configs rotate in one
-kernel call.
+plane_freqs; `apply_rotary_batch` forms the (N, dim/2) angles of all
+its rows at once and hands them to the kernel.  The products are the
+ones a per-subspace loop would form, so the result is the same bit for
+bit.  Since the angles carry the config, rows of one dim under
+different configs rotate in one kernel call.
 
 Because every rotation is orthogonal, inner products of rotated vectors
 depend only on coordinate differences:
@@ -48,8 +48,7 @@ ENCODINGS = ("none", "sinusoidal", "axial_rope", "fishrope")
 
 DEFAULT_BASE = 10000.0
 
-# Plane angles (rows x dim/2) that `apply_rotary_batch` works on at a time:
-# its two temporaries stay at 64 KiB each however many rows it rotates.
+# Plane angles (whole rows) that `rotate_planes` rotates at a time: 64 KiB.
 ROTARY_TILE = 2**13
 
 
@@ -115,22 +114,18 @@ class RotaryConfig:
         return angles
 
 
-def _tiles(n_rows: int, planes: int):
-    """Row slices of ROTARY_TILE // planes rows covering n_rows rows."""
-    step = max(1, ROTARY_TILE // planes)
-    for start in range(0, n_rows, step):
-        yield slice(start, start + step)
-
-
-def rotate_planes(x: np.ndarray, angles: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write x (N, 2P) with each row's consecutive pairs rotated to out; return out.
+def rotate_planes(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """x (N, 2P) with each row's consecutive pairs rotated, as a new array.
 
     The one rotation kernel.  Pair p of row n turns by angles[n, p]
     (angles is (N, P)), so every row can carry its own config.  It works
     ROTARY_TILE angles at a time and overwrites angles with their sines;
-    the tile's cosines are the one other array it holds.
+    the tile's cosines are the one other array it holds beside the result.
     """
-    for rows in _tiles(len(x), angles.shape[1]):
+    out = np.empty_like(x)
+    step = max(1, ROTARY_TILE // angles.shape[1])
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
         even = x[rows, 0::2]
         odd = x[rows, 1::2]
         c = np.cos(angles[rows])
@@ -150,11 +145,9 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
     positions carry (theta, phi) pairs, or normalized pixel pairs for
     the Cartesian baseline; rows rotate independently.  The first
     config.theta_dims entries rotate through the theta schedule, the
-    rest through the phi schedule.  The plane angles are formed one
-    ROTARY_TILE tile at a time and rotated by `rotate_planes`, so the
-    temporaries stay at a tile however many rows there are.  The
-    attention kernels all go through here; a single vector is a one-row
-    array.
+    rest through the phi schedule.  The (N, dim/2) plane angles are
+    formed at once and rotated by `rotate_planes`.  The attention
+    kernels all go through here; a single vector is a one-row array.
     """
     x = np.asarray(x, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -164,10 +157,7 @@ def apply_rotary_batch(x, positions, config: RotaryConfig) -> np.ndarray:
         raise ShapeError(
             f"positions must have shape ({x.shape[0]}, 2), got {positions.shape}"
         )
-    out = np.empty_like(x)
-    for rows in _tiles(len(x), config.dim // 2):
-        rotate_planes(x[rows], config.plane_angles(positions[rows]), out[rows])
-    return out
+    return rotate_planes(x, config.plane_angles(positions))
 
 
 def rotated_logit(q: np.ndarray, k: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -181,7 +171,7 @@ def rotated_logit(q: np.ndarray, k: np.ndarray, angles: np.ndarray) -> np.ndarra
     """
     dim = k.shape[-1]
     flat = k.reshape(-1, dim)
-    rotated = rotate_planes(flat, angles.reshape(-1, dim // 2), np.empty_like(flat))
+    rotated = rotate_planes(flat, angles.reshape(-1, dim // 2))
     products = q * rotated.reshape(k.shape)
     acc = products[..., 0].copy()
     for i in range(1, dim):

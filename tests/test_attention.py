@@ -10,6 +10,7 @@ from fishrope import (
     AttentionConfig,
     ConfigError,
     EmptyAttentionError,
+    Extrinsics,
     ProjectionWeights,
     RotaryConfig,
     ShapeError,
@@ -23,7 +24,7 @@ from fishrope import (
     tokens_from_bev,
     tokens_from_patches,
 )
-from fishrope import attention
+from fishrope import _products, attention
 from fishrope.angular import BevGridSpec, bev_angles, patch_angles
 from fishrope.experiments import fd_self_attention_jacobian, probe_feature
 from fishrope.fixtures import downward_extrinsics, wide_camera
@@ -244,7 +245,7 @@ class TestLogitMatrix:
         # take about 1.4 (N_q + N_k) dim float64s
         _cores(monkeypatch, 2)
         n_q, n_k, dim = 2048, 1024, 8
-        assert attention.LOGIT_TILE // attention.MAX_TILE_WORKERS // n_k == 128
+        assert _products.LOGIT_TILE // _products.MAX_TILE_WORKERS // n_k == 128
         rng = np.random.default_rng(30)
         q = angular_tokens(rng, n_q, dim)
         k = angular_tokens(rng, n_k, dim)
@@ -266,7 +267,7 @@ class TestLogitArgmax:
     def test_matches_dense_argmax_across_tiles(self, monkeypatch, n_queries, encoding):
         # 80 logits make two 40-logit tiles of 4 query rows against 10 keys:
         # n_queries covers below one tile, exact multiples, and ragged last tiles
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 80)
         rng = np.random.default_rng(21)
         q = angular_tokens(rng, n_queries, 8)
         k = angular_tokens(rng, self.N_KEYS, 8)
@@ -281,7 +282,7 @@ class TestLogitArgmax:
         assert np.array_equal(chosen, np.argmax(logit_matrix(q, k, weights, config), axis=-1))
 
     def test_all_tied_rows_pick_first_key(self, monkeypatch):
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 80)
         probe = probe_feature(8)
         rng = np.random.default_rng(23)
         q = angular_tokens(rng, 9, 8)
@@ -299,7 +300,7 @@ class TestLogitArgmax:
         # every query's products with keys 2 and 6 are adjacent floats; at
         # head_dim 8 both round to one scaled logit, so the dense argmax keeps
         # key 2, while 1/sqrt(4) and 1/sqrt(16) scale exactly
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 80)
         low = 1.625
         features = np.ones((self.N_KEYS, head_dim))
         features[2], features[6] = low, np.nextafter(low, np.inf)
@@ -368,7 +369,7 @@ class TestCrossAttention:
     def test_streamed_equals_dense_oracle(self, monkeypatch, encoding, split, n_queries):
         # 80 // split logits in flight make tiles of 4 query rows against 10
         # keys, or of 2 rows when split is 2, so 9 queries end on a ragged tile
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80 // split)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 80 // split)
         rng = np.random.default_rng(30)
         dim = 8
         qmask = np.ones(n_queries, bool)
@@ -383,14 +384,14 @@ class TestCrossAttention:
         logits = logit_matrix(queries, keys, weights, config)
         # built through the kernel's own product, which at these sizes runs
         # in numpy's fixed summation order, not in BLAS
-        values = attention._matmul(attention._embed(keys, config), weights.wv.T)
+        values = _products.matmul(attention._embed(keys, config), weights.wv.T)
         # the oracle takes a leading heads axis; the kernels have one head
         expected = dense_cross_attention(logits[None], kmask, values[None], flags)
         np.testing.assert_array_equal(flags, qmask)
         np.testing.assert_array_equal(out, expected)
         self_out = self_attention(queries, weights, config)
         logits = logit_matrix(queries, queries, weights, config)
-        values = attention._matmul(attention._embed(queries, config), weights.wv.T)
+        values = _products.matmul(attention._embed(queries, config), weights.wv.T)
         expected = dense_cross_attention(logits[None], qmask, values[None], qmask)
         np.testing.assert_array_equal(self_out, expected)
 
@@ -550,8 +551,8 @@ class TestTilePool:
         # width (8 or 16): 13 queries make 5 tiles, the last one ragged;
         # 4 workers outnumber 2 cores, and a short switch interval
         # interleaves them as often as it can
-        monkeypatch.setattr(attention, "MAX_TILE_WORKERS", max_workers)
-        monkeypatch.setattr(attention, "LOGIT_TILE", 30 * max_workers)
+        monkeypatch.setattr(_products, "MAX_TILE_WORKERS", max_workers)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 30 * max_workers)
         _cores(monkeypatch, 1)
         serial = self._outputs(width)
         _cores(monkeypatch, max_workers)
@@ -567,8 +568,8 @@ class TestTilePool:
     @pytest.mark.parametrize("max_workers", [2, 4])
     def test_threads_that_cannot_start_change_no_bit(self, monkeypatch, max_workers):
         # the calling thread streams the tiles of every refused worker
-        monkeypatch.setattr(attention, "MAX_TILE_WORKERS", max_workers)
-        monkeypatch.setattr(attention, "LOGIT_TILE", 30 * max_workers)
+        monkeypatch.setattr(_products, "MAX_TILE_WORKERS", max_workers)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 30 * max_workers)
         _cores(monkeypatch, 1)
         serial = self._outputs(1)
         _cores(monkeypatch, max_workers)
@@ -586,7 +587,7 @@ class TestTilePool:
 
     @pytest.mark.parametrize("cores, threads", [(1, 1), (2, 2), (8, 2)])
     def test_each_row_once_on_capped_threads(self, monkeypatch, cores, threads):
-        monkeypatch.setattr(attention, "LOGIT_TILE", 60)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 60)
         _cores(monkeypatch, cores)
         rng = np.random.default_rng(42)
         q, k = rng.standard_normal((13, 4)), rng.standard_normal((10, 4))
@@ -599,7 +600,7 @@ class TestTilePool:
             seen[rows] += 1
             idents.add(threading.get_ident())
 
-        attention._for_each_tile(q, k, record)
+        _products.for_each_tile(q, k, record)
         np.testing.assert_array_equal(seen, 1)
         assert len(idents) == threads
 
@@ -625,15 +626,15 @@ class TestTilePool:
             seen.append(tile.shape[0])
             idents.add(threading.get_ident())
 
-        attention._for_each_tile(np.zeros((n_q, dim)), np.zeros((n_k, dim)), record)
-        uncut = min(n_q, attention.LOGIT_TILE // attention.MAX_TILE_WORKERS // n_k)
+        _products.for_each_tile(np.zeros((n_q, dim)), np.zeros((n_k, dim)), record)
+        uncut = min(n_q, _products.LOGIT_TILE // _products.MAX_TILE_WORKERS // n_k)
         whole, ragged = divmod(n_q, rows)
         assert sorted(seen, reverse=True) == [rows] * whole + [ragged] * (ragged > 0)
         assert len(idents) == threads == min(2, -(-n_q // uncut))
         assert len(starts) == threads - 1
         if rows < uncut:
-            assert rows * n_k * dim <= attention.SMALL_GEMM_MACS
-            assert rows >= attention.SMALL_GEMM_MIN_ROWS
+            assert rows * n_k * dim <= _products.SMALL_GEMM_MACS
+            assert rows >= _products.SMALL_GEMM_MIN_ROWS
 
     def test_keys_and_buffers_start_on_a_cache_line(self, monkeypatch):
         # where malloc put the key copy moved the scaled lift's matmuls by
@@ -650,7 +651,7 @@ class TestTilePool:
         rng = np.random.default_rng(44)
         for n_k in (1, 3, 10, 13):
             q, k = rng.standard_normal((4100, 4)), rng.standard_normal((n_k, 4))
-            attention._for_each_tile(q, k, lambda rows, tile: None)
+            _products.for_each_tile(q, k, lambda rows, tile: None)
         assert seen == [(0, 0)] * 4
 
     @pytest.mark.parametrize("n_q, n_k, path", [(64, 64, "einsum"), (17, 241, "matmul")])
@@ -658,9 +659,9 @@ class TestTilePool:
         # 4096 outputs run in numpy's fixed summation order, one more in BLAS.
         # The tile gate counts the whole product once per call, so every tile
         # takes one path (LOGIT_TILE 80 cuts 64 x 64 into 64 one-row tiles);
-        # _matmul, for the projections, gates each product it is given
-        assert attention.FIXED_ORDER_OUTPUTS == 4096 == 64 * 64 == 17 * 241 - 1
-        monkeypatch.setattr(attention, "LOGIT_TILE", 80)
+        # matmul, for the projections, gates each product it is given
+        assert _products.FIXED_ORDER_OUTPUTS == 4096 == 64 * 64 == 17 * 241 - 1
+        monkeypatch.setattr(_products, "LOGIT_TILE", 80)
         calls = {"einsum": 0, "matmul": 0}
         for name in calls:
 
@@ -678,17 +679,33 @@ class TestTilePool:
             logits[rows] = tile
             tiles.append(rows)
 
-        attention._for_each_tile(q, k, keep)
+        _products.for_each_tile(q, k, keep)
         assert calls == {path: len(tiles), other: 0}
         calls.update(einsum=0, matmul=0)
-        product = attention._matmul(q, k.T)
+        product = _products.matmul(q, k.T)
         assert calls == {path: 1, other: 0}
         # the tile shape sets the summation order, so the bits may differ
         np.testing.assert_allclose(product, logits, rtol=0, atol=1e-13)
+        # the one constant moves every path: at 0 the tiles, matmul and
+        # Extrinsics.compose all run in BLAS, and at 64 x 64 each is back on
+        # its path above, compose's 9 outputs in einsum
+        pose = Extrinsics.identity()
+        for gate, compose_path in ((0, "matmul"), (64 * 64, "einsum")):
+            monkeypatch.setattr(_products, "FIXED_ORDER_OUTPUTS", gate)
+            product_path = path if gate else "matmul"
+            for run, want in (
+                (lambda: _products.for_each_tile(q, k, keep), product_path),
+                (lambda: _products.matmul(q, k.T), product_path),
+                (lambda: pose.compose(pose), compose_path),
+            ):
+                calls.update(einsum=0, matmul=0)
+                run()
+                unwanted = "matmul" if want == "einsum" else "einsum"
+                assert calls[want] > 0 and calls[unwanted] == 0, (gate, want)
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # rows 3..5 are the second tile, which worker 1 streams
-        monkeypatch.setattr(attention, "LOGIT_TILE", 60)
+        monkeypatch.setattr(_products, "LOGIT_TILE", 60)
         _cores(monkeypatch, 2)
         rng = np.random.default_rng(43)
         q, k = rng.standard_normal((13, 4)), rng.standard_normal((10, 4))
@@ -700,7 +717,7 @@ class TestTilePool:
                 raise ValueError("tile 1 failed")
 
         with pytest.raises(ValueError, match="tile 1 failed"):
-            attention._for_each_tile(q, k, fail_on_second_tile)
+            _products.for_each_tile(q, k, fail_on_second_tile)
         assert threading.active_count() == before
 
 

@@ -24,7 +24,7 @@ from fishrope import (
     retrieval_bench,
     selfcheck,
 )
-from fishrope import angular, attention, experiments, formats, rope
+from fishrope import _products, angular, attention, experiments, formats, rope
 from fishrope.camera import DEFAULT_LUT_RESOLUTION, InverseLut, KannalaBrandtCamera
 from fishrope.cli import main
 from fishrope.experiments import (
@@ -190,13 +190,13 @@ class TestRetrievalBench:
     def test_bench_products_equal_fresh_logit_matrices(self, monkeypatch, seed):
         # the bench projects each encoding's keys once and fills one reused
         # buffer; every fill equals logit_matrix over freshly built grids
-        fills, tiles = [], attention._for_each_tile
+        fills, tiles = [], _products.for_each_tile
 
         def record(q, k, fn, out=None):
             tiles(q, k, fn, out)
             fills.append((out, out.copy()))  # the next fill overwrites out
 
-        monkeypatch.setattr(attention, "_for_each_tile", record)
+        monkeypatch.setattr(_products, "for_each_tile", record)
         camera, _ = formats.load_calibration(CALIBRATION_FILE)
         config = RetrievalBenchConfig(camera=camera, seed=seed)
         retrieval_bench(config)

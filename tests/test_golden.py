@@ -105,8 +105,8 @@ _KERNEL_AT_RUN_TIME = pytest.mark.skipif(
 def test_default_report_bytes_hold_under_a_kernel_without_fma(tmp_path, experiment):
     # bench and lift report argmax-based scores only, whose picks clear the
     # BLAS kernel's rounding; selfcheck's products of up to
-    # FIXED_ORDER_OUTPUTS outputs run in numpy's fixed order, not in BLAS.
-    # Prescott is OpenBLAS's oldest x86-64 kernel and has no FMA.
+    # _products.FIXED_ORDER_OUTPUTS outputs run in numpy's fixed order, not
+    # in BLAS.  Prescott is OpenBLAS's oldest x86-64 kernel and has no FMA.
     _cli_under_kernel("Prescott", _default_argv(experiment, tmp_path))
     _assert_matches_results(tmp_path, experiment)
 

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fishrope import attention, experiments, fixtures, formats
+from fishrope import _products, experiments, fixtures, formats
 
 from .conftest import CALIBRATION_FILE, REPO_ROOT
 from .margins import exact_products, unsafe_rows
@@ -29,13 +29,13 @@ from .test_golden import _load_script
 
 def _recorded_products(monkeypatch) -> list:
     """Record the (q, k) of every logit call, which still runs."""
-    calls, tiles = [], attention._for_each_tile
+    calls, tiles = [], _products.for_each_tile
 
     def record(q, k, fn, out=None):
         calls.append((q, k))
         return tiles(q, k, fn, out)
 
-    monkeypatch.setattr(attention, "_for_each_tile", record)
+    monkeypatch.setattr(_products, "for_each_tile", record)
     return calls
 
 

@@ -7,6 +7,7 @@ import importlib
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ from .conftest import REPO_ROOT
 from .test_golden import _load_script
 
 # Modules that only angles, selfcheck, bench and lift use.
-_EXPERIMENT_MODULES = ("experiments", "attention", "rope", "angular", "fixtures")
+_EXPERIMENT_MODULES = ("experiments", "attention", "rope", "angular", "fixtures", "_products")
 # Layers whose modules perfbench/spans.py reads from sys.modules; it reads
 # cli's only after importing it, as every caller of cli.main does.
 _TRACED_LAYERS = ("formats", "camera", "angular", "rope", "attention", "experiments")
@@ -41,6 +42,13 @@ def test_every_public_name_resolves_and_is_listed():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fishrope.no_such_name
+
+
+def test_every_module_but_the_entry_points_loads_lazily():
+    # cli is the `python -m fishrope.cli` entry point and __main__ runs it
+    package = Path(fishrope.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__", "cli"}
+    assert modules == set(fishrope._LAZY_MODULES)
 
 
 def test_cli_project_runs_no_experiment_module(calibration_path):

@@ -180,7 +180,7 @@ class TestApplyFishrope:
         angles = np.empty((rows, dim // 2))
         for i, c in enumerate(configs):
             angles[which == i] = c.plane_angles(positions[which == i])
-        got = rotate_planes(x, angles, np.empty_like(x))
+        got = rotate_planes(x, angles)
         for i, c in enumerate(configs):
             own = (x[which == i], positions[which == i])
             want = two_pass_rotary(*own, c.dim, c.theta_dims, c.base)
