@@ -4,11 +4,11 @@ The fixed-order gate.  A product with at most FIXED_ORDER_OUTPUTS
 outputs runs as np.einsum without `optimize`, in a summation order
 numpy's own code fixes, and not in BLAS: OpenBLAS 0.3.31's kernels with
 FMA (SkylakeX, Haswell) and without (Sandybridge, Prescott), small-matrix
-path or not, round small products apart, and einsum gives the same bits
-under each.  Larger products stay in BLAS matmul, where their speed is.
-`_product` holds the gate.  `matmul` applies it to each product it is
-given; `for_each_tile` applies it once per call, to the whole logit
-product, so all its tiles take one path.
+path or not, round small products apart.  Larger products, all of the
+default bench's, stay in BLAS matmul, where their speed is; every product
+behind a measured selfcheck value fits the bound (tests/test_experiments.py
+checks both).  `_product` holds the gate, which `matmul` applies to each
+product and `for_each_tile` once per call, so all its tiles take one path.
 
 The logit tiles.  `for_each_tile` forms q @ k^T over tiles of whole
 query rows, and never splits the key axis.  LOGIT_TILE logits (2 MiB of
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _parallel
 
-FIXED_ORDER_OUTPUTS = 4096
+FIXED_ORDER_OUTPUTS = 1024
 LOGIT_TILE = 1 << 18
 MAX_TILE_WORKERS = 2  # also fixes the tile shape on every host
 SMALL_GEMM_MACS = 10**6

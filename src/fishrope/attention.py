@@ -17,7 +17,7 @@ projections and rotations all have head_dim entries, and logits are
 inner products scaled by 1/sqrt(head_dim).  Every kernel over a query
 and a key grid refuses grids from different cameras.  Products go
 through `_products`, whose docstring holds the gate and tile rules: the
-projections and the Jacobian's matrix products through
+projections, tile value products and Jacobian products through
 `_products.matmul`, the logits through `_products.for_each_tile`.
 _fill_logits (and so logit_matrix) and cross_attention scale each
 tile, and logit_argmax does not, because a positive scale cannot
@@ -334,7 +334,7 @@ def cross_attention(
     def attend(rows: slice, tile: np.ndarray) -> None:
         tile *= config.scale
         attn = _masked_softmax(tile, keys.mask)
-        out[rows] = np.einsum("qk,kd->qd", attn, v)
+        out[rows] = _products.matmul(attn, v)
 
     _products.for_each_tile(q, k, attend)
     return np.where(flags[:, None], out, 0.0), flags

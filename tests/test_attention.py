@@ -654,13 +654,14 @@ class TestTilePool:
             _products.for_each_tile(q, k, lambda rows, tile: None)
         assert seen == [(0, 0)] * 4
 
-    @pytest.mark.parametrize("n_q, n_k, path", [(64, 64, "einsum"), (17, 241, "matmul")])
-    def test_products_up_to_4096_outputs_take_einsum(self, monkeypatch, n_q, n_k, path):
-        # 4096 outputs run in numpy's fixed summation order, one more in BLAS.
-        # The tile gate counts the whole product once per call, so every tile
-        # takes one path (LOGIT_TILE 80 cuts 64 x 64 into 64 one-row tiles);
-        # matmul, for the projections, gates each product it is given
-        assert _products.FIXED_ORDER_OUTPUTS == 4096 == 64 * 64 == 17 * 241 - 1
+    @pytest.mark.parametrize("n_q, n_k, path", [(32, 32, "einsum"), (25, 41, "matmul")])
+    def test_products_up_to_1024_outputs_take_einsum(self, monkeypatch, n_q, n_k, path):
+        # FIXED_ORDER_OUTPUTS outputs run in numpy's fixed summation order,
+        # one more in BLAS.  The tile gate counts the whole product once per
+        # call, so every tile takes one path (LOGIT_TILE 80 cuts 32 x 32 into
+        # 32 one-row tiles); matmul, for the projections and the value
+        # product, gates each product it is given
+        assert n_q * n_k == _products.FIXED_ORDER_OUTPUTS + (path == "matmul")
         monkeypatch.setattr(_products, "LOGIT_TILE", 80)
         calls = {"einsum": 0, "matmul": 0}
         for name in calls:
@@ -686,17 +687,21 @@ class TestTilePool:
         assert calls == {path: 1, other: 0}
         # the tile shape sets the summation order, so the bits may differ
         np.testing.assert_allclose(product, logits, rtol=0, atol=1e-13)
-        # the one constant moves every path: at 0 the tiles, matmul and
-        # Extrinsics.compose all run in BLAS, and at 64 x 64 each is back on
-        # its path above, compose's 9 outputs in einsum
+        # the one constant moves every path: at 0 the tiles, matmul,
+        # Extrinsics.compose and a 3-token cross_attention (its value
+        # product included) all run in BLAS, and back at its own value each
+        # is back on its path above, the small products in einsum
         pose = Extrinsics.identity()
-        for gate, compose_path in ((0, "matmul"), (64 * 64, "einsum")):
+        grid = TokenGrid(features=q[:3], coords=np.zeros((3, 2)), mask=np.ones(3, bool))
+        weights, config = ProjectionWeights.identity(8), AttentionConfig(head_dim=8)
+        for gate, small_path in ((0, "matmul"), (_products.FIXED_ORDER_OUTPUTS, "einsum")):
             monkeypatch.setattr(_products, "FIXED_ORDER_OUTPUTS", gate)
             product_path = path if gate else "matmul"
             for run, want in (
                 (lambda: _products.for_each_tile(q, k, keep), product_path),
                 (lambda: _products.matmul(q, k.T), product_path),
-                (lambda: pose.compose(pose), compose_path),
+                (lambda: pose.compose(pose), small_path),
+                (lambda: cross_attention(grid, grid, weights, config), small_path),
             ):
                 calls.update(einsum=0, matmul=0)
                 run()

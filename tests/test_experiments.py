@@ -513,6 +513,67 @@ class TestSelfCheck:
         ]
         assert all(r.line().startswith("FAIL ") for r in results)
 
+    def test_refused_composition_fails_extrinsic_composition(self, monkeypatch, capsys):
+        # every product 1e-7 too large: Extrinsics refuses the first
+        # composition, and the check reports NaN instead of raising, so
+        # selfcheck prints a FAIL line and exits 1 rather than 2
+        matmul = _products.matmul
+        monkeypatch.setattr(_products, "matmul", lambda a, b: matmul(a, b) * (1 + 1e-7))
+        (result,) = experiments.check_extrinsic_composition()
+        assert not result.passed and math.isnan(result.measured)
+        assert main(["selfcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL camera.extrinsic_composition: measured=nan tolerance=1.000e-09" in lines
+
+    def test_refused_bev_angles_fail_bev_projection_consistency(self, monkeypatch):
+        # every visible cell gets phi = pi, outside [-pi, pi): BevGrid refuses
+        # the grid, and the check reports that instead of raising
+        ray_angles = Extrinsics.ray_angles
+
+        def on_the_seam(extrinsics, points):
+            theta, phi, in_front = ray_angles(extrinsics, points)
+            return theta, np.where(in_front, np.pi, phi), in_front
+
+        monkeypatch.setattr(Extrinsics, "ray_angles", on_the_seam)
+        (result,) = experiments.check_bev_projection_consistency()
+        assert (result.name, result.passed, result.measured) == (
+            "angular.bev_projection_consistency",
+            False,
+            1.0,
+        )
+        assert result.line().startswith("FAIL ")
+
+    def test_products_behind_measured_values_fit_the_gate(self, monkeypatch):
+        # every product behind a reported measurement has at most
+        # FIXED_ORDER_OUTPUTS outputs, so it runs in numpy's fixed order and
+        # the report holds under any BLAS kernel.  Exempt: the determinism
+        # flag compares two reports built in one process, and the lift check
+        # reports argmax picks (tests/test_margins.py).  Every product of
+        # the default bench is larger, so none of them leaves BLAS
+        _cores(monkeypatch, 1)
+        sizes, product = [], _products._product
+
+        def record(outputs, subscripts):
+            sizes.append(outputs)
+            return product(outputs, subscripts)
+
+        monkeypatch.setattr(_products, "_product", record)
+        gate = _products.FIXED_ORDER_OUTPUTS
+        largest = {}
+        for seed in range(16):
+            for _, check in experiments._selfcheck_plan(seed):
+                sizes.clear()
+                name = check()[0].name
+                largest[name] = max(largest.get(name, 0), *sizes, 0)
+        del largest["experiments.bench_determinism"]
+        del largest["experiments.lift_monotone_patch_size"]
+        assert {name: n for name, n in largest.items() if n > gate} == {}
+        assert largest["camera.extrinsic_composition"] > 0
+        camera, _ = formats.load_calibration(CALIBRATION_FILE)
+        sizes.clear()
+        retrieval_bench(RetrievalBenchConfig(camera=camera))
+        assert sizes and min(sizes) > gate, sorted(set(sizes))
+
     def test_relative_identity_counts_every_draw(self, monkeypatch):
         calls = []
 
@@ -543,6 +604,20 @@ class TestSelfCheck:
             assert check(seed)[0].measured == loop(seed), check.__name__
         margin = self_logit_margin_loop(seed)
         assert experiments.check_self_logit_max(seed)[0].measured == -margin
+
+    def test_plane_freqs_are_the_rotary_config_schedules(self):
+        # the rotary checks rotate by these rows, so they must be the bits
+        # and plane axes that RotaryConfig gives the package's own kernels
+        bases = np.array([1.5, 2.0, 100.0, 10000.0, 12345.678])
+        for dim in range(2, 65, 2):
+            splits = np.arange(0, dim + 1, 2)
+            theta_dims, base = (a.ravel() for a in np.meshgrid(splits, bases, indexing="ij"))
+            freqs, phi = experiments._plane_freqs(dim, theta_dims, base)
+            assert freqs.shape == phi.shape == (len(base), dim // 2)
+            for row, (split, b) in enumerate(zip(theta_dims, base)):
+                config = RotaryConfig(dim, int(split), float(b))
+                assert freqs[row].tobytes() == config.plane_freqs.tobytes(), (dim, split, b)
+                np.testing.assert_array_equal(phi[row], config.plane_axis == 1)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_rotary_checks_pass_for_benchmark_seeds(self, seed):

@@ -4,6 +4,7 @@ Every name the benchmark's trace wraps exists in the package.
 """
 
 import importlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,8 @@ _EXPERIMENT_MODULES = ("experiments", "attention", "rope", "angular", "fixtures"
 # Layers whose modules perfbench/spans.py reads from sys.modules; it reads
 # cli's only after importing it, as every caller of cli.main does.
 _TRACED_LAYERS = ("formats", "camera", "angular", "rope", "attention", "experiments")
+# A README statement `module.NAME` = value, the value written plainly or as a^b.
+_README_CONSTANT = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d+(?:\.\d+)?)(?:\^(\d+))?")
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -85,3 +88,14 @@ def test_every_name_the_trace_wraps_exists():
     camera = importlib.import_module("fishrope.camera")
     for cls, method, _ in spans._METHODS:
         assert method in vars(getattr(camera, cls)), (cls, method)
+
+
+def test_readme_constants_match_the_package():
+    # a constant changed in the code and not in README.md fails here
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    stated = _README_CONSTANT.findall(readme)
+    assert len(stated) >= 10, stated
+    for module, name, value, power in stated:
+        number = float(value) ** int(power) if power else float(value)
+        actual = getattr(importlib.import_module(f"fishrope.{module}"), name)
+        assert actual == number, (f"{module}.{name}", actual, value + (f"^{power}" if power else ""))
