@@ -21,19 +21,19 @@ Three entry points:
   selfcheck         executes every documented invariant with fixed seeds
                     and reports measured values against tolerances.  The
                     rotary checks draw each dim's samples once, as whole
-                    arrays, and form every row's plane angles from its
-                    config's frequency table, so rows under different
-                    configs share one kernel call.  The elementwise
-                    camera checks and the rotary checks run in a forked
-                    child on a second core while this process runs the
-                    rest (`_parallel.fork_split`), with the same results
-                    as one process gives.  Every matrix product behind
-                    a measured value fits `_products`' fixed-order gate;
-                    the rest (the lift check's tiles, the bench's ground
-                    truth, the determinism flag's bench) feed argmax
-                    picks, which clear any kernel's rounding
-                    (tests/test_margins.py), or one flag over two
-                    reports, so the report holds under every BLAS kernel.
+                    arrays, and take every row's plane angles from its
+                    config's row of one `rope._plane_schedules` call, so
+                    rows of all configs share one kernel call.  The
+                    elementwise camera checks and the rotary checks run
+                    in a forked child on a second core while this
+                    process runs the rest (`_parallel.fork_split`), with
+                    the same results as one process gives.  Every matrix
+                    product behind a measured value fits `_products`'
+                    fixed-order gate; the rest (the lift check's tiles,
+                    the bench's ground truth, the determinism flag's
+                    bench) feed argmax picks, which clear any kernel's
+                    rounding (tests/test_margins.py), or one flag over
+                    two reports, so the report holds under every kernel.
 
 Reports serialize deterministically: given equal seeds and configs the
 emitted documents are byte-identical.  Wall-clock timings are kept out
@@ -881,20 +881,6 @@ def check_bev_projection_consistency() -> list[CheckResult]:
     return [CheckResult.flag(name, ok, f"{bev.n_visible} visible cells all project in-image")]
 
 
-def _plane_freqs(dim: int, theta_dims: np.ndarray, bases: np.ndarray):
-    """Plane frequencies (n, dim/2) and phi-plane flags of n configs of one dim.
-
-    Row i holds RotaryConfig(dim, theta_dims[i], bases[i]).plane_freqs,
-    the same bits, and where its plane_axis reads phi.
-    """
-    planes = np.arange(dim // 2)
-    half = theta_dims[:, None] // 2
-    phi = planes >= half
-    index = np.where(phi, planes - half, planes)
-    sub_dims = np.where(phi, dim - 2 * half, 2 * half)
-    return bases[:, None] ** (-2.0 * index / sub_dims), phi
-
-
 # In the rotary checks each drawn config rotates the _CONFIG_DRAWS rows
 # drawn under it.  A check draws once per dim, as whole arrays: the
 # configs of that dim, then all their rows.
@@ -928,18 +914,18 @@ def check_relative_identity(seed: int = 0) -> list[CheckResult]:
 
     200 configs each draw a dim, then per dim a theta split and a base
     for each of its configs, and 50 rows per config of q, k, coord_m and
-    coord_n.  Each row's plane angles come from its config's frequency
-    table.  rope.rotated_logit(q, k, angles) is called once per dim with
-    (rows, dim) q and k and the (rows, dim/2) angles of coord_n -
-    coord_m, and gives each row's relative-form logit.
+    coord_n.  Each row's plane angles come from its config's row of
+    rope._plane_schedules.  rope.rotated_logit(q, k, angles) is called
+    once per dim with (rows, dim) q and k and the (rows, dim/2) angles
+    of coord_n - coord_m, and gives each row's relative-form logit.
     """
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
     for dim, n in _configs_per_dim(rng, 200, _IDENTITY_DIMS):
         theta_dims = 2 * rng.integers(dim // 2 + 1, size=n)
-        freqs, phi = (
+        freqs, axis = (
             np.repeat(a, _CONFIG_DRAWS, axis=0)
-            for a in _plane_freqs(dim, theta_dims, rng.uniform(2.0, 10000.0, n))
+            for a in rope._plane_schedules(dim, theta_dims, rng.uniform(2.0, 10000.0, n))
         )
         rows = n * _CONFIG_DRAWS
         q = rng.standard_normal((rows, dim))
@@ -947,7 +933,7 @@ def check_relative_identity(seed: int = 0) -> list[CheckResult]:
         cm = _sample_coords(rng, rows, 2.0)
         cn = _sample_coords(rng, rows, 2.0)
         at_m, at_n, between = (
-            np.where(phi, c[:, 1:], c[:, :1]) * freqs for c in (cm, cn, cn - cm)
+            np.take_along_axis(c, axis, 1) * freqs for c in (cm, cn, cn - cm)
         )
         absolute = np.sum(rotate_planes(q, at_m) * rotate_planes(k, at_n), axis=1)
         worst = max(worst, float(np.max(np.abs(absolute - rope.rotated_logit(q, k, between)))))
@@ -963,7 +949,7 @@ def check_rotation_composition(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 6])
     worst = 0.0
     for dim, n in _configs_per_dim(rng, 40, _COMPOSITION_DIMS):
-        freqs, _ = _plane_freqs(dim, np.full(n, dim), rng.uniform(2.0, 10000.0, n))
+        freqs, _ = rope._plane_schedules(dim, np.full(n, dim), rng.uniform(2.0, 10000.0, n))
         freqs = np.repeat(freqs, _CONFIG_DRAWS, axis=0)
         rows = n * _CONFIG_DRAWS
         x = rng.standard_normal((rows, dim))
@@ -1141,11 +1127,10 @@ def check_bench_matches_relative_logit(seed: int = 0) -> list[CheckResult]:
     logits = np.empty((config.n_queries, len(key_coords)))
     next(_bench_logits(config, "fishrope", key_coords, key_px, query_sets, logits))
     probe = probe_feature(config.feature_dim)
-    rcfg = RotaryConfig(dim=config.feature_dim)
-    tau = 1.0 / math.sqrt(config.feature_dim)
+    head = AttentionConfig(head_dim=config.feature_dim, encoding="fishrope")
     delta = key_coords[None, :, :] - query_coords[::4, None, :]
-    expected = tau * rope.relative_logit(probe, probe, (delta[..., 0], delta[..., 1]), rcfg)
-    worst = float(np.max(np.abs(expected - logits[::4])))
+    expected = rope.relative_logit(probe, probe, (delta[..., 0], delta[..., 1]), head.rotary)
+    worst = float(np.max(np.abs(head.scale * expected - logits[::4])))
     return [CheckResult.below("experiments.bench_matches_relative_logit", worst, 1e-10)]
 
 
@@ -1154,6 +1139,7 @@ def check_lift_monotone(seed: int = 0) -> list[CheckResult]:
     camera = wide_camera()
     extr = scene_extrinsics()
     pattern = CheckerPattern(square=6.0)
+    name = "experiments.lift_monotone_patch_size"
     accs = []
     for patch_size in (8, 16, 32):
         cfg = LiftConfig(
@@ -1163,12 +1149,15 @@ def check_lift_monotone(seed: int = 0) -> list[CheckResult]:
             encodings=("fishrope",),
             seed=seed,
         )
-        report = bev_roundtrip(camera, extr, pattern, cfg)
+        try:
+            report = bev_roundtrip(camera, extr, pattern, cfg)
+        except ConfigError:
+            return [CheckResult(name, False, math.nan, 0.0, "BEV grid refused its angles")]
         accs.append(report.score("fishrope").overall_accuracy)
     monotone = accs[0] >= accs[1] >= accs[2]
     return [
         CheckResult(
-            name="experiments.lift_monotone_patch_size",
+            name=name,
             passed=monotone,
             measured=float(min(accs[0] - accs[1], accs[1] - accs[2])),
             tolerance=0.0,

@@ -11,16 +11,16 @@ so freqs[0] = 1 and frequencies decay geometrically.  Each subspace gets
 its own schedule over its own dimension count, which keeps freqs[0] = 1
 under any split.
 
-`rotate_planes` is the one rotation kernel: it rotates each row's dim/2
-planes by that row's own plane angles, ROTARY_TILE angles at a time.  A
-RotaryConfig caches the frequency of every plane (`plane_freqs`, the
-theta planes first) and the position column each plane reads
-(`plane_axis`), so `plane_angles` forms positions[:, plane_axis] *
-plane_freqs; `apply_rotary_batch` forms the (N, dim/2) angles of all
-its rows at once and hands them to the kernel.  The products are the
-ones a per-subspace loop would form, so the result is the same bit for
-bit.  Since the angles carry the config, rows of one dim under
-different configs rotate in one kernel call.
+`_plane_schedules` computes that schedule, and nothing else does: for n
+configs of one dim, each plane's frequency (theta planes first) and the
+position column it reads.  A RotaryConfig caches its row as
+`plane_freqs` and `plane_axis`, and `plane_angles` forms
+positions[:, plane_axis] * plane_freqs; `sinusoidal_pe_batch` is sin
+and cos of the default config's angles.  `rotate_planes`, the one
+rotation kernel, turns each row's dim/2 planes by that row's own angles,
+ROTARY_TILE angles at a time, so rows of one dim under different configs
+rotate in one call; `apply_rotary_batch` hands it all its rows' angles
+at once, and the result equals a per-subspace loop's bit for bit.
 
 Because every rotation is orthogonal, inner products of rotated vectors
 depend only on coordinate differences:
@@ -52,10 +52,20 @@ DEFAULT_BASE = 10000.0
 ROTARY_TILE = 2**13
 
 
-def _geometric_freqs(subspace_dims: int, base: float) -> np.ndarray:
-    """base ** (-2 i / subspace_dims) for the subspace's subspace_dims/2 planes."""
-    i = np.arange(subspace_dims // 2, dtype=np.float64)
-    return base ** (-2.0 * i / subspace_dims)
+def _plane_schedules(dim: int, theta_dims, bases) -> tuple[np.ndarray, np.ndarray]:
+    """Plane frequencies and position columns (n, dim/2) of n configs of one dim.
+
+    Row i is the schedule of RotaryConfig(dim, theta_dims[i], bases[i]):
+    its theta planes, then its phi planes, each subspace on its own
+    geometric schedule.  axis[i, p] is the position column (0 theta,
+    1 phi) that plane p of config i reads.
+    """
+    planes = np.arange(dim // 2)
+    half = np.asarray(theta_dims)[:, None] // 2
+    axis = (planes >= half).astype(int)
+    index = planes - half * axis
+    sub_dims = np.where(axis, dim - 2 * half, 2 * half)
+    return np.asarray(bases, dtype=np.float64)[:, None] ** (-2.0 * index / sub_dims), axis
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,15 @@ class RotaryConfig:
     base: float = DEFAULT_BASE
 
     def __post_init__(self) -> None:
-        if self.theta_dims is None:
+        default_split = self.theta_dims is None
+        if default_split:
             object.__setattr__(self, "theta_dims", self.dim // 2)
         if self.dim < 2 or self.dim % 2 != 0:
             raise ConfigError(f"embedding dim must be even and >= 2, got {self.dim}")
+        if default_split and self.dim % 4 != 0:
+            raise ConfigError(
+                f"the default equal theta/phi split needs a dim divisible by 4, got {self.dim}"
+            )
         if not (0 <= self.theta_dims <= self.dim) or self.theta_dims % 2 != 0:
             raise ConfigError(
                 f"theta_dims must be even and within [0, dim], got {self.theta_dims}"
@@ -92,20 +107,21 @@ class RotaryConfig:
         return self.dim - self.theta_dims
 
     @cached_property
+    def _schedule(self) -> tuple[np.ndarray, np.ndarray]:
+        schedule = _plane_schedules(self.dim, [self.theta_dims], [self.base])
+        for rows in schedule:
+            rows.setflags(write=False)
+        return tuple(rows[0] for rows in schedule)
+
+    @property
     def plane_freqs(self) -> np.ndarray:
         """Frequency of each of the dim/2 planes: the theta schedule, then the phi one."""
-        freqs = np.concatenate(
-            [_geometric_freqs(dims, self.base) for dims in (self.theta_dims, self.phi_dims)]
-        )
-        freqs.setflags(write=False)
-        return freqs
+        return self._schedule[0]
 
-    @cached_property
+    @property
     def plane_axis(self) -> np.ndarray:
         """Position column (0 theta, 1 phi) that rotates each plane."""
-        axis = np.repeat(np.array([0, 1]), [self.theta_dims // 2, self.phi_dims // 2])
-        axis.setflags(write=False)
-        return axis
+        return self._schedule[1]
 
     def plane_angles(self, positions: np.ndarray) -> np.ndarray:
         """Angles (..., dim/2) of every plane at positions (..., 2), as a new array."""
@@ -207,9 +223,9 @@ def relative_logit(q, k, delta, config: RotaryConfig):
 def sinusoidal_pe_batch(positions, dim: int) -> np.ndarray:
     """Additive two-axis sinusoidal encoding of (theta, phi) or pixel rows (N, 2).
 
-    Each axis owns dim/2 entries laid out as interleaved
-    (sin(a * w_i), cos(a * w_i)) with the dim/2 geometric schedule of
-    base DEFAULT_BASE, so position 0 encodes to the alternating pattern
+    Interleaved (sin, cos) of RotaryConfig(dim=dim).plane_angles: each
+    axis owns dim/2 entries, its planes' geometric schedule of base
+    DEFAULT_BASE, so position 0 encodes to the alternating pattern
     (0, 1, 0, 1, ...).  dim must be divisible by 4.
     """
     positions = np.asarray(positions, dtype=np.float64)
@@ -217,11 +233,8 @@ def sinusoidal_pe_batch(positions, dim: int) -> np.ndarray:
         raise ShapeError(f"positions must have shape (N, 2), got {positions.shape}")
     if dim < 4 or dim % 4 != 0:
         raise ConfigError(f"sinusoidal dim must be divisible by 4, got {dim}")
-    half = dim // 2
-    freqs = _geometric_freqs(half, DEFAULT_BASE)
+    angles = RotaryConfig(dim=dim).plane_angles(positions)
     out = np.empty((positions.shape[0], dim), dtype=np.float64)
-    for offset, pos in ((0, positions[:, 0]), (half, positions[:, 1])):
-        ang = pos[:, None] * freqs[None, :]
-        out[:, offset : offset + half : 2] = np.sin(ang)
-        out[:, offset + 1 : offset + half : 2] = np.cos(ang)
+    out[:, 0::2] = np.sin(angles)
+    out[:, 1::2] = np.cos(angles)
     return out

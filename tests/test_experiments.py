@@ -543,6 +543,30 @@ class TestSelfCheck:
         )
         assert result.line().startswith("FAIL ")
 
+    def test_refused_bev_angles_fail_lift_monotone(self, monkeypatch, capsys):
+        # the fixture above: every bev_roundtrip of the lift check refuses its
+        # grid too, and selfcheck prints both FAIL lines and exits 1, not 2
+        ray_angles = Extrinsics.ray_angles
+
+        def on_the_seam(extrinsics, points):
+            theta, phi, in_front = ray_angles(extrinsics, points)
+            return theta, np.where(in_front, np.pi, phi), in_front
+
+        monkeypatch.setattr(Extrinsics, "ray_angles", on_the_seam)
+        (result,) = experiments.check_lift_monotone()
+        assert result.name == "experiments.lift_monotone_patch_size"
+        assert not result.passed and math.isnan(result.measured)
+        assert main(["selfcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "FAIL angular.bev_projection_consistency: measured=1.000e+00 tolerance=0.000e+00"
+            " (BEV grid refused its angles)" in lines
+        )
+        assert (
+            "FAIL experiments.lift_monotone_patch_size: measured=nan tolerance=0.000e+00"
+            " (BEV grid refused its angles)" in lines
+        )
+
     def test_products_behind_measured_values_fit_the_gate(self, monkeypatch):
         # every product behind a reported measurement has at most
         # FIXED_ORDER_OUTPUTS outputs, so it runs in numpy's fixed order and
@@ -604,20 +628,6 @@ class TestSelfCheck:
             assert check(seed)[0].measured == loop(seed), check.__name__
         margin = self_logit_margin_loop(seed)
         assert experiments.check_self_logit_max(seed)[0].measured == -margin
-
-    def test_plane_freqs_are_the_rotary_config_schedules(self):
-        # the rotary checks rotate by these rows, so they must be the bits
-        # and plane axes that RotaryConfig gives the package's own kernels
-        bases = np.array([1.5, 2.0, 100.0, 10000.0, 12345.678])
-        for dim in range(2, 65, 2):
-            splits = np.arange(0, dim + 1, 2)
-            theta_dims, base = (a.ravel() for a in np.meshgrid(splits, bases, indexing="ij"))
-            freqs, phi = experiments._plane_freqs(dim, theta_dims, base)
-            assert freqs.shape == phi.shape == (len(base), dim // 2)
-            for row, (split, b) in enumerate(zip(theta_dims, base)):
-                config = RotaryConfig(dim, int(split), float(b))
-                assert freqs[row].tobytes() == config.plane_freqs.tobytes(), (dim, split, b)
-                np.testing.assert_array_equal(phi[row], config.plane_axis == 1)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_rotary_checks_pass_for_benchmark_seeds(self, seed):

@@ -1,8 +1,10 @@
 """The package imports lazily: a module runs only when a command uses it.
 
-Every name the benchmark's trace wraps exists in the package.
+Every name the benchmark's trace wraps exists in the package, and the
+test oracles take nothing from it but public fishrope.rope names.
 """
 
+import ast
 import importlib
 import re
 import subprocess
@@ -99,3 +101,34 @@ def test_readme_constants_match_the_package():
         number = float(value) ** int(power) if power else float(value)
         actual = getattr(importlib.import_module(f"fishrope.{module}"), name)
         assert actual == number, (f"{module}.{name}", actual, value + (f"^{power}" if power else ""))
+
+
+@pytest.mark.parametrize("helper", ["oracles", "margins"])
+def test_oracles_use_public_rope_names_only(helper):
+    # the test helpers restate the package; the public fishrope.rope names
+    # are all they may take from it, so a private helper they share with
+    # the code under test cannot hide a fault from both
+    tree = ast.parse((REPO_ROOT / "tests" / f"{helper}.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [
+                (alias.name, alias.asname or alias.name.split(".")[0]) for alias in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported = [
+                (f"{node.module}.{alias.name}", alias.asname or alias.name) for alias in node.names
+            ]
+        else:
+            continue
+        for name, local in imported:
+            if name.split(".")[0] == "fishrope":
+                assert name == "fishrope.rope" or name.startswith("fishrope.rope."), name
+                assert not name.split(".")[-1].startswith("_"), name
+                bound.add(local)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            assert not (isinstance(root, ast.Name) and root.id in bound), ast.unparse(node)

@@ -15,6 +15,7 @@ from fishrope import (
     logit_matrix,
     relative_logit,
 )
+from fishrope import rope
 from fishrope.experiments import _probe_tokens
 from fishrope.fixtures import k2_camera
 from fishrope.rope import (
@@ -49,6 +50,38 @@ class TestSchedule:
 
     def test_dims4_base100(self):
         np.testing.assert_allclose(self._freqs(4, 100.0), [1.0, 0.1], rtol=1e-12)
+
+    def test_plane_schedules_are_the_rotary_config_schedules(self):
+        # one call per dim over every (split, base) pair: numpy's power runs
+        # on other broadcast shapes than in RotaryConfig's one-config call,
+        # and each row must round the same.  Each subspace keeps its own
+        # schedule, the one a theta-only config of its dims has
+        bases = np.array([1.5, 2.0, 100.0, 10000.0, 12345.678])
+        for dim in range(2, 65, 2):
+            splits = np.arange(0, dim + 1, 2)
+            theta_dims, base = (a.ravel() for a in np.meshgrid(splits, bases, indexing="ij"))
+            freqs, axis = rope._plane_schedules(dim, theta_dims, base)
+            assert freqs.shape == axis.shape == (len(base), dim // 2)
+            for row, (split, b) in enumerate(zip(theta_dims.tolist(), base.tolist())):
+                config = RotaryConfig(dim, split, b)
+                assert freqs[row].tobytes() == config.plane_freqs.tobytes(), (dim, split, b)
+                np.testing.assert_array_equal(axis[row], config.plane_axis)
+                np.testing.assert_array_equal(axis[row], np.arange(dim // 2) >= split // 2)
+                theta, phi = np.split(freqs[row], [split // 2])
+                for planes, dims in ((theta, split), (phi, dim - split)):
+                    if dims:
+                        assert planes.tobytes() == self._freqs(dims, b).tobytes(), (dim, split, b)
+
+    def test_default_split_needs_a_dim_divisible_by_4(self):
+        # the caller set no theta_dims, so the error names the dim instead
+        message = "default equal theta/phi split needs a dim divisible by 4, got 6"
+        with pytest.raises(ConfigError, match=message):
+            RotaryConfig(dim=6)
+        with pytest.raises(ConfigError, match=message):
+            AttentionConfig(head_dim=6, encoding="fishrope")
+        with pytest.raises(ConfigError, match="embedding dim must be even and >= 2, got 3"):
+            RotaryConfig(dim=3)
+        assert RotaryConfig(dim=6, theta_dims=2).phi_dims == 4
 
     def test_validation(self):
         with pytest.raises(ConfigError):
