@@ -2,8 +2,8 @@
 
 Every token that enters attention is bound to a (theta, phi) pair in the
 lens spherical coordinate system.  This module produces those pairs:
-per-patch angles by inverse projection of patch centers, and per-cell
-angles by forward projection of ground-plane cell centers.
+per-patch angles through the camera's own inverse table (`camera.lut`),
+and per-cell angles by forward projection of ground-plane cell centers.
 
 Out-of-domain entries (patch centers outside the image circle, cells
 behind the camera or past theta_max) become mask entries, never errors:
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import Extrinsics, InverseLut, KannalaBrandtCamera, _azimuth, _readonly
+from .camera import Extrinsics, KannalaBrandtCamera, _azimuth, _readonly
 from .errors import ConfigError
 
 # Most cells a BEV or patch grid may hold (a 4096 x 4096 grid).  The lift's
@@ -93,24 +93,18 @@ class PatchGrid:
         )
 
 
-def patch_angles(
-    camera: KannalaBrandtCamera,
-    patch_size: int,
-    lut: InverseLut | None = None,
-) -> PatchGrid:
+def patch_angles(camera: KannalaBrandtCamera, patch_size: int) -> PatchGrid:
     """Angular coordinates at every patch center of a tiled image.
 
     The image is tiled with patch_size x patch_size cells starting at the
     top-left corner; a partial last row/column is kept with the center of
-    its clipped extent.  Angles come from the inverse lookup table
-    (built at the default resolution when not supplied) plus atan2.
+    its clipped extent.  Theta comes from the camera's own default
+    inverse table, `camera.lut` (built on first use), and phi from atan2.
     """
     if patch_size < 1:
         raise ConfigError(f"patch size must be >= 1, got {patch_size}")
     if patch_size > MAX_PATCH_SIZE:
         raise ConfigError(f"patch size {patch_size} is above the limit of {MAX_PATCH_SIZE}")
-    if lut is None:
-        lut = camera.build_lut()
     w, h = camera.image_size
     cols = -(-w // patch_size)
     rows = -(-h // patch_size)
@@ -132,7 +126,7 @@ def patch_angles(
     valid = r <= camera.r_max
 
     theta = np.full_like(r, np.nan)
-    theta[valid] = lut.lookup(r[valid])
+    theta[valid] = camera.lut.lookup(r[valid])
     phi = np.where(valid, _azimuth(dv, du, r), np.nan)
 
     return PatchGrid(

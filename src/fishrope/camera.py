@@ -96,8 +96,8 @@ class KannalaBrandtCamera:
 
     Construction verifies that r(theta) is strictly increasing on
     [0, theta_max] by sampling its derivative, and that r_max is finite;
-    it fails otherwise.
-    Instances are immutable and safe to share across threads.
+    it fails otherwise.  Instances are immutable and safe to share across
+    threads; `lut`, the default inverse table, is built on first use.
     """
 
     coeffs: tuple[float, ...]
@@ -162,6 +162,11 @@ class KannalaBrandtCamera:
             f"kb|coeffs={self.coeffs!r}|pp={self.principal_point!r}"
             f"|theta_max={self.theta_max!r}|size={self.image_size!r}"
         )
+
+    @cached_property
+    def lut(self) -> "InverseLut":
+        """This camera's inverse table at DEFAULT_LUT_RESOLUTION, built once."""
+        return self.build_lut()
 
     # -- forward model ------------------------------------------------------
 
@@ -257,8 +262,8 @@ class KannalaBrandtCamera:
     def build_lut(self, resolution: int = DEFAULT_LUT_RESOLUTION) -> "InverseLut":
         """Tabulate the inverse radial map on a uniform radius grid.
 
-        Built once per camera with fully converged Newton; lookups then
-        cost one linear interpolation.
+        Each call builds a new table with fully converged Newton; lookups
+        then cost one linear interpolation (`lut` keeps the default one).
         """
         if resolution < 2:
             raise ConfigError(f"LUT resolution must be >= 2, got {resolution}")

@@ -346,8 +346,7 @@ def _bench_inputs(config: RetrievalBenchConfig):
     wrap_mask flags the uniform queries within WRAP_MARGIN of the seam.
     """
     camera = config.camera
-    lut = camera.build_lut()
-    grid = patch_angles(camera, config.patch_size, lut)
+    grid = patch_angles(camera, config.patch_size)
     key_coords, key_px = grid.flat_valid()
     n_keys = key_coords.shape[0]
     if n_keys == 0:
@@ -366,7 +365,7 @@ def _bench_inputs(config: RetrievalBenchConfig):
     def draw(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         phi = rng.uniform(-math.pi, math.pi, len(radii))
         px = np.stack([cx + radii * np.cos(phi), cy + radii * np.sin(phi)], axis=-1)
-        coords = np.stack([lut.lookup(radii), phi], axis=-1)
+        coords = np.stack([camera.lut.lookup(radii), phi], axis=-1)
         return coords, px, np.argmax(ray_directions(coords) @ key_dirs.T, axis=1)
 
     uniform = draw(camera.r_max * np.sqrt(rng.uniform(0.0, 1.0, config.n_queries)))
@@ -585,8 +584,7 @@ def bev_roundtrip(
     outer PERIPHERAL_FRACTION of visible cells ranked by projected
     image radius.
     """
-    lut = camera.build_lut()
-    grid = patch_angles(camera, config.patch_size, lut)
+    grid = patch_angles(camera, config.patch_size)
     patch_coords, patch_px = grid.flat_valid()
     hits, hit_mask = ground_intersections(patch_coords, extrinsics)
     if not np.any(hit_mask):
@@ -679,6 +677,11 @@ class CheckResult:
         return cls(name, bool(measured < tolerance), measured, tolerance, note)
 
     @classmethod
+    def above(cls, name: str, measured: float, tolerance: float, note: str = "") -> CheckResult:
+        """Passes when measured > tolerance, so a NaN measurement fails."""
+        return cls(name, bool(measured > tolerance), measured, tolerance, note)
+
+    @classmethod
     def flag(cls, name: str, ok: bool, note: str) -> CheckResult:
         """An indicator check: measured 0 when ok, else 1, against tolerance 0."""
         return cls(name, bool(ok), 0.0 if ok else 1.0, 0.0, note)
@@ -741,12 +744,11 @@ def check_monotonicity() -> list[CheckResult]:
         thetas = np.linspace(0.0, camera.theta_max, 4096)
         min_deriv = float(np.min(camera.radial_derivative(thetas)))
         out.append(
-            CheckResult(
-                name=f"camera.monotone_radial[{name}]",
-                passed=min_deriv > 0.0,
-                measured=min_deriv,
-                tolerance=0.0,
-                note="minimum sampled derivative; must be positive",
+            CheckResult.above(
+                f"camera.monotone_radial[{name}]",
+                min_deriv,
+                0.0,
+                "minimum sampled derivative; must be positive",
             )
         )
         try:
@@ -754,12 +756,11 @@ def check_monotonicity() -> list[CheckResult]:
         except ConfigError:
             min_gap = math.nan
         out.append(
-            CheckResult(
-                name=f"camera.lut_monotone[{name}]",
-                passed=min_gap > 0.0,
-                measured=min_gap,
-                tolerance=0.0,
-                note="minimum LUT entry gap; must be positive",
+            CheckResult.above(
+                f"camera.lut_monotone[{name}]",
+                min_gap,
+                0.0,
+                "minimum LUT entry gap; must be positive",
             )
         )
     return out

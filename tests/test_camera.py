@@ -212,6 +212,12 @@ class TestLut:
             assert lut.entries[0] == 0.0
             assert lut.entries[-1] == pytest.approx(cam.theta_max, abs=1e-9)
 
+    def test_each_camera_keeps_one_default_table(self, wide_camera):
+        lut = wide_camera.lut
+        assert lut is wide_camera.lut
+        assert lut.entries.tobytes() == wide_camera.build_lut().entries.tobytes()
+        assert (lut.r_max, lut.theta_max) == (wide_camera.r_max, wide_camera.theta_max)
+
     def test_resolution_must_be_at_least_two(self, wide_camera):
         with pytest.raises(ConfigError):
             wide_camera.build_lut(1)

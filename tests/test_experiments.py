@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import pathlib
+import sys
 import threading
 
 import numpy as np
@@ -486,6 +487,76 @@ def test_settable_fields_are_pinned():
     }
 
 
+class TestDefaultTable:
+    """Grids read their camera's one default inverse table, `camera.lut`."""
+
+    _BENCH = dict(n_queries=64, patch_size=128)
+    _LIFT = LiftConfig(extent=(20.0, 20.0), resolution=1.0, patch_size=32, encodings=("fishrope",))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        resolutions = []
+        build_lut = KannalaBrandtCamera.build_lut
+
+        def counted(camera, resolution=DEFAULT_LUT_RESOLUTION):
+            resolutions.append(resolution)
+            return build_lut(camera, resolution)
+
+        monkeypatch.setattr(KannalaBrandtCamera, "build_lut", counted)
+        return resolutions
+
+    def _bench(self, camera):
+        return dump_report_yaml(
+            retrieval_bench(RetrievalBenchConfig(camera=camera, **self._BENCH)).as_dict()
+        )
+
+    def _lift(self, camera):
+        report = bev_roundtrip(camera, scene_extrinsics(), scene_pattern(), self._LIFT)
+        return dump_report_yaml(report.as_dict())
+
+    def test_bench_builds_one_default_table(self, builds):
+        self._bench(wide_camera())
+        assert builds == [DEFAULT_LUT_RESOLUTION]
+
+    def test_lift_builds_one_default_table(self, builds):
+        self._lift(wide_camera())
+        assert builds == [DEFAULT_LUT_RESOLUTION]
+
+    def test_lift_monotone_check_builds_one_default_table(self, builds):
+        # its three patch sizes share one camera, so one table
+        (result,) = experiments.check_lift_monotone()
+        assert result.passed
+        assert builds == [DEFAULT_LUT_RESOLUTION]
+
+    def test_threads_sharing_one_camera_give_the_serial_bytes(self):
+        # four threads make the first reads of one camera's table at once,
+        # each running both experiments; a short switch interval interleaves
+        # them as often as it can
+        calls = (self._bench, self._lift)
+        serial = [call(wide_camera()) for call in calls]
+        shared = wide_camera()
+        start = threading.Barrier(4)
+        got = [None] * 4
+
+        def run(i):
+            start.wait(30)
+            got[i] = [calls[(i + j) % 2](shared) for j in range(2)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, reports in enumerate(got):
+            assert reports == [serial[(i + j) % 2] for j in range(2)], i
+
+
 class TestSelfCheck:
     def test_all_invariants_pass(self):
         report = selfcheck()
@@ -648,6 +719,15 @@ class TestSelfCheck:
         assert not below("c", 1.0, 1.0).passed
         nan = below("c", math.nan, 1.0)
         assert not nan.passed and math.isnan(nan.measured) and nan.tolerance == 1.0
+
+    def test_above_fails_on_nan_and_on_equality(self):
+        above = experiments.CheckResult.above
+        assert above("c", 1.5, 1.0) == experiments.CheckResult("c", True, 1.5, 1.0)
+        assert above("c", 1.5, 1.0, "why").note == "why"
+        assert not above("c", 1.0, 1.0).passed
+        assert not above("c", 0.5, 1.0).passed
+        nan = above("c", math.nan, 0.0)
+        assert not nan.passed and math.isnan(nan.measured) and nan.tolerance == 0.0
 
     def test_flag_measures_0_or_1_against_0(self):
         flag, result = experiments.CheckResult.flag, experiments.CheckResult

@@ -24,6 +24,13 @@ _EXPERIMENT_MODULES = ("experiments", "attention", "rope", "angular", "fixtures"
 # Layers whose modules perfbench/spans.py reads from sys.modules; it reads
 # cli's only after importing it, as every caller of cli.main does.
 _TRACED_LAYERS = ("formats", "camera", "angular", "rope", "attention", "experiments")
+# A name each module defines late, read first by several threads at once.
+_FIRST_READS = (
+    ("rope", "relative_logit"),
+    ("formats", "write_report_yaml"),
+    ("attention", "self_attention_jacobian"),
+    ("experiments", "selfcheck"),
+)
 # A README statement `module.NAME` = value, the value written plainly or as a^b.
 _README_CONSTANT = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)` = (\d+(?:\.\d+)?)(?:\^(\d+))?")
 
@@ -74,6 +81,65 @@ def test_cli_project_runs_no_experiment_module(calibration_path):
         """
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_first_reads_from_many_threads_wait_for_the_whole_module():
+    # four threads read each unrun module at once; a thread that saw the
+    # module half run would miss the name it reads
+    result = _run_fresh(
+        f"""
+        import sys, threading
+        import fishrope
+        sys.setswitchinterval(1e-6)
+        missed = []
+
+        def read(module, name, start):
+            start.wait(30)
+            try:
+                getattr(getattr(fishrope, module), name)
+            except AttributeError as exc:
+                missed.append(str(exc))
+
+        for module, name in {_FIRST_READS!r}:
+            start = threading.Barrier(4)
+            threads = [
+                threading.Thread(target=read, args=(module, name, start)) for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads), module
+        assert not missed, missed
+        """
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_assignment_before_the_first_read_outlives_the_run():
+    # an assignment runs the module first, so its code cannot overwrite it
+    result = _run_fresh(
+        """
+        import fishrope
+        def one():
+            return 1
+        fishrope._parallel.usable_cores = one
+        assert fishrope._parallel.usable_cores is one
+        del fishrope.rope.RotaryConfig
+        assert not hasattr(fishrope.rope, "RotaryConfig")
+        """
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_runs():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    # the shapes its comments state
+    assert namespace["theta"].shape == namespace["phi"].shape == ()
+    assert namespace["rotated"].shape == (len(namespace["coords"]), 8)
 
 
 def test_every_name_the_trace_wraps_exists():
